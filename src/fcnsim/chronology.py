@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .engine import EventKind, EventTrace, SimEvent
 from .errors import ClockMismatch, NoClockPulse
@@ -171,23 +173,79 @@ def extract_time(triplet: TripletState, clock: StandardClockSpec) -> TimeLabel:
     )
 
 
-def _labeled_ancestors(
-    targets: set[EventId], trace: EventTrace
-) -> dict[EventId, set[EventId]]:
-    """For each event in ``targets``, the target events among its ancestors.
+def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
+    return (label.time_number_s, label.event)
 
-    Parents always carry smaller event ids than their children, so one
-    forward pass over the trace in id order propagates the ancestor sets.
+
+def _check_ancestry(
+    entries: tuple[TimeLabel, ...], trace: EventTrace
+) -> tuple[list[CausalViolation], int, int]:
+    """Compare sorted timeline entries with the causal ancestry of a trace.
+
+    Returns the inversions (unsorted), the causally ordered entry pairs,
+    and those among them that share a label. ``entries`` must ascend by
+    (time number, event id).
+
+    One forward pass over the trace in id order. Each event carries a
+    Python-int bitset of its labeled ancestors, bit ``i`` standing for
+    ``entries[i]``; an event's bitset is dropped once its last child has
+    read it, so memory follows the live causal frontier. As entries
+    ascend, the entries sharing a label fill one bit range ``[lo, hi)``
+    and every later label sits at bit ``hi`` or above: inversions are the
+    set bits of ``bits >> hi``, ordered pairs the popcount of ``bits``,
+    and indistinguishable pairs the popcount of its ``[lo, hi)`` slice.
+
+    A parent absent from the trace, or with an id not smaller than its
+    child's, contributes only its own bit (when labeled). When an event id
+    repeats in the trace or in the entries, the last record in sort order
+    counts.
     """
-    anc: dict[EventId, set[EventId]] = {}
-    for event in sorted(trace, key=lambda e: e.id):
-        found: set[EventId] = set()
+    bit = {lb.event: i for i, lb in enumerate(entries)}
+    label_range: dict[float, tuple[int, int]] = {}
+    lo = 0
+    for t, group in groupby(entries, key=attrgetter("time_number_s")):
+        hi = lo + sum(1 for _ in group)
+        label_range[t] = (lo, hi)
+        lo = hi
+
+    events = sorted(trace, key=attrgetter("id"))
+    last_reader = {p: k for k, event in enumerate(events) for p in event.parents}
+
+    live: dict[EventId, int] = {}
+    violations: list[CausalViolation] = []
+    ordered = indistinguishable = 0
+    n = len(events)
+    for k, event in enumerate(events):
+        bits = 0
         for p in event.parents:
-            found |= anc.get(p, set())
-            if p in targets:
-                found.add(p)
-        anc[event.id] = found
-    return {t: anc.get(t, set()) for t in targets}
+            bits |= live.pop(p, 0) if last_reader[p] == k else live.get(p, 0)
+            i = bit.get(p)
+            if i is not None:
+                bits |= 1 << i
+        eid = event.id
+        if last_reader.get(eid, k) > k:
+            live[eid] = bits
+        i = bit.get(eid)
+        if i is None or not bits or (k + 1 < n and events[k + 1].id == eid):
+            continue
+        t = entries[i].time_number_s
+        lo, hi = label_range[t]
+        later = bits >> hi
+        ordered += bits.bit_count()
+        indistinguishable += (bits >> lo).bit_count() - later.bit_count()
+        while later:
+            low = later & -later
+            anc = entries[hi + low.bit_length() - 1]
+            violations.append(
+                CausalViolation(
+                    ancestor=anc.event,
+                    descendant=eid,
+                    ancestor_time_s=anc.time_number_s,
+                    descendant_time_s=t,
+                )
+            )
+            later ^= low
+    return violations, ordered, indistinguishable
 
 
 def build_timeline(
@@ -203,6 +261,9 @@ def build_timeline(
     are reported, not raised, because a coarse clock legitimately gives
     equal labels to causally ordered events and only inversions are
     defects. All labels must come from one clock.
+
+    Cost: one pass over the trace in id order holding one bitset per live
+    event; inversions are enumerated only for events that have one.
     """
     labels = tuple(labels)
     clocks = {lb.triplet.clock for lb in labels}
@@ -211,43 +272,24 @@ def build_timeline(
     if observer is None and clocks:
         observer = next(iter(clocks))
 
-    entries = tuple(sorted(labels, key=lambda lb: (lb.time_number_s, lb.event)))
-    by_event = {lb.event: lb for lb in entries}
-    ancestry = _labeled_ancestors(set(by_event), trace)
-
-    violations = []
-    for descendant, ancestors in ancestry.items():
-        for ancestor in ancestors:
-            t_anc = by_event[ancestor].time_number_s
-            t_desc = by_event[descendant].time_number_s
-            if t_anc > t_desc:
-                violations.append(
-                    CausalViolation(
-                        ancestor=ancestor,
-                        descendant=descendant,
-                        ancestor_time_s=t_anc,
-                        descendant_time_s=t_desc,
-                    )
-                )
+    entries = tuple(sorted(labels, key=_by_time_then_event))
+    violations, _, _ = _check_ancestry(entries, trace)
     violations.sort(key=lambda v: (v.descendant, v.ancestor))
     return Timeline(observer=observer, entries=entries), tuple(violations)
 
 
 def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport:
-    """Count causally ordered entry pairs the clock cannot tell apart."""
-    by_event = {lb.event: lb for lb in timeline.entries}
-    ancestry = _labeled_ancestors(set(by_event), trace)
-    ordered = 0
-    indistinguishable = 0
-    for descendant, ancestors in ancestry.items():
-        for ancestor in ancestors:
-            ordered += 1
-            if by_event[ancestor].time_number_s == by_event[descendant].time_number_s:
-                indistinguishable += 1
+    """Count causally ordered entry pairs the clock cannot tell apart.
+
+    Cost: one pass over the trace in id order holding one bitset per live
+    event; pairs are counted by popcount, not enumerated.
+    """
+    entries = tuple(sorted(timeline.entries, key=_by_time_then_event))
+    _, ordered, indistinguishable = _check_ancestry(entries, trace)
     return ResolutionReport(
         causally_ordered_pairs=ordered,
         indistinguishable_pairs=indistinguishable,
-        distinct_labels=len({lb.time_number_s for lb in timeline.entries}),
+        distinct_labels=len({lb.time_number_s for lb in entries}),
     )
 
 

@@ -13,7 +13,13 @@ import os
 import sys
 from pathlib import Path
 
-from .chronology import build_timeline, label_absorptions, pulses_from_trace, resolution_report
+from .chronology import (
+    ClockPulse,
+    build_timeline,
+    label_absorptions,
+    pulses_from_trace,
+    resolution_report,
+)
 from .engine import Engine, EventKind, EventTrace, RunConfig, SamplingMode
 from .entropy import EntropyModel
 from .errors import FcnError, ParseError, ValidationFailed
@@ -158,9 +164,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reconstruct_clock(trace: EventTrace, clock_id: int) -> StandardClockSpec | None:
+def _reconstruct_clock(clock_id: int, pulses: tuple[ClockPulse, ...]) -> StandardClockSpec | None:
     """Rebuild a clock spec from its pulses as recorded in the trace."""
-    pulses = pulses_from_trace(trace, clock_id)
     if not pulses:
         return None
     # With a single pulse the period is unconstrained; any positive value
@@ -176,6 +181,7 @@ def _reconstruct_clock(trace: EventTrace, clock_id: int) -> StandardClockSpec | 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
+    pulses = pulses_from_trace(trace, args.clock)
     if args.net:
         doc = parse_network_file(args.net)
         spec = doc.network.clock_by_node.get(args.clock)
@@ -183,11 +189,11 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             print(f"error: no standard clock at node {args.clock} in {args.net}", file=sys.stderr)
             return 2
     else:
-        spec = _reconstruct_clock(trace, args.clock)
+        spec = _reconstruct_clock(args.clock, pulses)
         if spec is None:
             print(f"error: clock {args.clock}: no pulses in trace", file=sys.stderr)
             return 2
-    labels, skipped = label_absorptions(trace, spec)
+    labels, skipped = label_absorptions(trace, spec, pulses)
     timeline, violations = build_timeline(labels, trace, observer=args.clock)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
@@ -229,9 +235,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"entropy: {len(decays)} decays, {second_law} second-law violations")
     clock_ids = sorted({e.node for e in trace if e.kind is EventKind.CLOCK_TICK})
     for clock_id in clock_ids:
-        spec = _reconstruct_clock(trace, clock_id)
+        pulses = pulses_from_trace(trace, clock_id)
+        spec = _reconstruct_clock(clock_id, pulses)
         assert spec is not None
-        labels, skipped = label_absorptions(trace, spec)
+        labels, skipped = label_absorptions(trace, spec, pulses)
         timeline, violations = build_timeline(labels, trace, observer=clock_id)
         resolution = resolution_report(timeline, trace)
         print(

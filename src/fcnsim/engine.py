@@ -307,7 +307,8 @@ class Engine:
             payload=payload,
         )
         self._trace.append(event)
-        logger.debug("event %d %s node=%d t=%r", event.id, kind.value, node, t)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("event %d %s node=%d t=%r", event.id, kind.value, node, t)
         return event
 
     def _schedule_decay(self, node_id: NodeId, excitation_id: int, t: float, parent: EventId) -> None:

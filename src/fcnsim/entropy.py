@@ -12,6 +12,7 @@ instead of assumed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -73,8 +74,9 @@ class EntropyLifetime:
     """Duration of the entropy production process for one decay.
 
     ``zero_entropy_change`` flags the degenerate case where the breakdown
-    total is zero: the rate is undefined, and the duration falls back to
-    the decay lifetime directly.
+    total is zero, or too small for its rate to be a normal float: the
+    rate is undefined, and the duration falls back to the decay lifetime
+    directly.
     """
 
     seconds: float
@@ -123,13 +125,16 @@ def entropy_lifetime(
     is total / rate with rate = total / lifetime(gamma). The round trip
     through the rate is deliberate: it verifies numerically that the
     entropy clock and the decay clock agree. A zero total makes the rate
-    undefined; the decay lifetime is returned with a diagnostic flag.
+    undefined; the decay lifetime is returned with a diagnostic flag. A
+    rate that is not a normal float (a total so small that the rate
+    underflows to zero or a subnormal, or one that overflows) takes the
+    same fallback: dividing by it would raise or lose the identity.
     """
     tau = lifetime(gamma_ev, constants)
     total = breakdown.total()
-    if total == 0:
-        return EntropyLifetime(seconds=tau, zero_entropy_change=True)
     rate = total / tau
+    if not sys.float_info.min <= abs(rate) <= sys.float_info.max:
+        return EntropyLifetime(seconds=tau, zero_entropy_change=True)
     return EntropyLifetime(seconds=total / rate)
 
 

@@ -203,3 +203,55 @@ def check_parent_order(trace) -> list[str]:
             if (parent.engine_time, parent.id) >= (event.engine_time, event.id):
                 problems.append(f"event {event.id} precedes its parent {pid}")
     return problems
+
+
+# -- reference chronology: the set-based ancestry check -----------------
+#
+# The library counts ancestry with one bitset per live event; these copy
+# every labeled ancestor into a per-event set instead. Quadratic on
+# chains, but simple enough to trust as the oracle.
+
+from fcnsim import CausalViolation, ResolutionReport  # noqa: E402
+
+
+def reference_labeled_ancestors(targets, trace) -> dict[int, set[int]]:
+    """For each event in ``targets``, the target events among its ancestors."""
+    anc: dict[int, set[int]] = {}
+    for event in sorted(trace, key=lambda e: e.id):
+        found: set[int] = set()
+        for p in event.parents:
+            found |= anc.get(p, set())
+            if p in targets:
+                found.add(p)
+        anc[event.id] = found
+    return {t: anc.get(t, set()) for t in targets}
+
+
+def reference_violations(timeline, trace) -> tuple:
+    """Causal inversions among a timeline's entries, by descendant then ancestor."""
+    by_event = {lb.event: lb for lb in timeline.entries}
+    violations = []
+    for descendant, ancestors in reference_labeled_ancestors(set(by_event), trace).items():
+        for ancestor in ancestors:
+            t_anc = by_event[ancestor].time_number_s
+            t_desc = by_event[descendant].time_number_s
+            if t_anc > t_desc:
+                violations.append(CausalViolation(ancestor, descendant, t_anc, t_desc))
+    violations.sort(key=lambda v: (v.descendant, v.ancestor))
+    return tuple(violations)
+
+
+def reference_resolution(timeline, trace):
+    """Ordered and same-label entry pairs, counted pair by pair."""
+    by_event = {lb.event: lb for lb in timeline.entries}
+    ordered = indistinguishable = 0
+    for descendant, ancestors in reference_labeled_ancestors(set(by_event), trace).items():
+        for ancestor in ancestors:
+            ordered += 1
+            if by_event[ancestor].time_number_s == by_event[descendant].time_number_s:
+                indistinguishable += 1
+    return ResolutionReport(
+        causally_ordered_pairs=ordered,
+        indistinguishable_pairs=indistinguishable,
+        distinct_labels=len({lb.time_number_s for lb in timeline.entries}),
+    )

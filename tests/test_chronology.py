@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcnsim import (
     ClockMismatch,
@@ -14,6 +14,7 @@ from fcnsim import (
     SimEvent,
     StandardClockSpec,
     TimeLabel,
+    Timeline,
     TripletState,
     build_timeline,
     clock_pulses,
@@ -23,7 +24,7 @@ from fcnsim import (
     pulses_from_trace,
     resolution_report,
 )
-from helpers import chain_network
+from helpers import chain_network, reference_resolution, reference_violations
 
 
 def absorption_at(event_id: int, t: float, node: int = 1, parents=frozenset()) -> SimEvent:
@@ -208,6 +209,67 @@ class TestResolutionReport:
         assert report.causally_ordered_pairs == 0
         assert report.indistinguishable_pairs == 0
         assert report.distinct_labels == 0
+
+
+def label(event_id: int, t: float) -> TimeLabel:
+    return TimeLabel(event=event_id, time_number_s=t, triplet=TripletState(event_id, 0, 0, clock=9))
+
+
+# Ids and parents range past each other, so traces hold parents missing
+# from the trace, parents with larger ids than their child, self-parents
+# and repeated ids; few distinct times make ties common.
+_ids = st.integers(min_value=0, max_value=24)
+_traces = st.lists(
+    st.builds(absorption_at, _ids, st.just(0.0), parents=st.frozensets(_ids, max_size=3)),
+    max_size=24,
+)
+_labels = st.lists(
+    st.builds(label, _ids, st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])), max_size=24
+)
+
+
+class TestAgainstReference:
+    """The bitset ancestry pass agrees with the set-based reference."""
+
+    @given(_traces, _labels)
+    # Event 1 is recorded twice; its second record, with no ancestors, is
+    # the one its child must read.
+    @example(
+        [
+            absorption_at(1, 0.0, parents={0}),
+            absorption_at(1, 0.0),
+            absorption_at(2, 0.0, parents={1}),
+        ],
+        [label(0, 0.0), label(2, 0.0)],
+    )
+    def test_random_dag_traces(self, trace, labels):
+        timeline, violations = build_timeline(labels, trace)
+        assert violations == reference_violations(timeline, trace)
+        assert resolution_report(timeline, trace) == reference_resolution(timeline, trace)
+
+    @given(_traces, _labels)
+    def test_unsorted_timeline_entries(self, trace, labels):
+        unique = list({lb.event: lb for lb in labels}.values())
+        timeline = Timeline(observer=9, entries=tuple(reversed(unique)))
+        assert resolution_report(timeline, trace) == reference_resolution(timeline, trace)
+
+    def test_closed_form_counts_on_a_long_chain(self):
+        """n chained absorptions in label groups of sizes k: every pair is
+        ordered, sum k(k-1)/2 share a label, and none is inverted."""
+        sizes = [1 + g % 9 for g in range(999)] + [5]
+        times = [float(g) for g, k in enumerate(sizes) for _ in range(k)]
+        n = len(times)
+        assert n == 5000
+        trace = tuple(
+            absorption_at(i, t, parents={i - 1} if i else ()) for i, t in enumerate(times)
+        )
+        labels = [label(i, t) for i, t in enumerate(times)]
+        timeline, violations = build_timeline(labels, trace)
+        report = resolution_report(timeline, trace)
+        assert violations == ()
+        assert report.causally_ordered_pairs == n * (n - 1) // 2
+        assert report.indistinguishable_pairs == sum(k * (k - 1) // 2 for k in sizes)
+        assert report.distinct_labels == len(sizes)
 
 
 class TestLabelAbsorptions:

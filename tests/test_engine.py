@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -310,6 +311,21 @@ class TestDeterminism:
     def test_run_config_requires_positive_horizon(self):
         with pytest.raises(ValueError):
             RunConfig(run_until_s=0.0)
+
+
+class TestEventLog:
+    def test_debug_level_logs_every_event(self, chain, caplog):
+        net, injections = chain
+        with caplog.at_level(logging.DEBUG, logger="fcnsim.engine"):
+            trace = Engine(net, det_config(), injections).run()
+        logged = {r.args[0] for r in caplog.records if r.msg.startswith("event ")}
+        assert logged == {e.id for e in trace}
+
+    def test_no_event_records_above_debug(self, chain, caplog):
+        net, injections = chain
+        with caplog.at_level(logging.INFO, logger="fcnsim.engine"):
+            Engine(net, det_config(), injections).run()
+        assert caplog.records == []
 
 
 class TestCoupling:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcnsim import (
     DuplicateEvent,
@@ -91,6 +91,10 @@ class TestEntropyLifetime:
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
         st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
     )
+    # Totals whose rate underflows: to zero (once ZeroDivisionError), and
+    # to a subnormal (once off the lifetime by 2e-12 relative).
+    @example(1e-20, 1.0, 1.0, 5e-324, 1.0)
+    @example(1e-20, 1.0, 1.0, 2.225073858507e-311, 1.0)
     def test_rate_path_matches_decay_lifetime(self, gamma, t_src, t_env, vacuum, delta_e):
         """The duration recovered through the production rate is the lifetime."""
         model = EntropyModel(source_temperature_k=t_src, environment_temperature_k=t_env,

@@ -23,6 +23,8 @@ from helpers import (
     check_decay_provenance,
     check_parent_order,
     random_run,
+    reference_resolution,
+    reference_violations,
 )
 
 CASES = range(40)
@@ -112,6 +114,16 @@ def test_labels_embed_causal_order(case_seed):
     network, _, _, trace = random_run(case_seed)
     _, violations = _timeline_for(trace, network)
     assert violations == ()
+
+
+@pytest.mark.parametrize("case_seed", CASES)
+def test_chronology_matches_reference(case_seed):
+    """The bitset ancestry pass agrees with the set-based reference."""
+    network, _, _, trace = random_run(case_seed)
+    for period_scale in (1.0, 0.5):
+        timeline, violations = _timeline_for(trace, network, period_scale)
+        assert violations == reference_violations(timeline, trace)
+        assert resolution_report(timeline, trace) == reference_resolution(timeline, trace)
 
 
 @pytest.mark.parametrize("case_seed", CASES)
