@@ -13,6 +13,7 @@ from .chronology import (
     ResolutionReport,
     TimeLabel,
     Timeline,
+    TraceIndex,
     TripletState,
     build_timeline,
     clock_pulses,

@@ -95,18 +95,18 @@ class ResolutionReport:
     distinct_labels: int
 
 
+def _pulse(tick: SimEvent) -> ClockPulse:
+    return ClockPulse(
+        id=tick.payload["pulse_id"],
+        clock=tick.node,
+        counter=tick.payload["counter"],
+        engine_time=tick.engine_time,
+    )
+
+
 def pulses_from_trace(trace: EventTrace, clock: NodeId) -> tuple[ClockPulse, ...]:
     """Extract the pulse history of the clock at ``clock`` from a trace."""
-    return tuple(
-        ClockPulse(
-            id=e.payload["pulse_id"],
-            clock=e.node,
-            counter=e.payload["counter"],
-            engine_time=e.engine_time,
-        )
-        for e in trace
-        if e.kind is EventKind.CLOCK_TICK and e.node == clock
-    )
+    return tuple(_pulse(e) for e in trace if e.kind is EventKind.CLOCK_TICK and e.node == clock)
 
 
 def clock_pulses(
@@ -141,13 +141,18 @@ def form_triplet(absorption: SimEvent, pulses: tuple[ClockPulse, ...]) -> Triple
     """
     if absorption.kind is not EventKind.ABSORPTION:
         raise ValueError(f"event {absorption.id} is {absorption.kind.value}, not an absorption")
-    idx = bisect_right(pulses, absorption.engine_time, key=lambda p: p.engine_time) - 1
-    if idx < 0:
+    after = bisect_right(pulses, absorption.engine_time, key=attrgetter("engine_time"))
+    return _pair(absorption, pulses, after)
+
+
+def _pair(absorption: SimEvent, pulses: tuple[ClockPulse, ...], after: int) -> TripletState:
+    """The triplet of ``absorption`` and ``pulses[after - 1]``, the latest pulse at or before it."""
+    if after == 0:
         raise NoClockPulse(
             f"absorption {absorption.id} at engine_time {absorption.engine_time} "
             f"precedes the first clock pulse"
         )
-    pulse = pulses[idx]
+    pulse = pulses[after - 1]
     return TripletState(
         signal_state=absorption.id, pulse=pulse.id, label=pulse.counter, clock=pulse.clock
     )
@@ -177,14 +182,27 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
     return (label.time_number_s, label.event)
 
 
+@dataclass(frozen=True)
+class _IdOrder:
+    """A trace sorted by event id, and the position there of each parent's last reader."""
+
+    events: list[SimEvent]
+    last_reader: dict[EventId, int]
+
+    @classmethod
+    def of(cls, trace: EventTrace) -> _IdOrder:
+        events = sorted(trace, key=attrgetter("id"))
+        return cls(events, {p: k for k, event in enumerate(events) for p in event.parents})
+
+
 def _check_ancestry(
-    entries: tuple[TimeLabel, ...], trace: EventTrace
-) -> tuple[list[CausalViolation], int, int]:
+    entries: tuple[TimeLabel, ...], order: _IdOrder
+) -> tuple[list[CausalViolation], ResolutionReport]:
     """Compare sorted timeline entries with the causal ancestry of a trace.
 
-    Returns the inversions (unsorted), the causally ordered entry pairs,
-    and those among them that share a label. ``entries`` must ascend by
-    (time number, event id).
+    Returns the inversions (unsorted) and the resolution report: the
+    causally ordered entry pairs and those among them that share a label.
+    ``entries`` must ascend by (time number, event id).
 
     One forward pass over the trace in id order. Each event carries a
     Python-int bitset of its labeled ancestors, bit ``i`` standing for
@@ -208,9 +226,7 @@ def _check_ancestry(
         label_range[t] = (lo, hi)
         lo = hi
 
-    events = sorted(trace, key=attrgetter("id"))
-    last_reader = {p: k for k, event in enumerate(events) for p in event.parents}
-
+    events, last_reader = order.events, order.last_reader
     live: dict[EventId, int] = {}
     violations: list[CausalViolation] = []
     ordered = indistinguishable = 0
@@ -245,7 +261,28 @@ def _check_ancestry(
                 )
             )
             later ^= low
-    return violations, ordered, indistinguishable
+    return violations, ResolutionReport(
+        causally_ordered_pairs=ordered,
+        indistinguishable_pairs=indistinguishable,
+        distinct_labels=len({lb.time_number_s for lb in entries}),
+    )
+
+
+def _check(
+    labels: tuple[TimeLabel, ...] | list[TimeLabel], order: _IdOrder, observer: NodeId | None
+) -> tuple[Timeline, tuple[CausalViolation, ...], ResolutionReport]:
+    """The timeline, its sorted inversions and its resolution, from one pass."""
+    labels = tuple(labels)
+    clocks = {lb.triplet.clock for lb in labels}
+    if len(clocks) > 1:
+        raise ClockMismatch(f"labels span several clocks: {sorted(clocks)}")
+    if observer is None and clocks:
+        observer = next(iter(clocks))
+
+    entries = tuple(sorted(labels, key=_by_time_then_event))
+    violations, resolution = _check_ancestry(entries, order)
+    violations.sort(key=lambda v: (v.descendant, v.ancestor))
+    return Timeline(observer=observer, entries=entries), tuple(violations), resolution
 
 
 def build_timeline(
@@ -265,17 +302,8 @@ def build_timeline(
     Cost: one pass over the trace in id order holding one bitset per live
     event; inversions are enumerated only for events that have one.
     """
-    labels = tuple(labels)
-    clocks = {lb.triplet.clock for lb in labels}
-    if len(clocks) > 1:
-        raise ClockMismatch(f"labels span several clocks: {sorted(clocks)}")
-    if observer is None and clocks:
-        observer = next(iter(clocks))
-
-    entries = tuple(sorted(labels, key=_by_time_then_event))
-    violations, _, _ = _check_ancestry(entries, trace)
-    violations.sort(key=lambda v: (v.descendant, v.ancestor))
-    return Timeline(observer=observer, entries=entries), tuple(violations)
+    timeline, violations, _ = _check(labels, _IdOrder.of(trace), observer)
+    return timeline, violations
 
 
 def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport:
@@ -285,12 +313,24 @@ def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport
     event; pairs are counted by popcount, not enumerated.
     """
     entries = tuple(sorted(timeline.entries, key=_by_time_then_event))
-    _, ordered, indistinguishable = _check_ancestry(entries, trace)
-    return ResolutionReport(
-        causally_ordered_pairs=ordered,
-        indistinguishable_pairs=indistinguishable,
-        distinct_labels=len({lb.time_number_s for lb in entries}),
-    )
+    return _check_ancestry(entries, _IdOrder.of(trace))[1]
+
+
+def _label(
+    absorptions: list[SimEvent], clock: StandardClockSpec, pulses: tuple[ClockPulse, ...]
+) -> tuple[tuple[TimeLabel, ...], int]:
+    """Label ``absorptions``, bisecting the pulse times once per absorption."""
+    times = [p.engine_time for p in pulses]
+    labels = []
+    skipped = 0
+    for event in absorptions:
+        try:
+            triplet = _pair(event, pulses, bisect_right(times, event.engine_time))
+        except NoClockPulse:
+            skipped += 1
+            continue
+        labels.append(extract_time(triplet, clock))
+    return tuple(labels), skipped
 
 
 def label_absorptions(
@@ -304,15 +344,46 @@ def label_absorptions(
     """
     if pulses is None:
         pulses = pulses_from_trace(trace, clock.id)
-    labels = []
-    skipped = 0
-    for event in trace:
-        if event.kind is not EventKind.ABSORPTION:
-            continue
-        try:
-            triplet = form_triplet(event, pulses)
-        except NoClockPulse:
-            skipped += 1
-            continue
-        labels.append(extract_time(triplet, clock))
-    return tuple(labels), skipped
+    return _label([e for e in trace if e.kind is EventKind.ABSORPTION], clock, pulses)
+
+
+class TraceIndex:
+    """One trace, indexed once for labeling and checking against many clocks.
+
+    Building it scans the trace once for every clock's ticks and for the
+    absorptions, and sorts it by event id once. After that, labeling costs
+    one bisection per absorption and checking one ancestry pass; the
+    results equal ``pulses_from_trace``, ``label_absorptions``,
+    ``build_timeline`` and ``resolution_report`` on the same trace.
+    """
+
+    def __init__(self, trace: EventTrace):
+        self._ticks: dict[NodeId, list[SimEvent]] = {}
+        self._absorptions: list[SimEvent] = []
+        for event in trace:
+            if event.kind is EventKind.CLOCK_TICK:
+                self._ticks.setdefault(event.node, []).append(event)
+            elif event.kind is EventKind.ABSORPTION:
+                self._absorptions.append(event)
+        self._order = _IdOrder.of(trace)
+
+    @property
+    def clocks(self) -> list[NodeId]:
+        """The hosts of the clocks that tick in the trace, ascending."""
+        return sorted(self._ticks)
+
+    def pulses(self, clock: NodeId) -> tuple[ClockPulse, ...]:
+        """The pulse history of the clock at ``clock``."""
+        return tuple(map(_pulse, self._ticks.get(clock, ())))
+
+    def label(
+        self, clock: StandardClockSpec, pulses: tuple[ClockPulse, ...]
+    ) -> tuple[tuple[TimeLabel, ...], int]:
+        """Label every absorption with ``clock``, paired with ``pulses``."""
+        return _label(self._absorptions, clock, pulses)
+
+    def check(
+        self, labels: tuple[TimeLabel, ...], observer: NodeId | None = None
+    ) -> tuple[Timeline, tuple[CausalViolation, ...], ResolutionReport]:
+        """``build_timeline`` and ``resolution_report`` from one ancestry pass."""
+        return _check(labels, self._order, observer)

@@ -11,15 +11,11 @@ import argparse
 import logging
 import os
 import sys
+from collections import Counter
+from operator import attrgetter
 from pathlib import Path
 
-from .chronology import (
-    ClockPulse,
-    build_timeline,
-    label_absorptions,
-    pulses_from_trace,
-    resolution_report,
-)
+from .chronology import ClockPulse, TraceIndex
 from .engine import Engine, EventKind, EventTrace, RunConfig, SamplingMode
 from .entropy import EntropyModel
 from .errors import FcnError, ParseError, ValidationFailed
@@ -181,7 +177,8 @@ def _reconstruct_clock(clock_id: int, pulses: tuple[ClockPulse, ...]) -> Standar
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
-    pulses = pulses_from_trace(trace, args.clock)
+    index = TraceIndex(trace)
+    pulses = index.pulses(args.clock)
     if args.net:
         doc = parse_network_file(args.net)
         spec = doc.network.clock_by_node.get(args.clock)
@@ -193,8 +190,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         if spec is None:
             print(f"error: clock {args.clock}: no pulses in trace", file=sys.stderr)
             return 2
-    labels, skipped = label_absorptions(trace, spec, pulses)
-    timeline, violations = build_timeline(labels, trace, observer=args.clock)
+    labels, skipped = index.label(spec, pulses)
+    timeline, violations, _ = index.check(labels, observer=args.clock)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
             rows = write_timeline_csv(timeline, trace, fp)
@@ -208,6 +205,10 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _second_law_violations(trace: EventTrace) -> int:
+    return sum(1 for e in trace if e.kind is EventKind.DECAY and e.payload["total"] < 0)
+
+
 def _cmd_entropy(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     if args.out:
@@ -215,9 +216,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
             rows = write_entropy_csv(trace, fp)
     else:
         rows = write_entropy_csv(trace, sys.stdout)
-    violations = sum(
-        1 for e in trace if e.kind is EventKind.DECAY and e.payload["total"] < 0
-    )
+    violations = _second_law_violations(trace)
     print(f"entropy: {rows} decays, {violations} second-law violations", file=sys.stderr)
     return 0
 
@@ -225,22 +224,22 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     print(f"events: {len(trace)}")
-    counts: dict[str, int] = {}
-    for event in trace:
-        counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-    for kind in sorted(counts):
-        print(f"  {kind}: {counts[kind]}")
-    decays = [e for e in trace if e.kind is EventKind.DECAY]
-    second_law = sum(1 for e in decays if e.payload["total"] < 0)
-    print(f"entropy: {len(decays)} decays, {second_law} second-law violations")
-    clock_ids = sorted({e.node for e in trace if e.kind is EventKind.CLOCK_TICK})
-    for clock_id in clock_ids:
-        pulses = pulses_from_trace(trace, clock_id)
+    counts = Counter(e.kind for e in trace)
+    for kind in sorted(counts, key=attrgetter("value")):
+        print(f"  {kind.value}: {counts[kind]}")
+    print(
+        f"entropy: {counts[EventKind.DECAY]} decays, "
+        f"{_second_law_violations(trace)} second-law violations"
+    )
+    # One scan finds every clock's pulses; each clock then costs one
+    # labeling and one ancestry pass.
+    index = TraceIndex(trace)
+    for clock_id in index.clocks:
+        pulses = index.pulses(clock_id)
         spec = _reconstruct_clock(clock_id, pulses)
         assert spec is not None
-        labels, skipped = label_absorptions(trace, spec, pulses)
-        timeline, violations = build_timeline(labels, trace, observer=clock_id)
-        resolution = resolution_report(timeline, trace)
+        labels, skipped = index.label(spec, pulses)
+        _, violations, resolution = index.check(labels, observer=clock_id)
         print(
             f"clock {clock_id} (period {spec.period_s}): {len(labels)} labels, "
             f"{skipped} skipped, {len(violations)} causal violations, "

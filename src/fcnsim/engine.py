@@ -30,9 +30,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .constants import CONSTANTS, PhysicalConstants
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyLedger, EntropyModel
@@ -57,6 +55,9 @@ from .quantum import (
     wavelength_of,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 logger = logging.getLogger(__name__)
 
 
@@ -69,7 +70,7 @@ class EventKind(str, Enum):
     PASS_THROUGH = "pass_through"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     """One causal happening, as recorded in the trace.
 
@@ -206,11 +207,13 @@ class Engine:
         self._states = {n.id: ConfigurationState.in_ground() for n in network.nodes}
         self._trace: list[SimEvent] = []
         self._ledger = EntropyLedger(constants)
-        self._rng = (
-            np.random.Generator(np.random.PCG64(config.seed))
-            if config.mode is SamplingMode.STOCHASTIC
-            else None
-        )
+        self._rng = None
+        if config.mode is SamplingMode.STOCHASTIC:
+            # numpy is imported here, not at module level, so that commands
+            # that never draw (analysis, deterministic runs) do not load it.
+            import numpy as np
+
+            self._rng = np.random.Generator(np.random.PCG64(config.seed))
         # Clock first ticks are scheduled before injections: at equal
         # engine_time a tick precedes the excitation it may later label.
         for clock in network.clocks:
@@ -374,7 +377,8 @@ class Engine:
             },
         )
         self._trace.append(event)
-        logger.debug("event %d decay node=%d t=%r", event.id, occ.node, t)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("event %d decay node=%d t=%r", event.id, occ.node, t)
         if node.can_emit:
             for arc in self._network.outgoing[occ.node]:
                 self._schedule(t, _Emit(node=occ.node, arc=arc.id, energy_ev=emitted, parent=event.id))

@@ -268,6 +268,14 @@ def parse_network_file(path: str | Path) -> NetworkDocument:
 # -- trace JSONL ---------------------------------------------------------
 
 _BASE_KEYS = ("id", "kind", "node", "engine_time", "parents")
+_BASE_KEY_SET = frozenset(_BASE_KEYS)
+_KINDS = {kind.value: kind for kind in EventKind}
+# The payload fields the analysis commands read, by kind, with their types:
+# the clock pulse pairing reads the ticks, the entropy report the decays.
+_READ_FIELDS: dict[EventKind, tuple[tuple[str, str], ...]] = {
+    EventKind.CLOCK_TICK: (("pulse_id", "int"), ("counter", "int")),
+    EventKind.DECAY: tuple((name, "number") for name in ENTROPY_COLUMNS[1:]),
+}
 
 
 def event_to_record(event: SimEvent) -> dict[str, Any]:
@@ -283,32 +291,58 @@ def event_to_record(event: SimEvent) -> dict[str, Any]:
     return record
 
 
-def record_to_event(record: dict[str, Any], where: str = "record") -> SimEvent:
-    if not isinstance(record, dict):
-        raise ParseError("expected an object", where)
-    missing = [k for k in _BASE_KEYS if k not in record]
+def _check_payload(
+    fields: tuple[tuple[str, str], ...], payload: dict[str, Any], where: str
+) -> None:
+    missing = [name for name, _ in fields if name not in payload]
     if missing:
         raise ParseError(f"missing field(s): {', '.join(missing)}", where)
+    for name, type_name in fields:
+        value = payload[name]
+        if type_name == "int":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(f"{name!r} must be an integer", where)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{name!r} must be a number", where)
+
+
+def record_to_event(record: dict[str, Any], where: str = "record") -> SimEvent:
+    """Build an event from one decoded record.
+
+    The event takes the record over: the base fields are removed from it
+    and what is left becomes the payload. Raises ParseError, with
+    ``where`` in the message, for a missing or mistyped base field, an
+    unknown kind, or a missing or mistyped payload field that the
+    analysis commands read.
+    """
+    if not isinstance(record, dict):
+        raise ParseError("expected an object", where)
+    if not record.keys() >= _BASE_KEY_SET:
+        missing = [k for k in _BASE_KEYS if k not in record]
+        raise ParseError(f"missing field(s): {', '.join(missing)}", where)
     try:
-        kind = EventKind(record["kind"])
-    except ValueError:
+        kind = _KINDS[record["kind"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
         raise ParseError(f"unknown event kind {record['kind']!r}", where) from None
-    event_id, node, t = record["id"], record["node"], record["engine_time"]
-    parents = record["parents"]
+    del record["kind"]
+    event_id, node, t = record.pop("id"), record.pop("node"), record.pop("engine_time")
+    parents = record.pop("parents")
     if not isinstance(event_id, int) or not isinstance(node, int):
         raise ParseError("'id' and 'node' must be integers", where)
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise ParseError("'engine_time' must be a number", where)
     if not isinstance(parents, list) or not all(isinstance(p, int) for p in parents):
         raise ParseError("'parents' must be an array of integers", where)
-    payload = {k: v for k, v in record.items() if k not in _BASE_KEYS}
+    fields = _READ_FIELDS.get(kind)
+    if fields:
+        _check_payload(fields, record, where)
     return SimEvent(
         id=event_id,
         kind=kind,
         node=node,
         engine_time=float(t),
         parents=frozenset(parents),
-        payload=payload,
+        payload=record,
     )
 
 
@@ -329,11 +363,21 @@ def serialize_trace(trace: Iterable[SimEvent]) -> str:
 
 
 def parse_trace(text: str) -> EventTrace:
+    """Parse a JSONL trace, one event per non-blank line.
+
+    Raises ParseError naming the line for a malformed record and for an
+    event id that an earlier line already used.
+    """
     events = []
+    first_line: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        events.append(parse_event_line(line, where=f"line {lineno}"))
+        event = parse_event_line(line, where=f"line {lineno}")
+        seen = first_line.setdefault(event.id, lineno)
+        if seen != lineno:
+            raise ParseError(f"repeated event id {event.id} (first on line {seen})", f"line {lineno}")
+        events.append(event)
     return tuple(events)
 
 

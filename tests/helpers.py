@@ -52,6 +52,28 @@ def chain_network() -> tuple[Network, list[tuple[int, float]]]:
     return validate_network(nodes, arcs, clocks), [(1, 0.0)]
 
 
+def four_clock_network() -> tuple[Network, list[tuple[int, float]]]:
+    """Eight relays with fan-out and fan-in, watched by four clocks.
+
+    The clocks differ in period and origin; the slowest starts after the
+    first absorptions, so it skips some. Deterministic to 4 s the run has
+    42 absorptions, 59 causally ordered pairs and ties at every clock
+    but the finest.
+    """
+    taus = [0.3, 0.2, 0.25, 0.15, 0.2, 0.1, 0.3, None]
+    nodes = [make_node(i, tau=tau) for i, tau in enumerate(taus, start=1)]
+    links = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (2, 5), (5, 6), (6, 7), (7, 8), (3, 7)]
+    arcs = [
+        Arc(id=k, source=s, target=d, distance_m=(0.05 + 0.01 * k) * C)
+        for k, (s, d) in enumerate(links, start=1)
+    ]
+    clocks = [
+        StandardClockSpec(id=host, period_s=period, first_tick_s=first)
+        for host, period, first in zip((8, 5, 3, 2), (0.125, 0.3, 0.5, 0.7), (0.0, 0.05, 0.2, 1.0))
+    ]
+    return validate_network(nodes, arcs, clocks), [(1, t) for t in (0.0, 0.45, 0.9, 1.6, 2.2)]
+
+
 def random_network(rng: random.Random) -> tuple[Network, list[tuple[int, float]]]:
     """A small random network with enough resonant arcs to form chains."""
     n = rng.randint(2, 20)

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import fcnsim
 from fcnsim.cli import main
 
 
@@ -132,6 +138,77 @@ class TestReport:
         assert "absorption: 2" in out
         assert "clock 3" in out
         assert "0 indistinguishable pairs" in out
+
+
+def _rewrite_first(path: Path, kind: str, drop: tuple[str, ...]) -> int:
+    """Remove ``drop`` from the first record of ``kind``; return its line number."""
+    lines = path.read_text().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        record = json.loads(line)
+        if record["kind"] == kind:
+            lines[lineno - 1] = json.dumps({k: v for k, v in record.items() if k not in drop})
+            path.write_text("\n".join(lines) + "\n")
+            return lineno
+    raise AssertionError(f"no {kind} record in {path}")
+
+
+ANALYSES = [["timeline", "--clock", "3"], ["entropy"], ["report"]]
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    def test_repeated_event_id_exits_2(self, chain_trace_file, command, capsys):
+        lines = chain_trace_file.read_text().splitlines()
+        chain_trace_file.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 14: repeated event id 12 (first on line 13)\n"
+        assert captured.out == ""
+
+    def test_report_on_tick_without_pulse_id_exits_2(self, chain_trace_file, capsys):
+        lineno = _rewrite_first(chain_trace_file, "clock_tick", ("pulse_id",))
+        assert main(["report", str(chain_trace_file)]) == 2
+        assert capsys.readouterr().err == f"error: line {lineno}: missing field(s): pulse_id\n"
+
+    def test_entropy_on_decay_without_entropy_columns_exits_2(self, chain_trace_file, capsys):
+        columns = ("ds_internal", "ds_signal", "ds_vacuum", "total", "production_rate", "lifetime_s")
+        lineno = _rewrite_first(chain_trace_file, "decay", columns)
+        assert main(["entropy", str(chain_trace_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {lineno}: missing field(s): {', '.join(columns)}\n"
+        )
+
+
+_NUMPY_PROBE = textwrap.dedent(
+    """\
+    import sys
+    from fcnsim.cli import main
+
+    net, out = sys.argv[1], sys.argv[2]
+    trace = out + "/trace.jsonl"
+    assert main(["validate", net]) == 0
+    assert main(["run", net, "--until", "5.0", "--out", trace]) == 0
+    assert main(["timeline", trace, "--clock", "3", "--out", out + "/timeline.csv"]) == 0
+    assert main(["entropy", trace, "--out", out + "/entropy.csv"]) == 0
+    assert main(["report", trace]) == 0
+    print("numpy" in sys.modules)
+    assert main(["run", net, "--until", "5.0", "--mode", "sto", "--out", trace]) == 0
+    print("numpy" in sys.modules)
+    """
+)
+
+
+def test_only_stochastic_runs_import_numpy(chain_net, tmp_path):
+    """Analysis commands and deterministic runs never load numpy."""
+    src = str(Path(fcnsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("FCN_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, chain_net, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
 
 class TestUsage:

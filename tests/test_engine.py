@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from fcnsim import engine as engine_module
 from fcnsim import (
     Arc,
     Engine,
@@ -326,6 +327,16 @@ class TestEventLog:
         with caplog.at_level(logging.INFO, logger="fcnsim.engine"):
             Engine(net, det_config(), injections).run()
         assert caplog.records == []
+
+    def test_no_debug_call_above_debug(self, chain, caplog, monkeypatch):
+        """Above DEBUG no event, decays included, even builds its log call."""
+        calls = []
+        monkeypatch.setattr(engine_module.logger, "debug", lambda *args: calls.append(args))
+        net, injections = chain
+        with caplog.at_level(logging.INFO, logger="fcnsim.engine"):
+            trace = Engine(net, det_config(), injections).run()
+        assert any(e.kind is EventKind.DECAY for e in trace)
+        assert calls == []
 
 
 class TestCoupling:

@@ -8,6 +8,7 @@ import pytest
 
 from fcnsim import (
     Engine,
+    EventKind,
     ParseError,
     RunConfig,
     SamplingMode,
@@ -18,6 +19,22 @@ from fcnsim import (
 )
 from fcnsim.io import parse_event_line, read_trace, serialize_event, write_trace
 from helpers import chain_network, random_run
+
+
+_ABSORPTION = {"id": 1, "kind": "absorption", "node": 1, "engine_time": 0.5, "parents": [0]}
+_TICK = {
+    "id": 2, "kind": "clock_tick", "node": 3, "engine_time": 1.0, "parents": [],
+    "pulse_id": 0, "counter": 0,
+}
+_DECAY = {
+    "id": 3, "kind": "decay", "node": 1, "engine_time": 1.5, "parents": [1],
+    "ds_internal": -1.0, "ds_signal": 2.0, "ds_vacuum": 0.0, "total": 1.0,
+    "production_rate": 0.5, "lifetime_s": 2.0,
+}
+
+
+def _without(record: dict, *names: str) -> dict:
+    return {k: v for k, v in record.items() if k not in names}
 
 
 def chain_doc() -> dict:
@@ -135,7 +152,7 @@ class TestParseNetwork:
         line = json.dumps(
             {"id": 0, "kind": "decay", "node": 1, "engine_time": 0.0, "parents": ["x"]}
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^line: 'parents' must be an array of integers$"):
             parse_event_line(line)
 
     def test_document_matches_builder(self, fixtures_dir):
@@ -174,21 +191,66 @@ class TestTraceRoundTrip:
         assert read_trace(path) == trace
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^line 1: invalid JSON: Expecting ',' delimiter$"):
             parse_trace('{"id": 0, "kind": "decay"\n')
 
     def test_unknown_kind_rejected(self):
         line = json.dumps(
             {"id": 0, "kind": "banana", "node": 1, "engine_time": 0.0, "parents": []}
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^line: unknown event kind 'banana'$"):
             parse_event_line(line)
 
     def test_missing_base_field_rejected(self):
         line = json.dumps({"id": 0, "kind": "decay", "node": 1, "engine_time": 0.0})
         with pytest.raises(ParseError) as err:
             parse_event_line(line)
-        assert "parents" in str(err.value)
+        assert str(err.value) == "line: missing field(s): parents"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({**_ABSORPTION, "engine_time": True}, "'engine_time' must be a number"),
+            ({**_ABSORPTION, "engine_time": "0.5"}, "'engine_time' must be a number"),
+            ({**_ABSORPTION, "parents": [1.5]}, "'parents' must be an array of integers"),
+            ({**_ABSORPTION, "parents": 3}, "'parents' must be an array of integers"),
+            ({**_ABSORPTION, "id": "0"}, "'id' and 'node' must be integers"),
+            ({**_ABSORPTION, "node": 1.0}, "'id' and 'node' must be integers"),
+            ([_ABSORPTION], "expected an object"),
+            ("absorption", "expected an object"),
+            ({**_ABSORPTION, "kind": 1}, "unknown event kind 1"),
+            ({**_ABSORPTION, "kind": ["decay"]}, "unknown event kind ['decay']"),
+            ({**_ABSORPTION, "kind": None}, "unknown event kind None"),
+            ({"id": 0, "kind": "decay"}, "missing field(s): node, engine_time, parents"),
+            (_without(_TICK, "pulse_id"), "missing field(s): pulse_id"),
+            ({**_TICK, "counter": "3"}, "'counter' must be an integer"),
+            ({**_TICK, "pulse_id": True}, "'pulse_id' must be an integer"),
+            (
+                _without(_DECAY, "ds_internal", "ds_signal", "ds_vacuum", "total"),
+                "missing field(s): ds_internal, ds_signal, ds_vacuum, total",
+            ),
+            (_without(_DECAY, "lifetime_s"), "missing field(s): lifetime_s"),
+            ({**_DECAY, "total": "-1"}, "'total' must be a number"),
+            ({**_DECAY, "production_rate": None}, "'production_rate' must be a number"),
+        ],
+    )
+    def test_malformed_record_message(self, record, message):
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n" + json.dumps(record) + "\n")
+        assert str(err.value) == f"line 2: {message}"
+
+    def test_well_formed_records_parse(self):
+        events = parse_trace("".join(json.dumps(r) + "\n" for r in (_ABSORPTION, _TICK, _DECAY)))
+        assert [e.kind for e in events] == [EventKind.ABSORPTION, EventKind.CLOCK_TICK, EventKind.DECAY]
+        assert events[1].payload == {"pulse_id": 0, "counter": 0}
+
+    def test_repeated_event_id_rejected(self, chain):
+        net, injections = chain
+        lines = serialize_trace(Engine(net, RunConfig(run_until_s=5.0), injections).run()).splitlines()
+        assert len(lines) == 13
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n".join([*lines, "", lines[-1]]) + "\n")
+        assert str(err.value) == "line 15: repeated event id 12 (first on line 13)"
 
     def test_blank_lines_ignored(self, chain):
         net, injections = chain

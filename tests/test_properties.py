@@ -9,19 +9,25 @@ import pytest
 from fcnsim import (
     Engine,
     EventKind,
+    RunConfig,
     StandardClockSpec,
+    TraceIndex,
     build_timeline,
     clock_pulses,
     label_absorptions,
+    pulses_from_trace,
     resolution_report,
     wavelength_of,
+    write_trace,
 )
+from fcnsim.cli import _reconstruct_clock, main
 from helpers import (
     check_causality,
     check_conservation,
     check_decay_once,
     check_decay_provenance,
     check_parent_order,
+    four_clock_network,
     random_run,
     reference_resolution,
     reference_violations,
@@ -162,3 +168,81 @@ def test_label_monotone_in_engine_time_per_detector(case_seed):
         labels.sort(key=lambda lb: by_event[lb.event].engine_time)
         for prev, cur in zip(labels, labels[1:]):
             assert prev.time_number_s <= cur.time_number_s
+
+
+def _four_clock_run():
+    network, injections = four_clock_network()
+    return network, Engine(network, RunConfig(run_until_s=4.0), injections).run()
+
+
+def _run(case):
+    if case == "four-clocks":
+        return _four_clock_run()
+    network, _, _, trace = random_run(case)
+    return network, trace
+
+
+RUNS = [*CASES, "four-clocks"]
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_trace_index_matches_reference(case):
+    """Each clock's pulses, labels and single ancestry pass from one index
+    equal the per-clock functions and the set-based reference, for the
+    recorded pulses and for a synthetic clock at half the period."""
+    network, trace = _run(case)
+    index = TraceIndex(trace)
+    assert index.clocks == sorted({e.node for e in trace if e.kind is EventKind.CLOCK_TICK})
+    horizon = max((e.engine_time for e in trace), default=0.0)
+    for clock_id in index.clocks:
+        pulses = index.pulses(clock_id)
+        assert pulses == pulses_from_trace(trace, clock_id)
+        declared = network.clock_by_node[clock_id]
+        half = replace(declared, period_s=declared.period_s / 2)
+        for spec, spec_pulses in ((declared, pulses), (half, clock_pulses(half, until_s=horizon))):
+            labels, skipped = index.label(spec, spec_pulses)
+            assert (labels, skipped) == label_absorptions(trace, spec, spec_pulses)
+            timeline, violations, resolution = index.check(labels, observer=clock_id)
+            assert (timeline, violations) == build_timeline(labels, trace, observer=clock_id)
+            assert resolution == resolution_report(timeline, trace)
+            assert violations == reference_violations(timeline, trace)
+            assert resolution == reference_resolution(timeline, trace)
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_report_lines_match_reference(case, tmp_path, capsys):
+    """``report`` prints, per clock, what the per-clock functions and the
+    reference compute for the clock rebuilt from the trace's pulses."""
+    _, trace = _run(case)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    assert main(["report", str(path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("clock ")]
+    expected = []
+    for clock_id in sorted({e.node for e in trace if e.kind is EventKind.CLOCK_TICK}):
+        pulses = pulses_from_trace(trace, clock_id)
+        spec = _reconstruct_clock(clock_id, pulses)
+        labels, skipped = label_absorptions(trace, spec, pulses)
+        timeline, violations = build_timeline(labels, trace, observer=clock_id)
+        resolution = resolution_report(timeline, trace)
+        assert violations == reference_violations(timeline, trace)
+        assert resolution == reference_resolution(timeline, trace)
+        expected.append(
+            f"clock {clock_id} (period {spec.period_s}): {len(labels)} labels, "
+            f"{skipped} skipped, {len(violations)} causal violations, "
+            f"{resolution.indistinguishable_pairs} indistinguishable pairs"
+        )
+    assert printed == expected
+
+
+def test_four_clock_network_exercises_the_report():
+    """The multi-clock case is not vacuous: four clocks, skips and ties."""
+    network, trace = _four_clock_run()
+    index = TraceIndex(trace)
+    assert index.clocks == [2, 3, 5, 8]
+    counts = []
+    for clock_id in index.clocks:
+        labels, skipped = index.label(network.clock_by_node[clock_id], index.pulses(clock_id))
+        _, _, resolution = index.check(labels)
+        counts.append((len(labels), skipped, resolution.indistinguishable_pairs))
+    assert counts == [(33, 9, 18), (42, 0, 14), (42, 0, 3), (42, 0, 0)]
