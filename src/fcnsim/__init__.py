@@ -30,7 +30,6 @@ from .engine import (
     EventTrace,
     RunConfig,
     SamplingMode,
-    SignalInFlight,
     SimEvent,
     sample_decay_delay,
 )

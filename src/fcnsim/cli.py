@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, default=0, help="RNG seed for stochastic mode")
     p_run.add_argument("--seeds", metavar="A..B", help="inclusive seed range; one run per seed")
     p_run.add_argument("--out", help="trace file (JSONL); stdout when omitted")
-    p_run.add_argument("--coupling-fraction", type=float, default=0.01)
     p_run.add_argument("--t-source", type=float, default=300.0, help="source temperature (K)")
     p_run.add_argument("--t-env", type=float, default=3.0, help="environment temperature (K)")
     p_run.add_argument("--vacuum-term", type=float, default=0.0, help="vacuum entropy term (k_B)")
@@ -134,7 +133,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             run_until_s=args.until,
             mode=mode,
             seed=seed,
-            coupling_fraction=args.coupling_fraction,
             entropy_model=_entropy_model(args),
         )
         return Engine(doc.network, config, injections).run()

@@ -7,6 +7,12 @@ effect, appends exactly one event to the trace, and schedules any
 children. Event ids are assigned in emission order, so the trace is
 totally ordered by (engine_time, id).
 
+Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
+unique, so no later field is ever compared. The int tag indexes the
+handler table that ``step`` and ``run`` share. Per-node and per-arc
+tables (spec, gap, tolerance, lifetime, wavelength, outgoing arcs) are
+built when the run starts, on the first step.
+
 engine_time is internal scheduler plumbing, not an observable: it never
 leaves the engine except inside trace files, where it is named
 ``engine_time`` to keep the distinction legible. Observable time exists
@@ -19,7 +25,9 @@ those two steps reproduces every absorption time bit for bit.
 
 Stochastic mode draws decay delays from the exponential distribution by
 inverse CDF, one uniform per delay, from a single PCG64 stream seeded
-per run. Deterministic mode uses the lifetime itself as the delay.
+per run. Uniforms are taken from that stream in blocks; a block holds
+the same values, in the same order, as one scalar draw after another.
+Deterministic mode uses the lifetime itself as the delay.
 """
 
 from __future__ import annotations
@@ -30,24 +38,16 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from .constants import CONSTANTS, PhysicalConstants
-from .entropy import DEFAULT_ENTROPY_MODEL, EntropyLedger, EntropyModel
+from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
 from .errors import Exhausted, UnknownNode
-from .network import (
-    DEFAULT_COUPLING_FRACTION,
-    ArcId,
-    CouplingClassification,
-    EventId,
-    Network,
-    NodeId,
-    classify_coupling,
-    propagation_delay,
-)
+from .network import ArcId, EventId, Network, NodeId, propagation_delay
 from .quantum import (
     ConfigurationState,
     ExcitationIds,
+    TwoLevelSpec,
     absorb,
     decay,
     lifetime,
@@ -90,18 +90,6 @@ class SimEvent:
 EventTrace = tuple[SimEvent, ...]
 
 
-@dataclass(frozen=True)
-class SignalInFlight:
-    """A photon-like carrier traversing one arc."""
-
-    energy_ev: float
-    wavelength_nm: float
-    arc: ArcId
-    emitted_at: float
-    arrives_at: float
-    provenance: EventId
-
-
 class SamplingMode(Enum):
     DETERMINISTIC = "deterministic"
     STOCHASTIC = "stochastic"
@@ -114,12 +102,17 @@ class RunConfig:
     run_until_s: float
     mode: SamplingMode = SamplingMode.DETERMINISTIC
     seed: int = 0
-    coupling_fraction: float = DEFAULT_COUPLING_FRACTION
     entropy_model: EntropyModel = DEFAULT_ENTROPY_MODEL
 
     def __post_init__(self) -> None:
-        if not self.run_until_s > 0:
-            raise ValueError(f"run_until must be > 0 s, got {self.run_until_s}")
+        # A non-finite horizon would schedule clock ticks forever.
+        if not (self.run_until_s > 0 and math.isfinite(self.run_until_s)):
+            raise ValueError(f"run_until must be > 0 s and finite, got {self.run_until_s}")
+
+
+def _exponential_delay(tau: float, u: float) -> float:
+    """Inverse-CDF exponential draw with mean ``tau`` from one uniform in [0, 1)."""
+    return tau * -math.log1p(-u)
 
 
 def sample_decay_delay(
@@ -139,54 +132,51 @@ def sample_decay_delay(
         return tau
     if rng is None:
         raise ValueError("stochastic sampling requires a generator")
-    u = rng.random()
-    return tau * -math.log1p(-u)
+    return _exponential_delay(tau, rng.random())
 
 
-# Internal scheduler entries. Each kind produces exactly one trace event
-# when popped; parent event ids are known at scheduling time because the
-# parent has already been emitted.
+# Uniforms drawn per call to the generator. PCG64 fills a block with the
+# values that as many scalar draws would return, in the same order.
+_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class _Injection:
-    node: NodeId
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    while True:
+        yield from rng.random(_BLOCK).tolist()
 
 
-@dataclass(frozen=True)
-class _DecayDue:
-    node: NodeId
-    excitation_id: int
-    parent: EventId
+class _NodeRow(NamedTuple):
+    """What the loop reads about one node, looked up once per run."""
+
+    spec: TwoLevelSpec
+    gap_ev: float
+    tolerance_ev: float
+    can_detect: bool
+    can_emit: bool
+    lifetime_s: float | None  # None: the node never decays
+    wavelength_nm: float  # of a signal carrying the gap
+    arcs: tuple[tuple[ArcId, NodeId, float], ...]  # (arc id, target, delay), by arc id
 
 
-@dataclass(frozen=True)
-class _Emit:
-    node: NodeId
-    arc: ArcId
-    energy_ev: float
-    parent: EventId
+# Occurrence tags: the index of the handler in Engine._handlers. Fields
+# after the tag, by kind:
+#   injection  node
+#   decay      node, excitation id, parent
+#   emission   node, arc id, target, delay, energy, wavelength, parent
+#   arrival    arc id, target, energy, parent
+#   tick       node, k, parent (None for the first tick)
+_INJECTION, _DECAY, _EMISSION, _ARRIVAL, _TICK = range(5)
 
-
-@dataclass(frozen=True)
-class _Arrival:
-    signal: SignalInFlight
-
-
-@dataclass(frozen=True)
-class _Tick:
-    node: NodeId
-    k: int
-    parent: EventId | None
+_NO_PARENTS: frozenset[EventId] = frozenset()
 
 
 class Engine:
     """Single-threaded event loop over one validated network.
 
-    All mutable state (node configurations, queue, trace, ledger, RNG)
-    is owned by the instance; separate instances share nothing and may
-    run in parallel. Identical (network, config, injections) give
-    bit-identical traces.
+    All mutable state (node configurations, queue, trace, RNG) is owned by
+    the instance; separate instances share nothing and may run in
+    parallel. Identical (network, config, injections) give bit-identical
+    traces.
     """
 
     def __init__(
@@ -199,26 +189,28 @@ class Engine:
         self._network = network
         self._config = config
         self._constants = constants
-        self._queue: list[tuple[float, int, Any]] = []
+        self._queue: list[tuple[Any, ...]] = []
         self._seq = itertools.count()
         self._event_ids = itertools.count()
         self._pulse_ids = itertools.count()
         self._excitations = ExcitationIds()
         self._states = {n.id: ConfigurationState.in_ground() for n in network.nodes}
         self._trace: list[SimEvent] = []
-        self._ledger = EntropyLedger(constants)
-        self._rng = None
+        self._rows: dict[NodeId, _NodeRow] | None = None
+        # Per node, the decay payload fields that depend only on the node.
+        self._decay_fields: dict[NodeId, dict[str, float]] = {}
+        self._draws: Iterator[float] | None = None
         if config.mode is SamplingMode.STOCHASTIC:
             # numpy is imported here, not at module level, so that commands
             # that never draw (analysis, deterministic runs) do not load it.
             import numpy as np
 
-            self._rng = np.random.Generator(np.random.PCG64(config.seed))
+            self._draws = _uniforms(np.random.Generator(np.random.PCG64(config.seed)))
         # Clock first ticks are scheduled before injections: at equal
         # engine_time a tick precedes the excitation it may later label.
         for clock in network.clocks:
             if clock.tick_time(0) <= config.run_until_s:
-                self._schedule(clock.tick_time(0), _Tick(node=clock.id, k=0, parent=None))
+                self._schedule(clock.tick_time(0), _TICK, clock.id, 0, None)
         for node, at in injections:
             self.inject_excitation(node, at)
 
@@ -234,14 +226,6 @@ class Engine:
     def trace(self) -> EventTrace:
         return tuple(self._trace)
 
-    @property
-    def entropy_ledger(self) -> EntropyLedger:
-        return self._ledger
-
-    @property
-    def coupling(self) -> CouplingClassification:
-        return classify_coupling(self._network, self._config.coupling_fraction, self._constants)
-
     def inject_excitation(self, node: NodeId, at: float) -> int:
         """Schedule an external excitation of ``node`` at engine time ``at``.
 
@@ -254,7 +238,7 @@ class Engine:
             raise UnknownNode(f"no node with id {node}")
         if not (at >= 0 and math.isfinite(at)):
             raise ValueError(f"injection time must be finite and >= 0, got {at}")
-        return self._schedule(at, _Injection(node=node))
+        return self._schedule(at, _INJECTION, node)
 
     def step(self) -> SimEvent:
         """Pop the earliest pending occurrence and apply it.
@@ -262,35 +246,54 @@ class Engine:
         Ties in engine_time resolve by scheduling order. Raises Exhausted
         when nothing is pending within the run horizon.
         """
-        if not self._queue or self._queue[0][0] > self._config.run_until_s:
+        if self._rows is None:
+            self._build_tables()
+        queue = self._queue
+        if not queue or queue[0][0] > self._config.run_until_s:
             raise Exhausted("no pending occurrences within run_until")
-        t, _, occ = heapq.heappop(self._queue)
-        if isinstance(occ, _Injection):
-            return self._process_injection(t, occ)
-        if isinstance(occ, _DecayDue):
-            return self._process_decay(t, occ)
-        if isinstance(occ, _Emit):
-            return self._process_emission(t, occ)
-        if isinstance(occ, _Arrival):
-            return self._process_arrival(t, occ)
-        if isinstance(occ, _Tick):
-            return self._process_tick(t, occ)
-        raise AssertionError(f"unknown occurrence {occ!r}")
+        occ = heapq.heappop(queue)
+        return self._handlers[occ[2]](self, occ)
 
     def run(self) -> EventTrace:
         """Step until exhausted and return the trace snapshot."""
-        while True:
-            try:
-                self.step()
-            except Exhausted:
-                break
+        if self._rows is None:
+            self._build_tables()
+        queue, handlers, until = self._queue, self._handlers, self._config.run_until_s
+        heappop = heapq.heappop
+        while queue and queue[0][0] <= until:
+            occ = heappop(queue)
+            handlers[occ[2]](self, occ)
         return self.trace
+
+    # -- set-up -----------------------------------------------------------
+
+    def _build_tables(self) -> None:
+        constants = self._constants
+        # Outgoing arcs in arc id order, so fan-out order is reproducible.
+        arcs: dict[NodeId, list[tuple[ArcId, NodeId, float]]] = {n.id: [] for n in self._network.nodes}
+        for arc in sorted(self._network.arcs, key=lambda a: a.id):
+            arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc, constants)))
+        rows = {}
+        for node in self._network.nodes:
+            spec = node.spec
+            gap = signal_energy(spec)
+            rows[node.id] = _NodeRow(
+                spec=spec,
+                gap_ev=gap,
+                tolerance_ev=node.resonance_tolerance_ev,
+                can_detect=node.can_detect,
+                can_emit=node.can_emit,
+                lifetime_s=lifetime(spec.gamma_ev, constants) if spec.can_decay else None,
+                wavelength_nm=wavelength_of(gap, constants),
+                arcs=tuple(arcs[node.id]),
+            )
+        self._rows = rows
 
     # -- occurrence processing ------------------------------------------
 
-    def _schedule(self, t: float, occ: Any) -> int:
+    def _schedule(self, t: float, *occurrence: Any) -> int:
         seq = next(self._seq)
-        heapq.heappush(self._queue, (t, seq, occ))
+        heapq.heappush(self._queue, (t, seq, *occurrence))
         return seq
 
     def _emit_event(
@@ -301,155 +304,130 @@ class Engine:
         parents: frozenset[EventId],
         payload: dict[str, Any],
     ) -> SimEvent:
-        event = SimEvent(
-            id=next(self._event_ids),
-            kind=kind,
-            node=node,
-            engine_time=t,
-            parents=parents,
-            payload=payload,
-        )
+        event = SimEvent(next(self._event_ids), kind, node, t, parents, payload)
         self._trace.append(event)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("event %d %s node=%d t=%r", event.id, kind.value, node, t)
         return event
 
-    def _schedule_decay(self, node_id: NodeId, excitation_id: int, t: float, parent: EventId) -> None:
-        spec = self._network.node_by_id[node_id].spec
-        if not spec.can_decay:
+    def _schedule_decay(self, row: _NodeRow, node: NodeId, excitation_id: int, t: float, parent: EventId) -> None:
+        tau = row.lifetime_s
+        if tau is None:
             return
-        delay = sample_decay_delay(spec.gamma_ev, self._config.mode, self._rng, self._constants)
-        self._schedule(t + delay, _DecayDue(node=node_id, excitation_id=excitation_id, parent=parent))
+        delay = tau if self._draws is None else _exponential_delay(tau, next(self._draws))
+        heapq.heappush(self._queue, (t + delay, next(self._seq), _DECAY, node, excitation_id, parent))
 
-    def _process_injection(self, t: float, occ: _Injection) -> SimEvent:
-        node = self._network.node_by_id[occ.node]
-        gap = signal_energy(node.spec)
+    def _process_injection(self, occ: tuple[Any, ...]) -> SimEvent:
+        t, _, _, node = occ
+        row = self._rows[node]
+        gap = row.gap_ev
         # An injection delivers exactly the gap energy, so it is resonant
         # by construction; absorb() still arbitrates occupancy.
-        outcome = absorb(self._states[occ.node], node.spec, gap, 0.0, self._excitations)
+        outcome = absorb(self._states[node], row.spec, gap, 0.0, self._excitations)
         if outcome is None:
             return self._emit_event(
-                EventKind.PASS_THROUGH,
-                occ.node,
-                t,
-                frozenset(),
-                {"reason": "occupied", "energy_ev": gap},
+                EventKind.PASS_THROUGH, node, t, _NO_PARENTS, {"reason": "occupied", "energy_ev": gap}
             )
-        self._states[occ.node] = outcome
+        self._states[node] = outcome
         event = self._emit_event(
             EventKind.EXTERNAL_EXCITATION,
-            occ.node,
+            node,
             t,
-            frozenset(),
+            _NO_PARENTS,
             {"excitation_id": outcome.excitation_id, "energy_ev": gap},
         )
-        self._schedule_decay(occ.node, outcome.excitation_id, t, event.id)
+        self._schedule_decay(row, node, outcome.excitation_id, t, event.id)
         return event
 
-    def _process_decay(self, t: float, occ: _DecayDue) -> SimEvent:
-        node = self._network.node_by_id[occ.node]
-        state = self._states[occ.node]
+    def _process_decay(self, occ: tuple[Any, ...]) -> SimEvent:
+        t, _, _, node, excitation_id, parent = occ
+        row = self._rows[node]
+        state = self._states[node]
         # Exactly one decay is scheduled per excitation and nothing else
         # de-excites a node, so the state must still carry this id.
-        assert state.excitation_id == occ.excitation_id
-        ground, emitted = decay(state, node.spec)
-        self._states[occ.node] = ground
-        event_id = next(self._event_ids)
-        entry = self._ledger.record_decay(
-            event_id, emitted, node.spec.gamma_ev, self._config.entropy_model
+        assert state.excitation_id == excitation_id
+        ground, emitted = decay(state, row.spec)
+        self._states[node] = ground
+        fields = self._decay_fields.get(node)
+        if fields is None:
+            breakdown, tau, rate = decay_entropy(
+                emitted, row.spec.gamma_ev, self._config.entropy_model, self._constants
+            )
+            fields = self._decay_fields[node] = {
+                "gamma_ev": row.spec.gamma_ev,
+                "ds_internal": breakdown.ds_internal,
+                "ds_signal": breakdown.ds_signal,
+                "ds_vacuum": breakdown.ds_vacuum,
+                "total": breakdown.total(),
+                "production_rate": rate,
+                "lifetime_s": tau,
+            }
+        event = self._emit_event(
+            EventKind.DECAY,
+            node,
+            t,
+            frozenset((parent,)),
+            {"excitation_id": excitation_id, "energy_ev": emitted, **fields},
         )
-        event = SimEvent(
-            id=event_id,
-            kind=EventKind.DECAY,
-            node=occ.node,
-            engine_time=t,
-            parents=frozenset({occ.parent}),
-            payload={
-                "excitation_id": occ.excitation_id,
-                "energy_ev": emitted,
-                "gamma_ev": node.spec.gamma_ev,
-                "ds_internal": entry.breakdown.ds_internal,
-                "ds_signal": entry.breakdown.ds_signal,
-                "ds_vacuum": entry.breakdown.ds_vacuum,
-                "total": entry.breakdown.total(),
-                "production_rate": entry.production_rate_kb_per_s,
-                "lifetime_s": entry.lifetime_s,
-            },
-        )
-        self._trace.append(event)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("event %d decay node=%d t=%r", event.id, occ.node, t)
-        if node.can_emit:
-            for arc in self._network.outgoing[occ.node]:
-                self._schedule(t, _Emit(node=occ.node, arc=arc.id, energy_ev=emitted, parent=event.id))
+        if row.can_emit:
+            queue, seq, wavelength, event_id = self._queue, self._seq, row.wavelength_nm, event.id
+            for arc, target, delay in row.arcs:
+                heapq.heappush(
+                    queue, (t, next(seq), _EMISSION, node, arc, target, delay, emitted, wavelength, event_id)
+                )
         return event
 
-    def _process_emission(self, t: float, occ: _Emit) -> SimEvent:
-        arc = self._network.arc_by_id[occ.arc]
-        wavelength = wavelength_of(occ.energy_ev, self._constants)
+    def _process_emission(self, occ: tuple[Any, ...]) -> SimEvent:
+        t, _, _, node, arc, target, delay, energy, wavelength, parent = occ
         event = self._emit_event(
             EventKind.EMISSION,
-            occ.node,
+            node,
             t,
-            frozenset({occ.parent}),
-            {"arc": occ.arc, "energy_ev": occ.energy_ev, "wavelength_nm": wavelength},
+            frozenset((parent,)),
+            {"arc": arc, "energy_ev": energy, "wavelength_nm": wavelength},
         )
-        signal = SignalInFlight(
-            energy_ev=occ.energy_ev,
-            wavelength_nm=wavelength,
-            arc=occ.arc,
-            emitted_at=t,
-            arrives_at=t + propagation_delay(arc, self._constants),
-            provenance=event.id,
-        )
-        self._schedule(signal.arrives_at, _Arrival(signal=signal))
+        heapq.heappush(self._queue, (t + delay, next(self._seq), _ARRIVAL, arc, target, energy, event.id))
         return event
 
-    def _process_arrival(self, t: float, occ: _Arrival) -> SimEvent:
-        signal = occ.signal
-        arc = self._network.arc_by_id[signal.arc]
-        target = self._network.node_by_id[arc.target]
-        parents = frozenset({signal.provenance})
-
-        def pass_through(reason: str) -> SimEvent:
-            return self._emit_event(
-                EventKind.PASS_THROUGH,
-                arc.target,
-                t,
-                parents,
-                {"reason": reason, "energy_ev": signal.energy_ev, "arc": signal.arc},
-            )
-
-        if not target.can_detect:
-            return pass_through("not_detector")
-        state = self._states[arc.target]
-        outcome = absorb(
-            state, target.spec, signal.energy_ev, target.resonance_tolerance_ev, self._excitations
+    def _process_arrival(self, occ: tuple[Any, ...]) -> SimEvent:
+        t, _, _, arc, target, energy, parent = occ
+        row = self._rows[target]
+        parents = frozenset((parent,))
+        if row.can_detect:
+            state = self._states[target]
+            outcome = absorb(state, row.spec, energy, row.tolerance_ev, self._excitations)
+            if outcome is not None:
+                self._states[target] = outcome
+                event = self._emit_event(
+                    EventKind.ABSORPTION,
+                    target,
+                    t,
+                    parents,
+                    {"arc": arc, "energy_ev": energy, "excitation_id": outcome.excitation_id},
+                )
+                self._schedule_decay(row, target, outcome.excitation_id, t, event.id)
+                return event
+            reason = "occupied" if state.is_excited else "off_resonance"
+        else:
+            reason = "not_detector"
+        return self._emit_event(
+            EventKind.PASS_THROUGH, target, t, parents, {"reason": reason, "energy_ev": energy, "arc": arc}
         )
-        if outcome is None:
-            return pass_through("occupied" if state.is_excited else "off_resonance")
-        self._states[arc.target] = outcome
-        event = self._emit_event(
-            EventKind.ABSORPTION,
-            arc.target,
-            t,
-            parents,
-            {"arc": signal.arc, "energy_ev": signal.energy_ev, "excitation_id": outcome.excitation_id},
-        )
-        self._schedule_decay(arc.target, outcome.excitation_id, t, event.id)
-        return event
 
-    def _process_tick(self, t: float, occ: _Tick) -> SimEvent:
-        clock = self._network.clock_by_node[occ.node]
-        pulse_id = next(self._pulse_ids)
+    def _process_tick(self, occ: tuple[Any, ...]) -> SimEvent:
+        t, _, _, node, k, parent = occ
+        clock = self._network.clock_by_node[node]
         event = self._emit_event(
             EventKind.CLOCK_TICK,
-            occ.node,
+            node,
             t,
-            frozenset() if occ.parent is None else frozenset({occ.parent}),
-            {"pulse_id": pulse_id, "counter": clock.counter_start + occ.k},
+            _NO_PARENTS if parent is None else frozenset((parent,)),
+            {"pulse_id": next(self._pulse_ids), "counter": clock.counter_start + k},
         )
-        next_t = clock.tick_time(occ.k + 1)
+        next_t = clock.tick_time(k + 1)
         if next_t <= self._config.run_until_s:
-            self._schedule(next_t, _Tick(node=occ.node, k=occ.k + 1, parent=event.id))
+            self._schedule(next_t, _TICK, node, k + 1, event.id)
         return event
+
+    # Indexed by occurrence tag; step() and run() both dispatch through it.
+    _handlers = (_process_injection, _process_decay, _process_emission, _process_arrival, _process_tick)

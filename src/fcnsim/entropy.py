@@ -114,6 +114,22 @@ def breakdown_for_decay(
     )
 
 
+def decay_entropy(
+    delta_e_ev: float,
+    gamma_ev: float,
+    model: EntropyModel,
+    constants: PhysicalConstants = CONSTANTS,
+) -> tuple[EntropyBreakdown, float, float]:
+    """Breakdown, lifetime (s) and production rate (k_B/s) of one decay.
+
+    The single definition of a ledger row's numbers, shared by the ledger
+    and the engine's decay payloads. The rate is total / lifetime.
+    """
+    breakdown = breakdown_for_decay(delta_e_ev, model, constants)
+    tau = lifetime(gamma_ev, constants)
+    return breakdown, tau, breakdown.total() / tau
+
+
 def entropy_lifetime(
     breakdown: EntropyBreakdown,
     gamma_ev: float,
@@ -164,13 +180,12 @@ class EntropyLedger:
         """
         if event_id in self._entries:
             raise DuplicateEvent(f"decay event {event_id} already recorded")
-        breakdown = breakdown_for_decay(delta_e_ev, model, self._constants)
-        tau = lifetime(gamma_ev, self._constants)
+        breakdown, tau, rate = decay_entropy(delta_e_ev, gamma_ev, model, self._constants)
         entry = EntropyLedgerEntry(
             decay_event_id=event_id,
             breakdown=breakdown,
             lifetime_s=tau,
-            production_rate_kb_per_s=breakdown.total() / tau,
+            production_rate_kb_per_s=rate,
         )
         self._entries[event_id] = entry
         return entry

@@ -327,11 +327,17 @@ def record_to_event(record: dict[str, Any], where: str = "record") -> SimEvent:
     del record["kind"]
     event_id, node, t = record.pop("id"), record.pop("node"), record.pop("engine_time")
     parents = record.pop("parents")
-    if not isinstance(event_id, int) or not isinstance(node, int):
+    # Ids follow the network reader's rule: unsigned 64-bit, never a bool.
+    if type(event_id) is not int or type(node) is not int:
         raise ParseError("'id' and 'node' must be integers", where)
+    if not (0 <= event_id <= _MAX_ID and 0 <= node <= _MAX_ID):
+        name, value = ("node", node) if 0 <= event_id <= _MAX_ID else ("id", event_id)
+        raise ParseError(f"{name!r} must be an unsigned 64-bit integer, got {value}", where)
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise ParseError("'engine_time' must be a number", where)
-    if not isinstance(parents, list) or not all(isinstance(p, int) for p in parents):
+    if type(parents) is not list or not all(type(p) is int and 0 <= p <= _MAX_ID for p in parents):
+        if type(parents) is list and all(type(p) is int for p in parents):
+            raise ParseError("'parents' must be an array of unsigned 64-bit integers", where)
         raise ParseError("'parents' must be an array of integers", where)
     fields = _READ_FIELDS.get(kind)
     if fields:
@@ -346,8 +352,69 @@ def record_to_event(record: dict[str, Any], where: str = "record") -> SimEvent:
     )
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# ',"kind":"<kind>","node":' per kind, and ',"<key>":' per payload key the
+# engine writes; other keys are encoded as they come.
+_KIND_FIELDS = {kind: f',"kind":{_encode_str(kind.value)},"node":' for kind in EventKind}
+_PAYLOAD_KEYS = {
+    key: f",{_encode_str(key)}:"
+    for key in (
+        "excitation_id", "energy_ev", "gamma_ev", *ENTROPY_COLUMNS[1:],
+        "reason", "arc", "wavelength_nm", "pulse_id", "counter",
+    )
+}
+
+
+def _json_value(value: Any) -> str:
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is str:
+        return _encode_str(value)
+    return _dumps(value)
+
+
+def _json_parents(parents: frozenset[int]) -> str:
+    if len(parents) == 1:
+        (only,) = parents
+        if type(only) is int:
+            return f"[{only!r}]"
+    ordered = sorted(parents)
+    if all(type(p) is int for p in ordered):
+        return f"[{','.join(map(repr, ordered))}]"
+    return _dumps(ordered)
+
+
 def serialize_event(event: SimEvent) -> str:
-    return json.dumps(event_to_record(event), separators=(",", ":"))
+    """One trace line, without its newline.
+
+    Byte-equal to ``json.dumps(event_to_record(event), separators=(",",
+    ":"))``. Exact ints, finite floats and strings are written here, with
+    the same ``int.__repr__``, ``float.__repr__`` and ASCII string escapes
+    that ``json.dumps`` uses; any other value goes to ``json.dumps``, and
+    so does an event whose payload reuses a base field name or has a key
+    that is not a string.
+    """
+    event_id, node = event.id, event.node
+    if type(event_id) is not int or type(node) is not int:
+        return _dumps(event_to_record(event))
+    parts = [
+        f'{{"id":{event_id!r}{_KIND_FIELDS[event.kind]}{node!r},"engine_time":'
+        f'{_json_value(event.engine_time)},"parents":{_json_parents(event.parents)}'
+    ]
+    for key, value in event.payload.items():
+        name = _PAYLOAD_KEYS.get(key)
+        if name is None:
+            if type(key) is not str or key in _BASE_KEY_SET:
+                return _dumps(event_to_record(event))
+            name = f",{_encode_str(key)}:"
+        parts.append(name + _json_value(value))
+    parts.append("}")
+    return "".join(parts)
 
 
 def parse_event_line(line: str, where: str = "line") -> SimEvent:
@@ -359,7 +426,7 @@ def parse_event_line(line: str, where: str = "line") -> SimEvent:
 
 
 def serialize_trace(trace: Iterable[SimEvent]) -> str:
-    return "".join(serialize_event(e) + "\n" for e in trace)
+    return "".join([serialize_event(e) + "\n" for e in trace])
 
 
 def parse_trace(text: str) -> EventTrace:
@@ -382,7 +449,10 @@ def parse_trace(text: str) -> EventTrace:
 
 
 def write_trace(trace: Iterable[SimEvent], path: str | Path) -> None:
-    Path(path).write_text(serialize_trace(trace), encoding="utf-8", newline="\n")
+    """Write the trace as JSONL, one line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fp:
+        for event in trace:
+            fp.write(serialize_event(event) + "\n")
 
 
 def read_trace(path: str | Path) -> EventTrace:

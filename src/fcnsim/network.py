@@ -165,14 +165,6 @@ class Network:
     def clock_by_node(self) -> dict[NodeId, StandardClockSpec]:
         return {c.id: c for c in self.clocks}
 
-    @cached_property
-    def outgoing(self) -> dict[NodeId, tuple[Arc, ...]]:
-        """Outgoing arcs per node, sorted by arc id for reproducible fan-out."""
-        out: dict[NodeId, list[Arc]] = {n.id: [] for n in self.nodes}
-        for arc in self.arcs:
-            out[arc.source].append(arc)
-        return {nid: tuple(sorted(arcs, key=lambda a: a.id)) for nid, arcs in out.items()}
-
 
 def validate_network(
     nodes: tuple[ClockNode, ...] | list[ClockNode],

@@ -74,6 +74,72 @@ def four_clock_network() -> tuple[Network, list[tuple[int, float]]]:
     return validate_network(nodes, arcs, clocks), [(1, t) for t in (0.0, 0.45, 0.9, 1.6, 2.2)]
 
 
+def mixed_network() -> tuple[Network, list[tuple[int, float]]]:
+    """Thirty relays on two channels, some deaf and some stable, and three clocks.
+
+    Generated from a fixed seed. A stochastic run to 5 s (seed 5) has more
+    than a thousand decays and pass-throughs of all three kinds (occupied,
+    off_resonance, not_detector).
+    """
+    rng = random.Random(20261018)
+    nodes = [
+        make_node(
+            i,
+            gap=2.0 if i % 7 == 0 else 1.5,
+            tau=None if i % 11 == 0 else rng.uniform(0.005, 0.03),
+            position_m=(rng.uniform(0, 3e7), rng.uniform(0, 3e7), 0.0),
+            can_emit=i % 13 != 0,
+            can_detect=i % 5 != 0,
+        )
+        for i in range(1, 31)
+    ]
+    arcs = []
+    for k in range(1, 91):
+        src, dst = rng.sample(range(1, 31), 2)
+        arcs.append(Arc(id=k, source=src, target=dst, distance_m=rng.uniform(0.0, 0.05) * C))
+    clocks = [
+        StandardClockSpec(id=3, period_s=0.05),
+        StandardClockSpec(id=10, period_s=0.07, first_tick_s=0.01, counter_start=5),
+        StandardClockSpec(id=22, period_s=0.11, first_tick_s=0.2),
+    ]
+    injections = [(rng.randint(1, 30), rng.uniform(0.0, 2.0)) for _ in range(24)]
+    return validate_network(nodes, arcs, clocks), injections
+
+
+def network_document(network: Network, injections) -> dict:
+    """The network document (``fcnsim run`` input) describing ``network``."""
+    return {
+        "schema_version": "1",
+        "nodes": [
+            {
+                "id": n.id,
+                "ground_ev": n.spec.ground.energy_ev,
+                "excited_ev": n.spec.excited.energy_ev,
+                **({} if n.spec.gamma_ev is None else {"gamma_ev": n.spec.gamma_ev}),
+                "position_m": list(n.position_m),
+                "resonance_tolerance_ev": n.resonance_tolerance_ev,
+                "can_emit": n.can_emit,
+                "can_detect": n.can_detect,
+            }
+            for n in network.nodes
+        ],
+        "arcs": [
+            {"id": a.id, "source": a.source, "target": a.target, "distance_m": a.distance_m}
+            for a in network.arcs
+        ],
+        "standard_clocks": [
+            {
+                "id": c.id,
+                "period_s": c.period_s,
+                "first_tick_s": c.first_tick_s,
+                "counter_start": c.counter_start,
+            }
+            for c in network.clocks
+        ],
+        "injections": [{"node": node, "at_s": at} for node, at in injections],
+    }
+
+
 def random_network(rng: random.Random) -> tuple[Network, list[tuple[int, float]]]:
     """A small random network with enough resonant arcs to form chains."""
     n = rng.randint(2, 20)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,12 @@ import pytest
 
 import fcnsim
 from fcnsim.cli import main
+from fcnsim.io import parse_network_file
+from helpers import mixed_network, network_document
+
+# sha256 of ``run --until 5.0 --mode sto --seed 5`` on helpers.mixed_network,
+# recorded from the engine that drew one scalar uniform per decay.
+MIXED_STO_SHA256 = "de8a4124e9f8043b740a0c83fa6077e183f6458bb3da9e6841487150ed84c1de"
 
 
 @pytest.fixture
@@ -87,6 +94,25 @@ class TestRun:
 
     def test_zero_horizon_is_runtime_error(self, chain_net):
         assert main(["run", chain_net, "--until", "0"]) == 3
+
+    @pytest.mark.parametrize("until", ["inf", "-inf", "nan"])
+    def test_non_finite_horizon_is_runtime_error(self, chain_net, until, capsys):
+        assert main(["run", chain_net, f"--until={until}"]) == 3
+        assert capsys.readouterr().err.startswith("runtime error: run_until must be ")
+
+    def test_stochastic_run_matches_pinned_digest(self, tmp_path):
+        net, injections = mixed_network()
+        doc = tmp_path / "mixed.net.json"
+        doc.write_text(json.dumps(network_document(net, injections)))
+        assert parse_network_file(doc).network == net
+        out = tmp_path / "trace.jsonl"
+        args = ["run", str(doc), "--until", "5.0", "--mode", "sto", "--seed", "5", "--out", str(out)]
+        assert main(args) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sum(r["kind"] == "decay" for r in records) > 1024
+        reasons = {r["reason"] for r in records if r["kind"] == "pass_through"}
+        assert reasons == {"occupied", "off_resonance", "not_detector"}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == MIXED_STO_SHA256
 
 
 class TestTimeline:

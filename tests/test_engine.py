@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fcnsim import engine as engine_module
 from fcnsim import (
     Arc,
     Engine,
+    EntropyModel,
     EventKind,
     Exhausted,
     RunConfig,
@@ -23,7 +25,7 @@ from fcnsim import (
     validate_network,
     wavelength_of,
 )
-from helpers import C, HBAR, make_node
+from helpers import C, HBAR, make_node, random_network
 
 
 def det_config(until: float = 5.0) -> RunConfig:
@@ -313,6 +315,68 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             RunConfig(run_until_s=0.0)
 
+    @pytest.mark.parametrize("until", [math.inf, -math.inf, math.nan])
+    def test_run_config_requires_finite_horizon(self, until):
+        with pytest.raises(ValueError, match=r"^run_until must be > 0 s and finite, got "):
+            RunConfig(run_until_s=until)
+
+    def test_block_draws_match_scalar_draws_in_parent_order(self):
+        """Each excitation takes the next uniform of the run's PCG64 stream.
+
+        The run has more decays than one block of uniforms holds; every
+        decay time must equal, bit for bit, its parent's time plus the
+        next scalar draw of a fresh generator, taken in parent-id order.
+        """
+        nodes = [make_node(i, tau=0.002 * i) for i in (1, 2, 3)]
+        arcs = [
+            Arc(id=1, source=1, target=2, distance_m=0.0),
+            Arc(id=2, source=2, target=3, distance_m=0.0005 * C),
+            Arc(id=3, source=3, target=1, distance_m=0.0),
+            Arc(id=4, source=1, target=3, distance_m=0.001 * C),
+        ]
+        net = validate_network(nodes, arcs, [])
+        until = 8.0
+        config = RunConfig(run_until_s=until, mode=SamplingMode.STOCHASTIC, seed=11)
+        trace = Engine(net, config, [(1, 0.0)]).run()
+        decay_of = {next(iter(e.parents)): e for e in trace if e.kind is EventKind.DECAY}
+        assert len(decay_of) > 2 * engine_module._BLOCK
+        rng = np.random.Generator(np.random.PCG64(11))
+        exciting = (EventKind.EXTERNAL_EXCITATION, EventKind.ABSORPTION)
+        for parent in (e for e in trace if e.kind in exciting):
+            gamma = net.node_by_id[parent.node].spec.gamma_ev
+            at = parent.engine_time + sample_decay_delay(gamma, SamplingMode.STOCHASTIC, rng)
+            decay = decay_of.pop(parent.id, None)
+            if decay is None:
+                assert at > until
+            else:
+                assert decay.engine_time == at
+        assert decay_of == {}
+
+    def test_non_finite_entropy_raises_at_the_decay(self, chain):
+        net, injections = chain
+        config = RunConfig(run_until_s=5.0, entropy_model=EntropyModel(environment_temperature_k=1e-310))
+        engine = Engine(net, config, injections)
+        assert engine.step().kind is EventKind.CLOCK_TICK
+        assert engine.step().kind is EventKind.EXTERNAL_EXCITATION
+        with pytest.raises(ValueError, match="ds_signal must be finite"):
+            engine.run()
+
+
+@pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case_seed", range(40))
+def test_step_loop_equals_run(case_seed, mode):
+    """step() and run() dispatch alike: stepping to exhaustion gives run()'s trace."""
+    network, injections = random_network(random.Random(case_seed))
+    config = RunConfig(run_until_s=3.0, mode=mode, seed=case_seed)
+    engine = Engine(network, config, injections)
+    stepped = []
+    while True:
+        try:
+            stepped.append(engine.step())
+        except Exhausted:
+            break
+    assert tuple(stepped) == engine.trace == Engine(network, config, injections).run()
+
 
 class TestEventLog:
     def test_debug_level_logs_every_event(self, chain, caplog):
@@ -338,13 +402,3 @@ class TestEventLog:
         assert any(e.kind is EventKind.DECAY for e in trace)
         assert calls == []
 
-
-class TestCoupling:
-    def test_engine_uses_configured_fraction(self, chain):
-        net, _ = chain
-        # Transit on the fixture arcs is half the shorter lifetime, so a
-        # fraction above that merges the pair and the default does not.
-        tight = Engine(net, RunConfig(run_until_s=1.0, coupling_fraction=0.01))
-        loose = Engine(net, RunConfig(run_until_s=1.0, coupling_fraction=0.9))
-        assert all(len(c.members) == 1 for c in tight.coupling.classes)
-        assert any(len(c.members) > 1 for c in loose.coupling.classes)

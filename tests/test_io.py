@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcnsim import (
     Engine,
@@ -12,12 +15,20 @@ from fcnsim import (
     ParseError,
     RunConfig,
     SamplingMode,
+    SimEvent,
     ValidationFailed,
     parse_network,
     parse_trace,
     serialize_trace,
 )
-from fcnsim.io import parse_event_line, read_trace, serialize_event, write_trace
+from fcnsim.io import (
+    ENTROPY_COLUMNS,
+    event_to_record,
+    parse_event_line,
+    read_trace,
+    serialize_event,
+    write_trace,
+)
 from helpers import chain_network, random_run
 
 
@@ -232,12 +243,39 @@ class TestTraceRoundTrip:
             (_without(_DECAY, "lifetime_s"), "missing field(s): lifetime_s"),
             ({**_DECAY, "total": "-1"}, "'total' must be a number"),
             ({**_DECAY, "production_rate": None}, "'production_rate' must be a number"),
+            ({**_ABSORPTION, "id": True}, "'id' and 'node' must be integers"),
+            ({**_ABSORPTION, "node": False}, "'id' and 'node' must be integers"),
+            (
+                {"id": True, "kind": "absorption", "node": -5, "engine_time": 0.0, "parents": [False]},
+                "'id' and 'node' must be integers",
+            ),
+            ({**_ABSORPTION, "id": -1}, "'id' must be an unsigned 64-bit integer, got -1"),
+            ({**_ABSORPTION, "node": -5}, "'node' must be an unsigned 64-bit integer, got -5"),
+            (
+                {**_ABSORPTION, "node": 2**64},
+                "'node' must be an unsigned 64-bit integer, got 18446744073709551616",
+            ),
+            ({**_ABSORPTION, "parents": [False]}, "'parents' must be an array of integers"),
+            ({**_ABSORPTION, "parents": [0, True]}, "'parents' must be an array of integers"),
+            (
+                {**_ABSORPTION, "parents": [0, -3]},
+                "'parents' must be an array of unsigned 64-bit integers",
+            ),
+            (
+                {**_ABSORPTION, "parents": [2**64]},
+                "'parents' must be an array of unsigned 64-bit integers",
+            ),
         ],
     )
     def test_malformed_record_message(self, record, message):
         with pytest.raises(ParseError) as err:
             parse_trace("\n" + json.dumps(record) + "\n")
         assert str(err.value) == f"line 2: {message}"
+
+    def test_largest_ids_parse(self):
+        top = 2**64 - 1
+        (event,) = parse_trace(json.dumps({**_ABSORPTION, "id": top, "node": top, "parents": [top]}))
+        assert (event.id, event.node, event.parents) == (top, top, frozenset({top}))
 
     def test_well_formed_records_parse(self):
         events = parse_trace("".join(json.dumps(r) + "\n" for r in (_ABSORPTION, _TICK, _DECAY)))
@@ -268,3 +306,112 @@ class TestTraceRoundTrip:
         original, _ = build_timeline(label_absorptions(trace, clock)[0], trace)
         recovered, _ = build_timeline(label_absorptions(reparsed, clock)[0], reparsed)
         assert recovered == original
+
+
+# -- the hand-formatted writer against json.dumps ------------------------
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+# Signed zero, subnormals, the largest float and both sides of the points
+# where repr switches to exponent form (1e16 and 1e-4).
+_FLOAT_EDGES = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-5, 1e-4, 0.0001, 9.999999999999999e-05,
+)
+_ENGINE_KEYS = (
+    "excitation_id", "energy_ev", "gamma_ev", *ENTROPY_COLUMNS[1:],
+    "reason", "arc", "wavelength_nm", "pulse_id", "counter",
+)
+_BASE = ("id", "kind", "node", "engine_time", "parents")
+# Non-ASCII, control characters, quotes and backslashes.
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ["", "é", "\u2028", '"', "\\", "\n\t\x00\x7f", "\U0001f600", "\udc80"]
+)
+
+
+def _floats(finite: bool):
+    return st.floats(allow_nan=not finite, allow_infinity=not finite) | st.sampled_from(_FLOAT_EDGES)
+
+
+def _values(finite: bool):
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-(2**70), max_value=2**70)
+        | _floats(finite)
+        | _TEXT
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def _events(draw, finite: bool) -> SimEvent:
+    kind = draw(st.sampled_from(EventKind))
+    keys = st.sampled_from(_ENGINE_KEYS) | _TEXT.filter(lambda k: k not in _BASE)
+    if not finite:
+        # Base field names and non-string keys take json.dumps's path.
+        keys = keys | st.sampled_from(_BASE) | st.integers(-3, 3)
+    payload = draw(st.dictionaries(keys, _values(finite), max_size=6))
+    if finite:
+        # The fields the reader checks, with the types it requires.
+        if kind is EventKind.CLOCK_TICK:
+            payload.update(pulse_id=draw(_U64), counter=draw(st.integers()))
+        elif kind is EventKind.DECAY:
+            payload.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
+    return SimEvent(
+        id=draw(_U64 if finite else _U64 | st.integers(-5, -1) | st.booleans()),
+        kind=kind,
+        node=draw(_U64 if finite else _U64 | st.integers(-5, -1) | st.booleans()),
+        engine_time=draw(_floats(finite)),
+        parents=draw(st.frozensets(_U64, max_size=4)),
+        payload=payload,
+    )
+
+
+# One event per writer path: every kind of payload value, a payload that
+# reuses a base field name, one with a non-string key, and ids that are not
+# unsigned ints. 2**61 hashes to 1, so the parents do not iterate sorted.
+_WRITER_EXAMPLES = (
+    SimEvent(
+        id=7, kind=EventKind.DECAY, node=2, engine_time=-0.0, parents=frozenset({2, 2**61, 7, 2**64 - 1}),
+        payload={
+            "gamma_ev": math.nan, "total": -math.inf, "ds_vacuum": math.inf, "lifetime_s": 5e-324,
+            "energy_ev": 1e16, "ds_signal": 9999999999999998.0, "production_rate": 1e-5,
+            "ds_internal": 0.0001, "counter": -(2**70), "pulse_id": 2**64 + 1, "reason": "é\u2028\"\\\n\x00",
+            "clé": "\U0001f600", "": None, "flag": True, "nested": [None, False, {"é": -0.0, "n": [1.5, "\t"]}],
+        },
+    ),
+    SimEvent(
+        id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=frozenset({0}),
+        payload={"arc": 2, "kind": "banana", "parents": [1]},
+    ),
+    SimEvent(
+        id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=frozenset({0}),
+        payload={"arc": 2, 3: "three", None: 1.5},
+    ),
+    SimEvent(id=True, kind=EventKind.EMISSION, node=3, engine_time=1, parents=frozenset(), payload={}),
+)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=("values", "base-key", "int-key", "bool-id"))
+    def test_examples_match_json_dumps(self, event):
+        assert serialize_event(event) == json.dumps(event_to_record(event), separators=(",", ":"))
+
+    @settings(max_examples=200)
+    @given(event=_events(finite=False))
+    def test_matches_json_dumps(self, event):
+        assert serialize_event(event) == json.dumps(event_to_record(event), separators=(",", ":"))
+
+    @settings(max_examples=100)
+    @given(trace=st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id))
+    def test_finite_traces_round_trip(self, trace):
+        trace = tuple(trace)
+        assert parse_trace(serialize_trace(trace)) == trace
+
+    def test_parsed_events_reserialize_byte_for_byte(self, fixtures_dir):
+        text = (fixtures_dir / "chain.expected-trace.jsonl").read_text()
+        assert serialize_trace(parse_trace(text)) == text
