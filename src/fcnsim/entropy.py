@@ -102,16 +102,24 @@ def breakdown_for_decay(
 
     Internal term: -delta_e / (k_B * T_source). Signal term:
     +delta_e / (k_B * T_environment). Vacuum term: the model's constant.
-    Raises NonPositiveEnergy for delta_e_ev <= 0.
+    Raises NonPositiveEnergy for delta_e_ev <= 0, and ValueError (from
+    EntropyBreakdown) for a term that is not finite, including a
+    temperature so small that k_B * T underflows to 0.
     """
     if not delta_e_ev > 0:
         raise NonPositiveEnergy(f"decay energy must be > 0 eV, got {delta_e_ev}")
     kb = constants.k_b_ev_per_k
     return EntropyBreakdown(
-        ds_internal=-delta_e_ev / (kb * model.source_temperature_k),
-        ds_signal=delta_e_ev / (kb * model.environment_temperature_k),
+        ds_internal=-_per_kt(delta_e_ev, kb * model.source_temperature_k),
+        ds_signal=_per_kt(delta_e_ev, kb * model.environment_temperature_k),
         ds_vacuum=model.vacuum_term_kb,
     )
+
+
+def _per_kt(delta_e_ev: float, kt_ev: float) -> float:
+    # Below about 1e-319 K, k_B * T underflows to 0; the limit of the
+    # quotient is then +inf, which the breakdown rejects like any overflow.
+    return delta_e_ev / kt_ev if kt_ev else math.inf
 
 
 def decay_entropy(

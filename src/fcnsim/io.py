@@ -269,13 +269,19 @@ def parse_network_file(path: str | Path) -> NetworkDocument:
 
 _BASE_KEYS = ("id", "kind", "node", "engine_time", "parents")
 _BASE_KEY_SET = frozenset(_BASE_KEYS)
-_KINDS = {kind.value: kind for kind in EventKind}
+# JSON decoding yields exact ints and floats (booleans are their own type),
+# so the reader tests types by identity.
+_INT = (int,)
+_NUMBER = (int, float)
 # The payload fields the analysis commands read, by kind, with their types:
 # the clock pulse pairing reads the ticks, the entropy report the decays.
-_READ_FIELDS: dict[EventKind, tuple[tuple[str, str], ...]] = {
-    EventKind.CLOCK_TICK: (("pulse_id", "int"), ("counter", "int")),
-    EventKind.DECAY: tuple((name, "number") for name in ENTROPY_COLUMNS[1:]),
+_READ_FIELDS: dict[EventKind, tuple[tuple[str, tuple[type, ...]], ...]] = {
+    EventKind.CLOCK_TICK: (("pulse_id", _INT), ("counter", _INT)),
+    EventKind.DECAY: tuple((name, _NUMBER) for name in ENTROPY_COLUMNS[1:]),
 }
+# Kind name -> (kind, read fields): one lookup by the string the line holds.
+_KINDS = {kind.value: (kind, _READ_FIELDS.get(kind, ())) for kind in EventKind}
+_scan_once = json.JSONDecoder().scan_once
 
 
 def event_to_record(event: SimEvent) -> dict[str, Any]:
@@ -289,67 +295,6 @@ def event_to_record(event: SimEvent) -> dict[str, Any]:
     }
     record.update(event.payload)
     return record
-
-
-def _check_payload(
-    fields: tuple[tuple[str, str], ...], payload: dict[str, Any], where: str
-) -> None:
-    missing = [name for name, _ in fields if name not in payload]
-    if missing:
-        raise ParseError(f"missing field(s): {', '.join(missing)}", where)
-    for name, type_name in fields:
-        value = payload[name]
-        if type_name == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(f"{name!r} must be an integer", where)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{name!r} must be a number", where)
-
-
-def record_to_event(record: dict[str, Any], where: str = "record") -> SimEvent:
-    """Build an event from one decoded record.
-
-    The event takes the record over: the base fields are removed from it
-    and what is left becomes the payload. Raises ParseError, with
-    ``where`` in the message, for a missing or mistyped base field, an
-    unknown kind, or a missing or mistyped payload field that the
-    analysis commands read.
-    """
-    if not isinstance(record, dict):
-        raise ParseError("expected an object", where)
-    if not record.keys() >= _BASE_KEY_SET:
-        missing = [k for k in _BASE_KEYS if k not in record]
-        raise ParseError(f"missing field(s): {', '.join(missing)}", where)
-    try:
-        kind = _KINDS[record["kind"]]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
-        raise ParseError(f"unknown event kind {record['kind']!r}", where) from None
-    del record["kind"]
-    event_id, node, t = record.pop("id"), record.pop("node"), record.pop("engine_time")
-    parents = record.pop("parents")
-    # Ids follow the network reader's rule: unsigned 64-bit, never a bool.
-    if type(event_id) is not int or type(node) is not int:
-        raise ParseError("'id' and 'node' must be integers", where)
-    if not (0 <= event_id <= _MAX_ID and 0 <= node <= _MAX_ID):
-        name, value = ("node", node) if 0 <= event_id <= _MAX_ID else ("id", event_id)
-        raise ParseError(f"{name!r} must be an unsigned 64-bit integer, got {value}", where)
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
-        raise ParseError("'engine_time' must be a number", where)
-    if type(parents) is not list or not all(type(p) is int and 0 <= p <= _MAX_ID for p in parents):
-        if type(parents) is list and all(type(p) is int for p in parents):
-            raise ParseError("'parents' must be an array of unsigned 64-bit integers", where)
-        raise ParseError("'parents' must be an array of integers", where)
-    fields = _READ_FIELDS.get(kind)
-    if fields:
-        _check_payload(fields, record, where)
-    return SimEvent(
-        id=event_id,
-        kind=kind,
-        node=node,
-        engine_time=float(t),
-        parents=frozenset(parents),
-        payload=record,
-    )
 
 
 def _dumps(value: Any) -> str:
@@ -417,30 +362,130 @@ def serialize_event(event: SimEvent) -> str:
     return "".join(parts)
 
 
-def parse_event_line(line: str, where: str = "line") -> SimEvent:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", where) from exc
-    return record_to_event(record, where)
-
-
 def serialize_trace(trace: Iterable[SimEvent]) -> str:
     return "".join([serialize_event(e) + "\n" for e in trace])
+
+
+def _event(record: Any) -> SimEvent | None:
+    """The event one decoded record describes, or None if a check fails.
+
+    Takes the record over: the base fields are popped off it and what is
+    left becomes the payload.
+    """
+    if type(record) is not dict:
+        return None
+    try:
+        kind, fields = _KINDS[record.pop("kind")]
+        event_id, node = record.pop("id"), record.pop("node")
+        t, parents = record.pop("engine_time"), record.pop("parents")
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
+        return None
+    # Ids follow the network reader's rule: unsigned 64-bit, never a bool.
+    if type(event_id) is not int or type(node) is not int:
+        return None
+    if not (0 <= event_id <= _MAX_ID and 0 <= node <= _MAX_ID):
+        return None
+    if type(t) not in _NUMBER or type(parents) is not list:
+        return None
+    for parent in parents:
+        if type(parent) is not int or not 0 <= parent <= _MAX_ID:
+            return None
+    for name, types in fields:
+        if type(record.get(name)) not in types:
+            return None
+    return SimEvent(event_id, kind, node, float(t), frozenset(parents), record)
+
+
+def _rejection(record: Any) -> str:
+    """Why the reader rejects a decoded record: the first failed check."""
+    if type(record) is not dict:
+        return "expected an object"
+    missing = [k for k in _BASE_KEYS if k not in record]
+    if missing:
+        return f"missing field(s): {', '.join(missing)}"
+    kind = record["kind"]
+    if type(kind) is not str or kind not in _KINDS:
+        return f"unknown event kind {kind!r}"
+    event_id, node, parents = record["id"], record["node"], record["parents"]
+    if type(event_id) is not int or type(node) is not int:
+        return "'id' and 'node' must be integers"
+    for name, value in (("id", event_id), ("node", node)):
+        if not 0 <= value <= _MAX_ID:
+            return f"{name!r} must be an unsigned 64-bit integer, got {value}"
+    if type(record["engine_time"]) not in _NUMBER:
+        return "'engine_time' must be a number"
+    if type(parents) is not list or any(type(p) is not int for p in parents):
+        return "'parents' must be an array of integers"
+    if any(not 0 <= p <= _MAX_ID for p in parents):
+        return "'parents' must be an array of unsigned 64-bit integers"
+    fields = _KINDS[kind][1]
+    missing = [name for name, _ in fields if name not in record]
+    if missing:
+        return f"missing field(s): {', '.join(missing)}"
+    for name, types in fields:
+        if type(record[name]) not in types:
+            return f"{name!r} must be {'an integer' if types is _INT else 'a number'}"
+    raise AssertionError(f"record passes every check: {record!r}")
+
+
+def _line_event(line: str, where: str | int) -> SimEvent | None:
+    """The checked event on one trace line, or None for a blank line.
+
+    ``where`` is the line number, or the context, that an error names.
+    The C scanner decodes a line that holds exactly one JSON value and
+    nothing else; any other line (padded, blank or malformed) goes to
+    ``json.loads``, whose message a malformed line reports. The message
+    of a failed check, and the context string, are built only on failure.
+    """
+    try:
+        record, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(line):
+        if not line.strip():
+            return None
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", _context(where)) from exc
+    event = _event(record)
+    if event is None:
+        raise ParseError(_rejection(json.loads(line)), _context(where))
+    return event
+
+
+def _context(where: str | int) -> str:
+    return where if isinstance(where, str) else f"line {where}"
+
+
+def parse_event_line(line: str, where: str = "line") -> SimEvent:
+    """One event from one trace line; raises ParseError naming ``where``.
+
+    Checks the line as ``parse_trace`` does: a missing or mistyped base
+    field, an unknown kind, or a missing or mistyped payload field that
+    the analysis commands read.
+    """
+    event = _line_event(line, where)
+    if event is None:
+        raise ParseError("invalid JSON: Expecting value", where)
+    return event
 
 
 def parse_trace(text: str) -> EventTrace:
     """Parse a JSONL trace, one event per non-blank line.
 
-    Raises ParseError naming the line for a malformed record and for an
-    event id that an earlier line already used.
+    Lines end at line feeds only, as in JSON Lines: a raw U+2028, U+2029
+    or U+0085 inside a string is part of its line, and a carriage return
+    before the line feed is JSON whitespace. Raises ParseError naming the
+    line for a malformed record and for an event id that an earlier line
+    already used.
     """
     events = []
     first_line: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        event = _line_event(line, lineno)
+        if event is None:
             continue
-        event = parse_event_line(line, where=f"line {lineno}")
         seen = first_line.setdefault(event.id, lineno)
         if seen != lineno:
             raise ParseError(f"repeated event id {event.id} (first on line {seen})", f"line {lineno}")

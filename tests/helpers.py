@@ -343,3 +343,87 @@ def reference_resolution(timeline, trace):
         indistinguishable_pairs=indistinguishable,
         distinct_labels=len({lb.time_number_s for lb in timeline.entries}),
     )
+
+
+# -- reference trace record reader -----------------------------------------
+#
+# The record check the trace reader made before it decoded lines with the
+# C scanner and checked types by identity, copied as it was: the oracle for
+# the reader's events and its messages.
+
+from typing import Any  # noqa: E402
+
+from fcnsim import ParseError, SimEvent  # noqa: E402
+from fcnsim.io import ENTROPY_COLUMNS  # noqa: E402
+
+_MAX_ID = 2**64 - 1
+_BASE_KEYS = ("id", "kind", "node", "engine_time", "parents")
+_BASE_KEY_SET = frozenset(_BASE_KEYS)
+_KINDS = {kind.value: kind for kind in EventKind}
+# The payload fields the analysis commands read, by kind, with their types:
+# the clock pulse pairing reads the ticks, the entropy report the decays.
+_READ_FIELDS: dict[EventKind, tuple[tuple[str, str], ...]] = {
+    EventKind.CLOCK_TICK: (("pulse_id", "int"), ("counter", "int")),
+    EventKind.DECAY: tuple((name, "number") for name in ENTROPY_COLUMNS[1:]),
+}
+
+
+def _check_payload(
+    fields: tuple[tuple[str, str], ...], payload: dict[str, Any], where: str
+) -> None:
+    missing = [name for name, _ in fields if name not in payload]
+    if missing:
+        raise ParseError(f"missing field(s): {', '.join(missing)}", where)
+    for name, type_name in fields:
+        value = payload[name]
+        if type_name == "int":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(f"{name!r} must be an integer", where)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{name!r} must be a number", where)
+
+
+def reference_record_to_event(record: dict[str, Any], where: str = "record") -> SimEvent:
+    """Build an event from one decoded record.
+
+    The event takes the record over: the base fields are removed from it
+    and what is left becomes the payload. Raises ParseError, with
+    ``where`` in the message, for a missing or mistyped base field, an
+    unknown kind, or a missing or mistyped payload field that the
+    analysis commands read.
+    """
+    if not isinstance(record, dict):
+        raise ParseError("expected an object", where)
+    if not record.keys() >= _BASE_KEY_SET:
+        missing = [k for k in _BASE_KEYS if k not in record]
+        raise ParseError(f"missing field(s): {', '.join(missing)}", where)
+    try:
+        kind = _KINDS[record["kind"]]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as a list
+        raise ParseError(f"unknown event kind {record['kind']!r}", where) from None
+    del record["kind"]
+    event_id, node, t = record.pop("id"), record.pop("node"), record.pop("engine_time")
+    parents = record.pop("parents")
+    # Ids follow the network reader's rule: unsigned 64-bit, never a bool.
+    if type(event_id) is not int or type(node) is not int:
+        raise ParseError("'id' and 'node' must be integers", where)
+    if not (0 <= event_id <= _MAX_ID and 0 <= node <= _MAX_ID):
+        name, value = ("node", node) if 0 <= event_id <= _MAX_ID else ("id", event_id)
+        raise ParseError(f"{name!r} must be an unsigned 64-bit integer, got {value}", where)
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ParseError("'engine_time' must be a number", where)
+    if type(parents) is not list or not all(type(p) is int and 0 <= p <= _MAX_ID for p in parents):
+        if type(parents) is list and all(type(p) is int for p in parents):
+            raise ParseError("'parents' must be an array of unsigned 64-bit integers", where)
+        raise ParseError("'parents' must be an array of integers", where)
+    fields = _READ_FIELDS.get(kind)
+    if fields:
+        _check_payload(fields, record, where)
+    return SimEvent(
+        id=event_id,
+        kind=kind,
+        node=node,
+        engine_time=float(t),
+        parents=frozenset(parents),
+        payload=record,
+    )

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,8 +16,8 @@ import pytest
 
 import fcnsim
 from fcnsim.cli import main
-from fcnsim.io import parse_network_file
-from helpers import mixed_network, network_document
+from fcnsim.io import parse_network_file, read_trace
+from helpers import mixed_network, network_document, random_network
 
 # sha256 of ``run --until 5.0 --mode sto --seed 5`` on helpers.mixed_network,
 # recorded from the engine that drew one scalar uniform per decay.
@@ -99,6 +101,15 @@ class TestRun:
     def test_non_finite_horizon_is_runtime_error(self, chain_net, until, capsys):
         assert main(["run", chain_net, f"--until={until}"]) == 3
         assert capsys.readouterr().err.startswith("runtime error: run_until must be ")
+
+    @pytest.mark.parametrize(
+        "flag, term",
+        [("--t-env", "ds_signal must be finite, got inf"), ("--t-source", "ds_internal must be finite, got -inf")],
+    )
+    def test_temperature_too_small_for_k_b_t_is_runtime_error(self, chain_net, flag, term, capsys):
+        # k_B * 1e-320 K underflows to 0: the term it divides is infinite.
+        assert main(["run", chain_net, "--until", "5", flag, "1e-320"]) == 3
+        assert capsys.readouterr().err == f"runtime error: {term}\n"
 
     def test_stochastic_run_matches_pinned_digest(self, tmp_path):
         net, injections = mixed_network()
@@ -203,6 +214,66 @@ class TestMalformedTrace:
         assert capsys.readouterr().err == (
             f"error: line {lineno}: missing field(s): {', '.join(columns)}\n"
         )
+
+
+class TestCycleCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("outcome", [0, 2, 3])
+    def test_main_restores_collector_state(self, chain_trace_file, chain_net, enabled, outcome, capsys):
+        argv = {
+            0: ["report", str(chain_trace_file)],
+            2: ["entropy", str(chain_net)],  # a network document is not a trace
+            3: ["run", chain_net, "--until", "5", "--t-env", "1e-320"],
+        }[outcome]
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert main(argv) == outcome
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_command_runs_with_collector_paused(self, chain_trace_file, monkeypatch):
+        seen = []
+        monkeypatch.setitem(fcnsim.cli._COMMANDS, "report", lambda args: seen.append(gc.isenabled()) or 0)
+        assert gc.isenabled()
+        assert main(["report", str(chain_trace_file)]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_cyclic_garbage_does_not_grow_with_trace_length(self, chain_net, tmp_path, capsys):
+        """What the collector finds after each command is the same few hundred
+        objects on a 13-event trace and on a ~5700-event one."""
+        net, injections = random_network(random.Random(22))
+        big_net = tmp_path / "big.net.json"
+        big_net.write_text(json.dumps(network_document(net, injections)))
+
+        def garbage(net_path: str, until: str, clock: int, name: str) -> tuple[list[int], int]:
+            trace = str(tmp_path / f"{name}.jsonl")
+            found = []
+            for argv in (
+                ["run", net_path, "--until", until, "--mode", "sto", "--seed", "1", "--out", trace],
+                ["run", net_path, "--until", until, "--out", trace],
+                ["timeline", trace, "--clock", str(clock)],
+                ["entropy", trace],
+                ["report", trace],
+            ):
+                assert main(argv) == 0  # warm-up: imports and first-call caches
+                was = gc.isenabled()
+                gc.disable()
+                try:
+                    gc.collect()
+                    assert main(argv) == 0
+                    found.append(gc.collect())
+                finally:
+                    gc.enable() if was else gc.disable()
+            capsys.readouterr()
+            return found, len(read_trace(trace))
+
+        small, small_events = garbage(chain_net, "5", 3, "chain")
+        large, large_events = garbage(str(big_net), "200", net.clocks[0].id, "big")
+        assert (small_events, large_events) == (13, 5712)
+        assert large == small
+        assert max(small) < 1000
 
 
 _NUMPY_PROBE = textwrap.dedent(

@@ -29,7 +29,7 @@ from fcnsim.io import (
     serialize_event,
     write_trace,
 )
-from helpers import chain_network, random_run
+from helpers import chain_network, random_run, reference_record_to_event
 
 
 _ABSORPTION = {"id": 1, "kind": "absorption", "node": 1, "engine_time": 0.5, "parents": [0]}
@@ -290,6 +290,32 @@ class TestTraceRoundTrip:
             parse_trace("\n".join([*lines, "", lines[-1]]) + "\n")
         assert str(err.value) == "line 15: repeated event id 12 (first on line 13)"
 
+    def test_unicode_line_breaks_stay_inside_their_line(self, tmp_path):
+        note = "a\u2028b\u2029c\x85d"
+        first = json.dumps({**_ABSORPTION, "note": note}, ensure_ascii=False)
+        assert "\u2028" in first and "\x85" in first
+        text = first + "\n" + json.dumps(_TICK) + "\r\n"
+        events = parse_trace(text)
+        assert [e.id for e in events] == [1, 2]
+        assert events[0].payload == {"note": note}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert read_trace(path) == events
+        with pytest.raises(ParseError) as err:
+            parse_trace(text + '{"id": 9\n')
+        assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
+
+    def test_padded_and_blank_lines(self):
+        (event,) = parse_trace(" \t" + json.dumps(_DECAY) + " \r\n\r\n  \n")
+        assert event.payload["total"] == 1.0
+        assert parse_event_line(" " + json.dumps(_TICK) + "\r").payload == {"pulse_id": 0, "counter": 0}
+        with pytest.raises(ParseError) as err:
+            parse_event_line("  ")
+        assert str(err.value) == "line: invalid JSON: Expecting value"
+        with pytest.raises(ParseError) as err:
+            parse_trace(json.dumps(_ABSORPTION) + " x\n")
+        assert str(err.value).startswith("line 1: invalid JSON: Extra data")
+
     def test_blank_lines_ignored(self, chain):
         net, injections = chain
         trace = Engine(net, RunConfig(run_until_s=5.0), injections).run()
@@ -415,3 +441,63 @@ class TestWriter:
     def test_parsed_events_reserialize_byte_for_byte(self, fixtures_dir):
         text = (fixtures_dir / "chain.expected-trace.jsonl").read_text()
         assert serialize_trace(parse_trace(text)) == text
+
+
+# -- the reader against the reference record check -----------------------
+
+# Mixed JSON values: booleans, negative numbers, 2**64, floats (no NaN, so
+# events compare equal), strings, arrays, null and objects.
+_MIXED = _values(finite=True) | st.sampled_from([True, False, -1, -(2**64), 2**64, 2**64 - 1, 1.5])
+
+
+@st.composite
+def _records(draw) -> dict:
+    """A well-formed record of a random kind in which up to three base or
+    payload fields are dropped or replaced by a mixed JSON value."""
+    kind = draw(st.sampled_from(EventKind))
+    record = {
+        "id": draw(_U64), "kind": kind.value, "node": draw(_U64),
+        "engine_time": draw(_floats(True)), "parents": draw(st.lists(_U64, max_size=3)),
+    }
+    if kind is EventKind.CLOCK_TICK:
+        record.update(pulse_id=draw(_U64), counter=draw(st.integers()))
+    elif kind is EventKind.DECAY:
+        record.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
+    record.update(draw(st.dictionaries(st.sampled_from(("reason", "arc", "note")), _MIXED, max_size=2)))
+    kinds = st.sampled_from([k.value for k in EventKind])
+    for name in draw(st.lists(st.sampled_from(list(record)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            del record[name]
+        else:
+            if name == "kind":
+                record[name] = draw(kinds | _MIXED)
+            elif name == "parents":
+                record[name] = draw(st.lists(_U64 | _MIXED, max_size=3) | _MIXED)
+            else:
+                record[name] = draw(_MIXED)
+    return record
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestReaderAgainstReference:
+    @settings(max_examples=400)
+    @given(
+        record=_records(),
+        separators=st.sampled_from([(",", ":"), (", ", ": ")]),
+        pad=st.sampled_from([("", ""), (" ", ""), ("", "\r"), ("\t", " ")]),
+    )
+    def test_same_event_or_same_message(self, record, separators, pad):
+        line = pad[0] + json.dumps(record, separators=separators) + pad[1]
+        expected = _outcome(reference_record_to_event, json.loads(line), "line 1")
+        assert _outcome(parse_event_line, line, "line 1") == expected
+        from_trace = _outcome(parse_trace, "\n" + line + "\n")
+        if isinstance(expected, str):
+            assert from_trace == expected.replace("line 1", "line 2", 1)
+        else:
+            assert from_trace == (expected,)
