@@ -47,7 +47,6 @@ from .errors import (
     ClockMismatch,
     DegenerateLevels,
     DuplicateEvent,
-    EmptyCen,
     Exhausted,
     FcnError,
     NoClockPulse,
@@ -76,11 +75,8 @@ from .network import (
     CouplingKind,
     Network,
     StandardClockSpec,
-    TrajectorySegment,
-    cen_effective_spec,
     classify_coupling,
     propagation_delay,
-    trajectory_segments,
     validate_network,
 )
 from .quantum import (

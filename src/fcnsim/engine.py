@@ -25,9 +25,10 @@ those two steps reproduces every absorption time bit for bit.
 
 Stochastic mode draws decay delays from the exponential distribution by
 inverse CDF, one uniform per delay, from a single PCG64 stream seeded
-per run. Uniforms are taken from that stream in blocks; a block holds
-the same values, in the same order, as one scalar draw after another.
-Deterministic mode uses the lifetime itself as the delay.
+per run and computed in this module, bit for bit as numpy's
+``Generator(PCG64(seed)).random()``, in blocks that hold the same values
+in the same order as scalar draws. Deterministic mode uses the lifetime
+itself as the delay.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .constants import CONSTANTS, PhysicalConstants
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
@@ -54,9 +55,6 @@ from .quantum import (
     signal_energy,
     wavelength_of,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -118,14 +116,14 @@ def _exponential_delay(tau: float, u: float) -> float:
 def sample_decay_delay(
     gamma_ev: float | None,
     mode: SamplingMode,
-    rng: np.random.Generator | None = None,
+    rng: Any = None,
     constants: PhysicalConstants = CONSTANTS,
 ) -> float:
     """Delay between excitation and decay for a node with rate ``gamma_ev``.
 
     Deterministic mode returns the lifetime exactly. Stochastic mode
-    returns an exponential draw with the lifetime as its mean, computed by
-    inverse CDF from exactly one uniform taken off ``rng``.
+    returns an exponential draw with the lifetime as its mean, by inverse
+    CDF from exactly one uniform, ``rng.random()`` (a numpy Generator works).
     """
     tau = lifetime(gamma_ev, constants)
     if mode is SamplingMode.DETERMINISTIC:
@@ -135,14 +133,60 @@ def sample_decay_delay(
     return _exponential_delay(tau, rng.random())
 
 
-# Uniforms drawn per call to the generator. PCG64 fills a block with the
-# values that as many scalar draws would return, in the same order.
-_BLOCK = 1024
+_BLOCK = 1024  # uniforms computed per refill of the stream
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """The 128-bit PCG64 state and increment numpy derives from an int seed.
+
+    numpy's SeedSequence splits the seed into 32-bit words and mixes them
+    into a four-word pool; ``generate_state(4, uint64)`` hashes the pool
+    into the words that ``pcg64_set_seed`` loads.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> shift & _M32 for shift in range(0, seed.bit_length() or 1, 32)]
+    h, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value = (value ^ h) * (h := h * mult & _M32) & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state hashes the pool as hashmix does, with its own constants.
+    h, mult = 0x8B51F9DD, 0x58F38DED
+    s = [hashmix(pool[i % 4]) for i in range(8)]
+    # Little-endian uint64 words 0-1 seed the state, 2-3 pick the stream.
+    init = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
+    inc = (s[5] << 96 | s[4] << 64 | s[7] << 32 | s[6]) << 1 & _M128 | 1
+    # pcg_setseq_128_srandom_r: one step from 0, add the seed, step again.
+    return ((inc + init) * _PCG_MULT + inc) & _M128, inc
+
+
+def _uniforms(state: int, inc: int) -> Iterator[float]:
+    """PCG64 (O'Neill 2014): the 128-bit LCG with XSL-RR output, as numpy
+    steps it, each output ``x`` giving the double ``(x >> 11) * 2**-53``."""
     while True:
-        yield from rng.random(_BLOCK).tolist()
+        block = []
+        for _ in range(_BLOCK):
+            state = (state * _PCG_MULT + inc) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            block.append((((x >> rot | x << 64 - rot) & _M64) >> 11) * 2**-53)
+        yield from block
 
 
 class _NodeRow(NamedTuple):
@@ -201,11 +245,7 @@ class Engine:
         self._decay_fields: dict[NodeId, dict[str, float]] = {}
         self._draws: Iterator[float] | None = None
         if config.mode is SamplingMode.STOCHASTIC:
-            # numpy is imported here, not at module level, so that commands
-            # that never draw (analysis, deterministic runs) do not load it.
-            import numpy as np
-
-            self._draws = _uniforms(np.random.Generator(np.random.PCG64(config.seed)))
+            self._draws = _uniforms(*_pcg64_seed(config.seed))
         # Clock first ticks are scheduled before injections: at equal
         # engine_time a tick precedes the excitation it may later label.
         for clock in network.clocks:

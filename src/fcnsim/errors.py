@@ -27,10 +27,6 @@ class DuplicateEvent(FcnError):
     """A ledger entry for this event id already exists."""
 
 
-class EmptyCen(FcnError):
-    """A collective excitation group needs at least one member."""
-
-
 class UnknownNode(FcnError):
     """Referenced node id does not exist in the network."""
 

@@ -393,7 +393,10 @@ def _event(record: Any) -> SimEvent | None:
     for name, types in fields:
         if type(record.get(name)) not in types:
             return None
-    return SimEvent(event_id, kind, node, float(t), frozenset(parents), record)
+    try:
+        return SimEvent(event_id, kind, node, float(t), frozenset(parents), record)
+    except OverflowError:  # an int engine_time beyond the float range
+        return None
 
 
 def _rejection(record: Any) -> str:
@@ -414,6 +417,10 @@ def _rejection(record: Any) -> str:
             return f"{name!r} must be an unsigned 64-bit integer, got {value}"
     if type(record["engine_time"]) not in _NUMBER:
         return "'engine_time' must be a number"
+    try:
+        float(record["engine_time"])
+    except OverflowError:
+        return "'engine_time' is beyond the float range"
     if type(parents) is not list or any(type(p) is not int for p in parents):
         return "'parents' must be an array of integers"
     if any(not 0 <= p <= _MAX_ID for p in parents):
@@ -432,16 +439,16 @@ def _line_event(line: str, where: str | int) -> SimEvent | None:
     """The checked event on one trace line, or None for a blank line.
 
     ``where`` is the line number, or the context, that an error names.
-    The C scanner decodes a line that holds exactly one JSON value and
-    nothing else; any other line (padded, blank or malformed) goes to
-    ``json.loads``, whose message a malformed line reports. The message
+    The C scanner decodes one JSON value trailed by at most JSON whitespace
+    (a CRLF file's ``\r``); any other line (blank, padded or malformed) goes
+    to ``json.loads``, whose message a malformed line reports. The message
     of a failed check, and the context string, are built only on failure.
     """
     try:
         record, end = _scan_once(line, 0)
     except (StopIteration, json.JSONDecodeError):
         end = -1
-    if end != len(line):
+    if end != len(line) and (end < 0 or line[end:].strip(" \t\r")):
         if not line.strip():
             return None
         try:
@@ -471,14 +478,15 @@ def parse_event_line(line: str, where: str = "line") -> SimEvent:
     return event
 
 
-def parse_trace(text: str) -> EventTrace:
+def parse_trace(text: str, check_parents: bool = False) -> EventTrace:
     """Parse a JSONL trace, one event per non-blank line.
 
     Lines end at line feeds only, as in JSON Lines: a raw U+2028, U+2029
     or U+0085 inside a string is part of its line, and a carriage return
     before the line feed is JSON whitespace. Raises ParseError naming the
-    line for a malformed record and for an event id that an earlier line
-    already used.
+    line for a malformed record, for an event id that an earlier line
+    already used and, with ``check_parents``, for a parent id that no
+    earlier line's event has; without it the text may be an excerpt.
     """
     events = []
     first_line: dict[int, int] = {}
@@ -486,6 +494,9 @@ def parse_trace(text: str) -> EventTrace:
         event = _line_event(line, lineno)
         if event is None:
             continue
+        if check_parents and not first_line.keys() >= event.parents:
+            parent = min(event.parents - first_line.keys())
+            raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
         seen = first_line.setdefault(event.id, lineno)
         if seen != lineno:
             raise ParseError(f"repeated event id {event.id} (first on line {seen})", f"line {lineno}")
@@ -500,8 +511,16 @@ def write_trace(trace: Iterable[SimEvent], path: str | Path) -> None:
             fp.write(serialize_event(event) + "\n")
 
 
-def read_trace(path: str | Path) -> EventTrace:
-    return parse_trace(Path(path).read_text(encoding="utf-8"))
+def read_trace(path: str | Path, check_parents: bool = False) -> EventTrace:
+    """``parse_trace`` of a file's bytes, which must be strict UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
+    del data  # parse without holding the bytes as well as the text
+    return parse_trace(text, check_parents)
 
 
 # -- CSV reports ---------------------------------------------------------

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .constants import CONSTANTS, PhysicalConstants
-from .errors import EmptyCen, StableConfiguration, ValidationFailed
-from .quantum import EnergyLevel, TwoLevelSpec, lifetime, signal_energy
+from .errors import ValidationFailed
+from .quantum import TwoLevelSpec, lifetime, signal_energy
 
 # Opaque identifiers; unique within one network/run.
 NodeId = int
@@ -100,15 +100,6 @@ class Arc:
             raise ValueError(f"arc {self.id}: source and target must differ")
         if not (self.distance_m >= 0 and math.isfinite(self.distance_m)):
             raise ValueError(f"arc {self.id}: distance must be finite and >= 0 m")
-
-
-@dataclass(frozen=True)
-class TrajectorySegment:
-    """One source-arc-detector segment of a signal trajectory."""
-
-    source: NodeId
-    arc: ArcId
-    detector: NodeId
 
 
 class CouplingKind:
@@ -218,13 +209,6 @@ def propagation_delay(arc: Arc, constants: PhysicalConstants = CONSTANTS) -> flo
     return arc.distance_m / constants.c_m_per_s
 
 
-def trajectory_segments(network: Network) -> tuple[TrajectorySegment, ...]:
-    """All source-arc-detector segments present in the network."""
-    return tuple(
-        TrajectorySegment(source=a.source, arc=a.id, detector=a.target) for a in network.arcs
-    )
-
-
 def _node_lifetime(node: ClockNode, constants: PhysicalConstants) -> float:
     if node.spec.gamma_ev is None:
         return math.inf
@@ -286,28 +270,3 @@ def classify_coupling(
         arc.id for arc in sorted(network.arcs, key=lambda a: a.id) if find(arc.source) != find(arc.target)
     )
     return CouplingClassification(classes=classes, sen_links=sen_links)
-
-
-def cen_effective_spec(members: tuple[ClockNode, ...] | list[ClockNode]) -> TwoLevelSpec:
-    """Collapse a collective group into one meta-node spec.
-
-    A single member passes through unchanged. For larger groups the gap is
-    the largest member gap and the decay rate is the sum of member rates,
-    so the collective lifetime is shorter than any member's. Every member
-    must have a decay channel.
-    """
-    members = tuple(members)
-    if not members:
-        raise EmptyCen("a collective group needs at least one member")
-    for node in members:
-        if node.spec.gamma_ev is None:
-            raise StableConfiguration(f"node {node.id} has no decay channel")
-    if len(members) == 1:
-        return members[0].spec
-    gap = max(signal_energy(n.spec) for n in members)
-    gamma = sum(n.spec.gamma_ev for n in members)  # type: ignore[misc]
-    return TwoLevelSpec(
-        ground=EnergyLevel("cen-ground", 0.0),
-        excited=EnergyLevel("cen-excited", gap),
-        gamma_ev=gamma,
-    )

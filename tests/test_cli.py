@@ -111,6 +111,12 @@ class TestRun:
         assert main(["run", chain_net, "--until", "5", flag, "1e-320"]) == 3
         assert capsys.readouterr().err == f"runtime error: {term}\n"
 
+    def test_negative_seed_is_runtime_error(self, chain_net, tmp_path, capsys):
+        args = ["run", chain_net, "--until", "5.0", "--mode", "sto", "--seed", "-1",
+                "--out", str(tmp_path / "t.jsonl")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == "runtime error: expected non-negative integer\n"
+
     def test_stochastic_run_matches_pinned_digest(self, tmp_path):
         net, injections = mixed_network()
         doc = tmp_path / "mixed.net.json"
@@ -189,6 +195,15 @@ def _rewrite_first(path: Path, kind: str, drop: tuple[str, ...]) -> int:
     raise AssertionError(f"no {kind} record in {path}")
 
 
+def _set_on_first(path: Path, kind: str, field: str, value) -> int:
+    """Set ``field`` of the first record of ``kind``; return its line number."""
+    lines = path.read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if json.loads(line)["kind"] == kind)
+    lines[lineno - 1] = json.dumps({**json.loads(lines[lineno - 1]), field: value})
+    path.write_text("\n".join(lines) + "\n")
+    return lineno
+
+
 ANALYSES = [["timeline", "--clock", "3"], ["entropy"], ["report"]]
 
 
@@ -200,6 +215,23 @@ class TestMalformedTrace:
         assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: line 14: repeated event id 12 (first on line 13)\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [c for c in ANALYSES if c[0] != "entropy"], ids=lambda c: c[0])
+    @pytest.mark.parametrize("parent", [99, 12], ids=["unknown", "later"])
+    def test_parent_naming_no_earlier_event_exits_2(self, chain_trace_file, command, parent, capsys):
+        lineno = _set_on_first(chain_trace_file, "absorption", "parents", [parent])
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {lineno}: parent {parent} is not the id of an earlier event\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    def test_engine_time_beyond_float_range_exits_2(self, chain_trace_file, command, capsys):
+        lineno = _set_on_first(chain_trace_file, "absorption", "engine_time", 10**400)
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {lineno}: 'engine_time' is beyond the float range\n"
         assert captured.out == ""
 
     def test_report_on_tick_without_pulse_id_exits_2(self, chain_trace_file, capsys):
@@ -296,7 +328,8 @@ _NUMPY_PROBE = textwrap.dedent(
 
 
 def test_only_stochastic_runs_import_numpy(chain_net, tmp_path):
-    """Analysis commands and deterministic runs never load numpy."""
+    """No command loads numpy, stochastic runs included: the engine
+    computes its PCG64 stream itself, and numpy is only the tests' oracle."""
     src = str(Path(fcnsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("FCN_LOG", None)
@@ -305,7 +338,7 @@ def test_only_stochastic_runs_import_numpy(chain_net, tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
 
 
 class TestUsage:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcnsim import engine as engine_module
 from fcnsim import (
@@ -34,6 +37,30 @@ def det_config(until: float = 5.0) -> RunConfig:
 
 def events_of(trace, kind):
     return [e for e in trace if e.kind is kind]
+
+
+class TestPcg64Stream:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Seeds of one, two, up to four (the pool size) and more 32-bit words.
+        seed=st.just(0)
+        | st.integers(1, 2**32 - 1)
+        | st.integers(2**32, 2**64 - 1)
+        | st.integers(2**64, 2**128 - 1)
+        | st.integers(2**128, 2**512),
+        n=st.integers(1, 3 * engine_module._BLOCK),
+    )
+    @example(seed=2**200 + 17, n=2 * engine_module._BLOCK + 1)
+    def test_uniforms_match_numpy_bit_for_bit(self, seed, n):
+        stream = engine_module._uniforms(*engine_module._pcg64_seed(seed))
+        ours = list(itertools.islice(stream, n))
+        assert ours == np.random.Generator(np.random.PCG64(seed)).random(n).tolist()
+
+    def test_negative_seed_rejected_as_numpy_rejects_it(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.PCG64(-1)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            Engine(validate_network([]), RunConfig(run_until_s=1.0, mode=SamplingMode.STOCHASTIC, seed=-1))
 
 
 class TestSampleDecayDelay:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,22 @@ class TestTraceRoundTrip:
             parse_trace("\n" + json.dumps(record) + "\n")
         assert str(err.value) == f"line 2: {message}"
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_engine_time_beyond_float_range(self, sign):
+        # float() rounds every int below this bound to a finite float and
+        # overflows on the bound itself.
+        bound = 2**1024 - 2**970
+        (event,) = parse_trace(json.dumps({**_ABSORPTION, "engine_time": sign * (bound - 1)}))
+        assert event.engine_time == sign * sys.float_info.max
+        for t in (bound, 10**400):
+            line = json.dumps({**_ABSORPTION, "engine_time": sign * t})
+            with pytest.raises(ParseError) as err:
+                parse_trace("\n" + line + "\n")
+            assert str(err.value) == "line 2: 'engine_time' is beyond the float range"
+            with pytest.raises(ParseError) as err:
+                parse_event_line(line)
+            assert str(err.value) == "line: 'engine_time' is beyond the float range"
+
     def test_largest_ids_parse(self):
         top = 2**64 - 1
         (event,) = parse_trace(json.dumps({**_ABSORPTION, "id": top, "node": top, "parents": [top]}))
@@ -304,6 +321,46 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError) as err:
             parse_trace(text + '{"id": 9\n')
         assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
+
+    def test_lone_carriage_return_stays_inside_its_line_in_files(self, tmp_path):
+        line = json.dumps(_ABSORPTION).replace(', "node"', ',\r"node"')
+        assert "\r" in line
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(line.encode() + b"\n")
+        assert read_trace(path) == parse_trace(line)
+        path.write_bytes((line + '\n{"id": 9\n').encode())
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+        assert str(err.value) == "line 2: invalid JSON: Expecting ',' delimiter"
+
+    def test_only_json_whitespace_may_follow_a_record(self, tmp_path):
+        record = json.dumps(_ABSORPTION)
+        (event,) = parse_trace(record + " \t\r\n")
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes((record + "\r\n").encode())
+        assert read_trace(path) == (event,)
+        for tail in ("\u2028", "\x85", "\xa0", "\x0b"):
+            with pytest.raises(ParseError) as err:
+                parse_trace(record + tail + "\n")
+            assert str(err.value).startswith("line 1: invalid JSON: Extra data")
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(json.dumps(_ABSORPTION).encode() + b'\n\n{"id": 2, "note": "\xff"}\n')
+        with pytest.raises(ParseError) as err:
+            read_trace(path)
+        assert str(err.value) == "line 3: invalid UTF-8: invalid start byte"
+
+    def test_checked_parents_must_name_earlier_events(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        excerpt = "".join(json.dumps(r) + "\n" for r in (_TICK, _ABSORPTION, _DECAY))
+        path.write_text(excerpt)
+        assert read_trace(path) == parse_trace(excerpt)
+        with pytest.raises(ParseError) as err:
+            read_trace(path, check_parents=True)
+        assert str(err.value) == "line 2: parent 0 is not the id of an earlier event"
+        path.write_text(json.dumps({**_TICK, "id": 0}) + "\n" + excerpt)
+        assert read_trace(path, check_parents=True) == parse_trace(path.read_text())
 
     def test_padded_and_blank_lines(self):
         (event,) = parse_trace(" \t" + json.dumps(_DECAY) + " \r\n\r\n  \n")

@@ -10,20 +10,13 @@ import pytest
 from fcnsim import (
     Arc,
     CouplingKind,
-    EmptyCen,
-    StableConfiguration,
     StandardClockSpec,
-    TrajectorySegment,
     ValidationFailed,
-    cen_effective_spec,
     classify_coupling,
-    lifetime,
     propagation_delay,
-    signal_energy,
-    trajectory_segments,
     validate_network,
 )
-from helpers import HBAR, chain_network, make_node, random_network
+from helpers import chain_network, make_node, random_network
 
 
 class TestValidation:
@@ -164,39 +157,3 @@ class TestCouplingClassification:
                 seen.update(cls.members)
             assert seen == {n.id for n in net.nodes}
             assert classify_coupling(net) == first
-
-
-class TestCenEffectiveSpec:
-    def test_singleton_is_identity(self):
-        node = make_node(1, gap=2.0, tau=0.5)
-        assert cen_effective_spec([node]) is node.spec
-
-    def test_pair_sums_rates(self):
-        g = HBAR / 1.0
-        members = [make_node(1, tau=1.0), make_node(2, tau=1.0)]
-        spec = cen_effective_spec(members)
-        assert spec.gamma_ev == pytest.approx(2 * g, rel=1e-12)
-        assert lifetime(spec.gamma_ev) == pytest.approx(0.5, rel=1e-12)
-        assert signal_energy(spec) == 1.5
-
-    def test_gap_is_member_maximum(self):
-        members = [make_node(1, gap=1.0, tau=1.0), make_node(2, gap=2.0, tau=1.0)]
-        assert signal_energy(cen_effective_spec(members)) == 2.0
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(EmptyCen):
-            cen_effective_spec([])
-
-    def test_stable_member_rejected(self):
-        with pytest.raises(StableConfiguration):
-            cen_effective_spec([make_node(1, tau=1.0), make_node(2)])
-
-
-class TestTrajectorySegments:
-    def test_segments_mirror_arcs(self):
-        net, _ = chain_network()
-        segments = trajectory_segments(net)
-        assert segments == (
-            TrajectorySegment(source=1, arc=1, detector=2),
-            TrajectorySegment(source=2, arc=2, detector=3),
-        )
