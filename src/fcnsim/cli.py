@@ -182,7 +182,7 @@ def _reconstruct_clock(clock_id: int, pulses: tuple[ClockPulse, ...]) -> Standar
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace, check_parents=True)
+    trace = read_trace(args.trace)
     index = TraceIndex(trace)
     pulses = index.pulses(args.clock)
     if args.net:
@@ -228,7 +228,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace, check_parents=True)
+    trace = read_trace(args.trace)
     print(f"events: {len(trace)}")
     counts = Counter(e.kind for e in trace)
     for kind in sorted(counts, key=attrgetter("value")):

@@ -417,10 +417,6 @@ def _rejection(record: Any) -> str:
             return f"{name!r} must be an unsigned 64-bit integer, got {value}"
     if type(record["engine_time"]) not in _NUMBER:
         return "'engine_time' must be a number"
-    try:
-        float(record["engine_time"])
-    except OverflowError:
-        return "'engine_time' is beyond the float range"
     if type(parents) is not list or any(type(p) is not int for p in parents):
         return "'parents' must be an array of integers"
     if any(not 0 <= p <= _MAX_ID for p in parents):
@@ -432,6 +428,10 @@ def _rejection(record: Any) -> str:
     for name, types in fields:
         if type(record[name]) not in types:
             return f"{name!r} must be {'an integer' if types is _INT else 'a number'}"
+    try:
+        float(record["engine_time"])
+    except OverflowError:
+        return "'engine_time' is beyond the float range"
     raise AssertionError(f"record passes every check: {record!r}")
 
 
@@ -478,15 +478,15 @@ def parse_event_line(line: str, where: str = "line") -> SimEvent:
     return event
 
 
-def parse_trace(text: str, check_parents: bool = False) -> EventTrace:
+def parse_trace(text: str) -> EventTrace:
     """Parse a JSONL trace, one event per non-blank line.
 
     Lines end at line feeds only, as in JSON Lines: a raw U+2028, U+2029
     or U+0085 inside a string is part of its line, and a carriage return
     before the line feed is JSON whitespace. Raises ParseError naming the
     line for a malformed record, for an event id that an earlier line
-    already used and, with ``check_parents``, for a parent id that no
-    earlier line's event has; without it the text may be an excerpt.
+    already used, and for a parent id that no earlier line's event has.
+    ``parse_event_line`` reads one record without the last two checks.
     """
     events = []
     first_line: dict[int, int] = {}
@@ -494,7 +494,7 @@ def parse_trace(text: str, check_parents: bool = False) -> EventTrace:
         event = _line_event(line, lineno)
         if event is None:
             continue
-        if check_parents and not first_line.keys() >= event.parents:
+        if not first_line.keys() >= event.parents:
             parent = min(event.parents - first_line.keys())
             raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
         seen = first_line.setdefault(event.id, lineno)
@@ -511,7 +511,7 @@ def write_trace(trace: Iterable[SimEvent], path: str | Path) -> None:
             fp.write(serialize_event(event) + "\n")
 
 
-def read_trace(path: str | Path, check_parents: bool = False) -> EventTrace:
+def read_trace(path: str | Path) -> EventTrace:
     """``parse_trace`` of a file's bytes, which must be strict UTF-8."""
     data = Path(path).read_bytes()
     try:
@@ -520,7 +520,7 @@ def read_trace(path: str | Path, check_parents: bool = False) -> EventTrace:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
     del data  # parse without holding the bytes as well as the text
-    return parse_trace(text, check_parents)
+    return parse_trace(text)
 
 
 # -- CSV reports ---------------------------------------------------------

@@ -419,11 +419,15 @@ def reference_record_to_event(record: dict[str, Any], where: str = "record") -> 
     fields = _READ_FIELDS.get(kind)
     if fields:
         _check_payload(fields, record, where)
+    try:
+        engine_time = float(t)
+    except OverflowError:  # an int beyond the float range
+        raise ParseError("'engine_time' is beyond the float range", where) from None
     return SimEvent(
         id=event_id,
         kind=kind,
         node=node,
-        engine_time=float(t),
+        engine_time=engine_time,
         parents=frozenset(parents),
         payload=record,
     )

@@ -217,7 +217,7 @@ class TestMalformedTrace:
         assert captured.err == "error: line 14: repeated event id 12 (first on line 13)\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", [c for c in ANALYSES if c[0] != "entropy"], ids=lambda c: c[0])
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
     @pytest.mark.parametrize("parent", [99, 12], ids=["unknown", "later"])
     def test_parent_naming_no_earlier_event_exits_2(self, chain_trace_file, command, parent, capsys):
         lineno = _set_on_first(chain_trace_file, "absorption", "parents", [parent])

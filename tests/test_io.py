@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -43,6 +44,14 @@ _DECAY = {
     "ds_internal": -1.0, "ds_signal": 2.0, "ds_vacuum": 0.0, "total": 1.0,
     "production_rate": 0.5, "lifetime_s": 2.0,
 }
+
+
+# The event with id 0 that _ABSORPTION names as its parent.
+_ROOT = {"id": 0, "kind": "external_excitation", "node": 1, "engine_time": 0.0, "parents": []}
+
+
+def _lines(*records) -> str:
+    return "".join(json.dumps(r) + "\n" for r in records)
 
 
 def _without(record: dict, *names: str) -> dict:
@@ -278,7 +287,7 @@ class TestTraceRoundTrip:
         # float() rounds every int below this bound to a finite float and
         # overflows on the bound itself.
         bound = 2**1024 - 2**970
-        (event,) = parse_trace(json.dumps({**_ABSORPTION, "engine_time": sign * (bound - 1)}))
+        _, event = parse_trace(_lines(_ROOT, {**_ABSORPTION, "engine_time": sign * (bound - 1)}))
         assert event.engine_time == sign * sys.float_info.max
         for t in (bound, 10**400):
             line = json.dumps({**_ABSORPTION, "engine_time": sign * t})
@@ -288,14 +297,23 @@ class TestTraceRoundTrip:
             with pytest.raises(ParseError) as err:
                 parse_event_line(line)
             assert str(err.value) == "line: 'engine_time' is beyond the float range"
+        # The range is checked last: an earlier failed check keeps its message.
+        for record, message in (
+            ({**_ABSORPTION, "parents": [1.5]}, "'parents' must be an array of integers"),
+            (_without(_TICK, "counter"), "missing field(s): counter"),
+            ({**_DECAY, "total": "-1"}, "'total' must be a number"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_trace("\n" + json.dumps({**record, "engine_time": sign * 10**400}) + "\n")
+            assert str(err.value) == f"line 2: {message}"
 
     def test_largest_ids_parse(self):
         top = 2**64 - 1
-        (event,) = parse_trace(json.dumps({**_ABSORPTION, "id": top, "node": top, "parents": [top]}))
-        assert (event.id, event.node, event.parents) == (top, top, frozenset({top}))
+        root, event = parse_trace(_lines({**_ROOT, "id": top, "node": top}, {**_ABSORPTION, "parents": [top]}))
+        assert (root.id, root.node, event.parents) == (top, top, frozenset({top}))
 
     def test_well_formed_records_parse(self):
-        events = parse_trace("".join(json.dumps(r) + "\n" for r in (_ABSORPTION, _TICK, _DECAY)))
+        _, *events = parse_trace(_lines(_ROOT, _ABSORPTION, _TICK, _DECAY))
         assert [e.kind for e in events] == [EventKind.ABSORPTION, EventKind.CLOCK_TICK, EventKind.DECAY]
         assert events[1].payload == {"pulse_id": 0, "counter": 0}
 
@@ -311,34 +329,34 @@ class TestTraceRoundTrip:
         note = "a\u2028b\u2029c\x85d"
         first = json.dumps({**_ABSORPTION, "note": note}, ensure_ascii=False)
         assert "\u2028" in first and "\x85" in first
-        text = first + "\n" + json.dumps(_TICK) + "\r\n"
+        text = _lines(_ROOT) + first + "\n" + json.dumps(_TICK) + "\r\n"
         events = parse_trace(text)
-        assert [e.id for e in events] == [1, 2]
-        assert events[0].payload == {"note": note}
+        assert [e.id for e in events] == [0, 1, 2]
+        assert events[1].payload == {"note": note}
         path = tmp_path / "trace.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
         assert read_trace(path) == events
         with pytest.raises(ParseError) as err:
             parse_trace(text + '{"id": 9\n')
-        assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
+        assert str(err.value) == "line 4: invalid JSON: Expecting ',' delimiter"
 
     def test_lone_carriage_return_stays_inside_its_line_in_files(self, tmp_path):
-        line = json.dumps(_ABSORPTION).replace(', "node"', ',\r"node"')
-        assert "\r" in line
+        text = _lines(_ROOT) + json.dumps(_ABSORPTION).replace(', "node"', ',\r"node"')
+        assert "\r" in text
         path = tmp_path / "trace.jsonl"
-        path.write_bytes(line.encode() + b"\n")
-        assert read_trace(path) == parse_trace(line)
-        path.write_bytes((line + '\n{"id": 9\n').encode())
+        path.write_bytes(text.encode() + b"\n")
+        assert read_trace(path) == parse_trace(text)
+        path.write_bytes((text + '\n{"id": 9\n').encode())
         with pytest.raises(ParseError) as err:
             read_trace(path)
-        assert str(err.value) == "line 2: invalid JSON: Expecting ',' delimiter"
+        assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
 
     def test_only_json_whitespace_may_follow_a_record(self, tmp_path):
         record = json.dumps(_ABSORPTION)
-        (event,) = parse_trace(record + " \t\r\n")
+        root, event = parse_trace(_lines(_ROOT) + record + " \t\r\n")
         path = tmp_path / "trace.jsonl"
-        path.write_bytes((record + "\r\n").encode())
-        assert read_trace(path) == (event,)
+        path.write_bytes((_lines(_ROOT) + record + "\r\n").encode())
+        assert read_trace(path) == (root, event)
         for tail in ("\u2028", "\x85", "\xa0", "\x0b"):
             with pytest.raises(ParseError) as err:
                 parse_trace(record + tail + "\n")
@@ -351,19 +369,29 @@ class TestTraceRoundTrip:
             read_trace(path)
         assert str(err.value) == "line 3: invalid UTF-8: invalid start byte"
 
-    def test_checked_parents_must_name_earlier_events(self, tmp_path):
+    def test_parents_must_name_earlier_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        excerpt = "".join(json.dumps(r) + "\n" for r in (_TICK, _ABSORPTION, _DECAY))
+        excerpt = _lines(_TICK, _ABSORPTION, _DECAY)
         path.write_text(excerpt)
-        assert read_trace(path) == parse_trace(excerpt)
-        with pytest.raises(ParseError) as err:
-            read_trace(path, check_parents=True)
-        assert str(err.value) == "line 2: parent 0 is not the id of an earlier event"
-        path.write_text(json.dumps({**_TICK, "id": 0}) + "\n" + excerpt)
-        assert read_trace(path, check_parents=True) == parse_trace(path.read_text())
+        for read in (lambda: read_trace(path), lambda: parse_trace(excerpt)):
+            with pytest.raises(ParseError) as err:
+                read()
+            assert str(err.value) == "line 2: parent 0 is not the id of an earlier event"
+        path.write_text(_lines(_ROOT) + excerpt)
+        assert [e.id for e in read_trace(path)] == [0, 2, 1, 3]
+        # A parent on a later line, or the event itself, is not earlier.
+        for records, message in (
+            ((_ROOT, _DECAY, _ABSORPTION), "line 2: parent 1 is not the id of an earlier event"),
+            ((_ROOT, {**_ABSORPTION, "parents": [0, 1]}), "line 2: parent 1 is not the id of an earlier event"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_trace(_lines(*records))
+            assert str(err.value) == message
+        # One record alone is read without the trace-level checks.
+        assert parse_event_line(json.dumps(_DECAY)).parents == frozenset({1})
 
     def test_padded_and_blank_lines(self):
-        (event,) = parse_trace(" \t" + json.dumps(_DECAY) + " \r\n\r\n  \n")
+        *_, event = parse_trace(_lines(_ROOT, _ABSORPTION) + " \t" + json.dumps(_DECAY) + " \r\n\r\n  \n")
         assert event.payload["total"] == 1.0
         assert parse_event_line(" " + json.dumps(_TICK) + "\r").payload == {"pulse_id": 0, "counter": 0}
         with pytest.raises(ParseError) as err:
@@ -454,6 +482,16 @@ def _events(draw, finite: bool) -> SimEvent:
     )
 
 
+@st.composite
+def _finite_traces(draw) -> tuple[SimEvent, ...]:
+    """Up to six finite events, each naming only earlier events as parents."""
+    trace: list[SimEvent] = []
+    for event in draw(st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id)):
+        parents = draw(st.frozensets(st.sampled_from([e.id for e in trace]), max_size=4)) if trace else frozenset()
+        trace.append(dataclasses.replace(event, parents=parents))
+    return tuple(trace)
+
+
 # One event per writer path: every kind of payload value, a payload that
 # reuses a base field name, one with a non-string key, and ids that are not
 # unsigned ints. 2**61 hashes to 1, so the parents do not iterate sorted.
@@ -490,9 +528,8 @@ class TestWriter:
         assert serialize_event(event) == json.dumps(event_to_record(event), separators=(",", ":"))
 
     @settings(max_examples=100)
-    @given(trace=st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id))
+    @given(trace=_finite_traces())
     def test_finite_traces_round_trip(self, trace):
-        trace = tuple(trace)
         assert parse_trace(serialize_trace(trace)) == trace
 
     def test_parsed_events_reserialize_byte_for_byte(self, fixtures_dir):
@@ -502,9 +539,12 @@ class TestWriter:
 
 # -- the reader against the reference record check -----------------------
 
-# Mixed JSON values: booleans, negative numbers, 2**64, floats (no NaN, so
-# events compare equal), strings, arrays, null and objects.
-_MIXED = _values(finite=True) | st.sampled_from([True, False, -1, -(2**64), 2**64, 2**64 - 1, 1.5])
+# Mixed JSON values: booleans, negative numbers, 2**64, ints beyond the
+# float range, floats (no NaN, so events compare equal), strings, arrays,
+# null and objects.
+_MIXED = _values(finite=True) | st.sampled_from(
+    [True, False, -1, -(2**64), 2**64, 2**64 - 1, 10**400, -(10**400), 1.5]
+)
 
 
 @st.composite
@@ -553,8 +593,18 @@ class TestReaderAgainstReference:
         line = pad[0] + json.dumps(record, separators=separators) + pad[1]
         expected = _outcome(reference_record_to_event, json.loads(line), "line 1")
         assert _outcome(parse_event_line, line, "line 1") == expected
-        from_trace = _outcome(parse_trace, "\n" + line + "\n")
+        # In a trace, earlier events carry the record's well-formed parents.
+        parents = record.get("parents")
+        earlier = sorted(
+            {p for p in parents if type(p) is int and 0 <= p < 2**64 and p != record.get("id")}
+            if type(parents) is list else ()
+        )
+        lineno = len(earlier) + 2
+        from_trace = _outcome(parse_trace, "\n" + _lines(*({**_ROOT, "id": p} for p in earlier)) + line + "\n")
         if isinstance(expected, str):
-            assert from_trace == expected.replace("line 1", "line 2", 1)
+            assert from_trace == expected.replace("line 1", f"line {lineno}", 1)
+        elif expected.id in expected.parents:
+            assert from_trace == f"ParseError: line {lineno}: parent {expected.id} is not the id of an earlier event"
         else:
-            assert from_trace == (expected,)
+            assert [e.id for e in from_trace[:-1]] == earlier
+            assert from_trace[-1] == expected
