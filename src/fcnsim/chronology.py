@@ -17,14 +17,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from .engine import EventKind, EventTrace, SimEvent
 from .errors import ClockMismatch, NoClockPulse
 from .network import EventId, NodeId, PulseId, StandardClockSpec
 
 
-@dataclass(frozen=True)
-class ClockPulse:
+class ClockPulse(NamedTuple):
     """One counted pulse of a standard clock."""
 
     id: PulseId
@@ -33,8 +33,7 @@ class ClockPulse:
     engine_time: float
 
 
-@dataclass(frozen=True)
-class TripletState:
+class TripletState(NamedTuple):
     """Detector-resident pairing of a detection with a clock pulse.
 
     ``signal_state`` is the absorption event id, ``pulse`` the paired
@@ -49,8 +48,7 @@ class TripletState:
     clock: NodeId
 
 
-@dataclass(frozen=True)
-class TimeLabel:
+class TimeLabel(NamedTuple):
     """A time number assigned to one event: derived, secondary information."""
 
     event: EventId
@@ -58,8 +56,7 @@ class TimeLabel:
     triplet: TripletState
 
 
-@dataclass(frozen=True)
-class CausalViolation:
+class CausalViolation(NamedTuple):
     """A causal ancestor labeled strictly later than its descendant."""
 
     ancestor: EventId
@@ -184,15 +181,30 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
 
 @dataclass(frozen=True)
 class _IdOrder:
-    """A trace sorted by event id, and the position there of each parent's last reader."""
+    """The steps of a trace, in id order, that can carry a labeled ancestor.
 
-    events: list[SimEvent]
+    Only ids in ``candidates`` may be labeled, so an event can have a
+    labeled ancestor only if one of its parents is a candidate or a kept
+    step; every other event is dropped. A later record of a kept id is kept
+    as well, so that the last record of a repeated id still counts.
+    ``last_reader`` maps each parent id to the last step that names it.
+    """
+
+    steps: list[SimEvent]
     last_reader: dict[EventId, int]
 
     @classmethod
-    def of(cls, trace: EventTrace) -> _IdOrder:
-        events = sorted(trace, key=attrgetter("id"))
-        return cls(events, {p: k for k, event in enumerate(events) for p in event.parents})
+    def of(cls, trace: EventTrace, candidates: Iterable[EventId]) -> _IdOrder:
+        reach = set(candidates)  # candidates and the ids of kept steps
+        steps: list[SimEvent] = []
+        kept: EventId | None = None  # the id of the last kept step
+        isdisjoint, keep, add = reach.isdisjoint, steps.append, reach.add
+        for event in sorted(trace, key=attrgetter("id")):
+            if isdisjoint(event.parents) and event.id != kept:
+                continue
+            keep(event)
+            add(kept := event.id)
+        return cls(steps, {p: k for k, event in enumerate(steps) for p in event.parents})
 
 
 def _check_ancestry(
@@ -202,11 +214,12 @@ def _check_ancestry(
 
     Returns the inversions (unsorted) and the resolution report: the
     causally ordered entry pairs and those among them that share a label.
-    ``entries`` must ascend by (time number, event id).
+    ``entries`` must ascend by (time number, event id), and ``order`` must
+    count every entry's event among its candidates.
 
-    One forward pass over the trace in id order. Each event carries a
+    One forward pass over the steps of ``order``. Each step carries a
     Python-int bitset of its labeled ancestors, bit ``i`` standing for
-    ``entries[i]``; an event's bitset is dropped once its last child has
+    ``entries[i]``; a step's bitset is dropped once its last child has
     read it, so memory follows the live causal frontier. As entries
     ascend, the entries sharing a label fill one bit range ``[lo, hi)``
     and every later label sits at bit ``hi`` or above: inversions are the
@@ -226,12 +239,12 @@ def _check_ancestry(
         label_range[t] = (lo, hi)
         lo = hi
 
-    events, last_reader = order.events, order.last_reader
+    steps, last_reader = order.steps, order.last_reader
     live: dict[EventId, int] = {}
     violations: list[CausalViolation] = []
     ordered = indistinguishable = 0
-    n = len(events)
-    for k, event in enumerate(events):
+    n = len(steps)
+    for k, event in enumerate(steps):
         bits = 0
         for p in event.parents:
             bits |= live.pop(p, 0) if last_reader[p] == k else live.get(p, 0)
@@ -242,7 +255,7 @@ def _check_ancestry(
         if last_reader.get(eid, k) > k:
             live[eid] = bits
         i = bit.get(eid)
-        if i is None or not bits or (k + 1 < n and events[k + 1].id == eid):
+        if i is None or not bits or (k + 1 < n and steps[k + 1].id == eid):
             continue
         t = entries[i].time_number_s
         lo, hi = label_range[t]
@@ -299,21 +312,25 @@ def build_timeline(
     equal labels to causally ordered events and only inversions are
     defects. All labels must come from one clock.
 
-    Cost: one pass over the trace in id order holding one bitset per live
-    event; inversions are enumerated only for events that have one.
+    Cost: one sort of the trace by id and one scan that keeps the events
+    with a labeled event among their ancestors, then one pass over those
+    holding one bitset per live event; inversions are enumerated only for
+    events that have one.
     """
-    timeline, violations, _ = _check(labels, _IdOrder.of(trace), observer)
+    labels = tuple(labels)
+    order = _IdOrder.of(trace, [lb.event for lb in labels])
+    timeline, violations, _ = _check(labels, order, observer)
     return timeline, violations
 
 
 def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport:
     """Count causally ordered entry pairs the clock cannot tell apart.
 
-    Cost: one pass over the trace in id order holding one bitset per live
-    event; pairs are counted by popcount, not enumerated.
+    Cost: as ``build_timeline``; pairs are counted by popcount, not
+    enumerated.
     """
     entries = tuple(sorted(timeline.entries, key=_by_time_then_event))
-    return _check_ancestry(entries, _IdOrder.of(trace))[1]
+    return _check_ancestry(entries, _IdOrder.of(trace, [lb.event for lb in entries]))[1]
 
 
 def _label(
@@ -351,13 +368,18 @@ class TraceIndex:
     """One trace, indexed once for labeling and checking against many clocks.
 
     Building it scans the trace once for every clock's ticks and for the
-    absorptions, and sorts it by event id once. After that, labeling costs
-    one bisection per absorption and checking one ancestry pass; the
-    results equal ``pulses_from_trace``, ``label_absorptions``,
-    ``build_timeline`` and ``resolution_report`` on the same trace.
+    absorptions, sorts it by event id once, and keeps the events that have
+    an absorption among their ancestors: only absorptions get labels, so
+    only those events can carry a labeled ancestor. After that, labeling
+    costs one bisection per absorption and checking one pass over the kept
+    events; labels that name an event other than an absorption get a scan
+    of their own. The results equal ``pulses_from_trace``,
+    ``label_absorptions``, ``build_timeline`` and ``resolution_report`` on
+    the same trace.
     """
 
     def __init__(self, trace: EventTrace):
+        self._trace = trace
         self._ticks: dict[NodeId, list[SimEvent]] = {}
         self._absorptions: list[SimEvent] = []
         for event in trace:
@@ -365,7 +387,8 @@ class TraceIndex:
                 self._ticks.setdefault(event.node, []).append(event)
             elif event.kind is EventKind.ABSORPTION:
                 self._absorptions.append(event)
-        self._order = _IdOrder.of(trace)
+        self._absorption_ids = {e.id for e in self._absorptions}
+        self._order = _IdOrder.of(trace, self._absorption_ids)
 
     @property
     def clocks(self) -> list[NodeId]:
@@ -386,4 +409,7 @@ class TraceIndex:
         self, labels: tuple[TimeLabel, ...], observer: NodeId | None = None
     ) -> tuple[Timeline, tuple[CausalViolation, ...], ResolutionReport]:
         """``build_timeline`` and ``resolution_report`` from one ancestry pass."""
-        return _check(labels, self._order, observer)
+        order = self._order
+        if not self._absorption_ids.issuperset(lb.event for lb in labels):
+            order = _IdOrder.of(self._trace, [lb.event for lb in labels])
+        return _check(labels, order, observer)

@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A seed as ``--seed`` and the ends of ``--seeds`` take it: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fcnsim", description="Causal clock network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,7 +77,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("net", help="network document (JSON)")
     p_run.add_argument("--until", type=float, required=True, metavar="S", help="run horizon in seconds")
     p_run.add_argument("--mode", choices=("det", "sto"), default="det", help="decay-delay mode")
-    p_run.add_argument("--seed", type=int, default=0, help="RNG seed for stochastic mode")
+    p_run.add_argument("--seed", type=_seed, default=0, help="RNG seed for stochastic mode")
     p_run.add_argument("--seeds", metavar="A..B", help="inclusive seed range; one run per seed")
     p_run.add_argument("--out", help="trace file (JSONL); stdout when omitted")
     p_run.add_argument("--t-source", type=float, default=300.0, help="source temperature (K)")
@@ -117,10 +128,11 @@ def _entropy_model(args: argparse.Namespace) -> EntropyModel:
 
 
 def _parse_seed_range(text: str) -> range:
-    lo, sep, hi = text.partition("..")
-    if not sep or not lo.lstrip("-").isdigit() or not hi.lstrip("-").isdigit():
-        raise _UsageError(f"--seeds expects A..B, got {text!r}")
-    a, b = int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        a, b = _seed(lo), _seed(hi)
+    except argparse.ArgumentTypeError:
+        raise _UsageError(f"--seeds expects A..B of non-negative integers, got {text!r}") from None
     if b < a:
         raise _UsageError(f"--seeds range is empty: {text!r}")
     return range(a, b + 1)
@@ -237,8 +249,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"entropy: {counts[EventKind.DECAY]} decays, "
         f"{_second_law_violations(trace)} second-law violations"
     )
-    # One scan finds every clock's pulses; each clock then costs one
-    # labeling and one ancestry pass.
+    # One scan finds every clock's pulses and keeps the events that descend
+    # from an absorption; each clock then costs one labeling and one pass
+    # over those events.
     index = TraceIndex(trace)
     for clock_id in index.clocks:
         pulses = index.pulses(clock_id)

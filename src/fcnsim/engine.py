@@ -68,13 +68,15 @@ class EventKind(str, Enum):
     PASS_THROUGH = "pass_through"
 
 
-@dataclass(frozen=True, slots=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """One causal happening, as recorded in the trace.
 
     ``parents`` holds the ids of the events that caused this one; parents
     always precede their children in (engine_time, id) order. ``payload``
-    is kind-specific and treated as immutable.
+    is kind-specific and treated as immutable. A tuple, because the engine
+    and the trace reader build one per event: they call
+    ``tuple.__new__(SimEvent, fields)``, which skips the keyword handling
+    of ``SimEvent(...)``.
     """
 
     id: EventId
@@ -344,7 +346,7 @@ class Engine:
         parents: frozenset[EventId],
         payload: dict[str, Any],
     ) -> SimEvent:
-        event = SimEvent(next(self._event_ids), kind, node, t, parents, payload)
+        event = tuple.__new__(SimEvent, (next(self._event_ids), kind, node, t, parents, payload))
         self._trace.append(event)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("event %d %s node=%d t=%r", event.id, kind.value, node, t)

@@ -394,7 +394,7 @@ def _event(record: Any) -> SimEvent | None:
         if type(record.get(name)) not in types:
             return None
     try:
-        return SimEvent(event_id, kind, node, float(t), frozenset(parents), record)
+        return tuple.__new__(SimEvent, (event_id, kind, node, float(t), frozenset(parents), record))
     except OverflowError:  # an int engine_time beyond the float range
         return None
 

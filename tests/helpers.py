@@ -74,6 +74,39 @@ def four_clock_network() -> tuple[Network, list[tuple[int, float]]]:
     return validate_network(nodes, arcs, clocks), [(1, t) for t in (0.0, 0.45, 0.9, 1.6, 2.2)]
 
 
+def broadcast_network() -> tuple[Network, list[tuple[int, float]]]:
+    """One hub fanning out to forty detectors that do not re-emit, and three clocks.
+
+    Generated from a fixed seed. Every fifth detector is off resonance and
+    every seventh is deaf; the detectors live 0.5-2 s, so most are still
+    excited at the next shot and the arrival passes through. Only an
+    absorption's decay descends from it, as in the benchmark's broadcast
+    workload.
+    """
+    rng = random.Random(20261019)
+    nodes = [make_node(1, tau=0.05)]
+    for i in range(2, 42):
+        nodes.append(
+            make_node(
+                i,
+                gap=2.0 if i % 5 == 0 else 1.5,
+                tau=rng.uniform(0.5, 2.0),
+                position_m=(rng.uniform(1e6, 3e7), 0.0, 0.0),
+                can_emit=False,
+                can_detect=i % 7 != 0,
+            )
+        )
+    arcs = [
+        Arc(id=k, source=1, target=n.id, distance_m=n.position_m[0])
+        for k, n in enumerate(nodes[1:], start=1)
+    ]
+    clocks = [
+        StandardClockSpec(id=host, period_s=period, first_tick_s=0.001 * k)
+        for k, (host, period) in enumerate(zip((3, 11, 26), (0.02, 0.03, 0.05)), start=1)
+    ]
+    return validate_network(nodes, arcs, clocks), [(1, 0.01 + 0.25 * k) for k in range(8)]
+
+
 def mixed_network() -> tuple[Network, list[tuple[int, float]]]:
     """Thirty relays on two channels, some deaf and some stable, and three clocks.
 

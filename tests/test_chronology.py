@@ -15,6 +15,7 @@ from fcnsim import (
     StandardClockSpec,
     TimeLabel,
     Timeline,
+    TraceIndex,
     TripletState,
     build_timeline,
     clock_pulses,
@@ -228,6 +229,24 @@ _labels = st.lists(
 )
 
 
+def event_of(kind: EventKind, event_id: int, parents=frozenset()) -> SimEvent:
+    return SimEvent(
+        id=event_id, kind=kind, node=1, engine_time=0.0, parents=frozenset(parents), payload={}
+    )
+
+
+# Absorptions among kinds that never get a label from the index.
+_mixed_traces = st.lists(
+    st.builds(
+        event_of,
+        st.sampled_from([EventKind.ABSORPTION, EventKind.EMISSION, EventKind.DECAY, EventKind.PASS_THROUGH]),
+        _ids,
+        parents=st.frozensets(_ids, max_size=3),
+    ),
+    max_size=24,
+)
+
+
 class TestAgainstReference:
     """The bitset ancestry pass agrees with the set-based reference."""
 
@@ -252,6 +271,29 @@ class TestAgainstReference:
         unique = list({lb.event: lb for lb in labels}.values())
         timeline = Timeline(observer=9, entries=tuple(reversed(unique)))
         assert resolution_report(timeline, trace) == reference_resolution(timeline, trace)
+
+    @given(_mixed_traces, _labels)
+    # Event 1 is recorded twice, after the absorption it descends from; its
+    # second record has no parent that can carry a label, and it is the one
+    # its child must read.
+    @example(
+        [
+            event_of(EventKind.ABSORPTION, 0),
+            event_of(EventKind.EMISSION, 1, parents={0}),
+            event_of(EventKind.EMISSION, 1),
+            event_of(EventKind.ABSORPTION, 2, parents={1}),
+        ],
+        [label(0, 0.0), label(2, 0.0)],
+    )
+    def test_trace_index_check(self, trace, labels):
+        """``TraceIndex.check`` agrees with the reference for labels on the
+        absorptions alone, and for labels that also name other events."""
+        index = TraceIndex(trace)
+        absorptions = {e.id for e in trace if e.kind is EventKind.ABSORPTION}
+        for chosen in ([lb for lb in labels if lb.event in absorptions], labels):
+            timeline, violations, resolution = index.check(chosen)
+            assert violations == reference_violations(timeline, trace)
+            assert resolution == reference_resolution(timeline, trace)
 
     def test_closed_form_counts_on_a_long_chain(self):
         """n chained absorptions in label groups of sizes k: every pair is

@@ -111,11 +111,16 @@ class TestRun:
         assert main(["run", chain_net, "--until", "5", flag, "1e-320"]) == 3
         assert capsys.readouterr().err == f"runtime error: {term}\n"
 
-    def test_negative_seed_is_runtime_error(self, chain_net, tmp_path, capsys):
-        args = ["run", chain_net, "--until", "5.0", "--mode", "sto", "--seed", "-1",
-                "--out", str(tmp_path / "t.jsonl")]
-        assert main(args) == 3
-        assert capsys.readouterr().err == "runtime error: expected non-negative integer\n"
+    @pytest.mark.parametrize(
+        "flag, value", [(["--seed", "-1"], "-1"), (["--seed=-3"], "-3")], ids=["-1", "--seed=-3"]
+    )
+    def test_negative_seed_is_usage_error(self, chain_net, tmp_path, flag, value, capsys):
+        args = ["run", chain_net, "--until", "5.0", "--mode", "sto", *flag, "--out", str(tmp_path / "t.jsonl")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument --seed: expected a non-negative integer, got '{value}'\n"
+        )
+        assert not (tmp_path / "t.jsonl").exists()
 
     def test_stochastic_run_matches_pinned_digest(self, tmp_path):
         net, injections = mixed_network()
@@ -352,3 +357,15 @@ class TestUsage:
         code = main(["run", chain_net, "--until", "5.0", "--mode", "sto",
                      "--seeds", "5..1", "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("seeds", ["-2..1", "--1..2", "1..-2", "0..x", "1.5..2", "3", "1..2..3"])
+    def test_seed_range_of_non_negative_integers(self, chain_net, tmp_path, seeds, capsys):
+        """A range that names no run's seed is a usage error, never a run
+        that stops at its first seed."""
+        code = main(["run", chain_net, "--until", "5.0", "--mode", "sto",
+                     f"--seeds={seeds}", "--out", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --seeds expects A..B of non-negative integers, got '{seeds}'\n"
+        )
+        assert list(tmp_path.iterdir()) == []

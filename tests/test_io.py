@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -488,7 +487,7 @@ def _finite_traces(draw) -> tuple[SimEvent, ...]:
     trace: list[SimEvent] = []
     for event in draw(st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id)):
         parents = draw(st.frozensets(st.sampled_from([e.id for e in trace]), max_size=4)) if trace else frozenset()
-        trace.append(dataclasses.replace(event, parents=parents))
+        trace.append(event._replace(parents=parents))
     return tuple(trace)
 
 

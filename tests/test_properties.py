@@ -22,6 +22,7 @@ from fcnsim import (
 )
 from fcnsim.cli import _reconstruct_clock, main
 from helpers import (
+    broadcast_network,
     check_causality,
     check_conservation,
     check_decay_once,
@@ -175,14 +176,21 @@ def _four_clock_run():
     return network, Engine(network, RunConfig(run_until_s=4.0), injections).run()
 
 
+def _broadcast_run():
+    network, injections = broadcast_network()
+    return network, Engine(network, RunConfig(run_until_s=2.0), injections).run()
+
+
 def _run(case):
     if case == "four-clocks":
         return _four_clock_run()
+    if case == "broadcast":
+        return _broadcast_run()
     network, _, _, trace = random_run(case)
     return network, trace
 
 
-RUNS = [*CASES, "four-clocks"]
+RUNS = [*CASES, "four-clocks", "broadcast"]
 
 
 @pytest.mark.parametrize("case", RUNS)
@@ -246,3 +254,31 @@ def test_four_clock_network_exercises_the_report():
         _, _, resolution = index.check(labels)
         counts.append((len(labels), skipped, resolution.indistinguishable_pairs))
     assert counts == [(33, 9, 18), (42, 0, 14), (42, 0, 3), (42, 0, 0)]
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_index_keeps_the_descendants_of_absorptions(case):
+    """The ancestry pass of each clock walks exactly the events with an
+    absorption among their ancestors, in id order: no other event can
+    carry a labeled ancestor."""
+    _, trace = _run(case)
+    absorptions = {e.id for e in trace if e.kind is EventKind.ABSORPTION}
+    descends: set[int] = set()
+    for event in trace:
+        if any(p in absorptions or p in descends for p in event.parents):
+            descends.add(event.id)
+    assert [e.id for e in TraceIndex(trace)._order.steps] == sorted(descends)
+
+
+def test_broadcast_network_exercises_the_index():
+    """The broadcast case is not vacuous: three clocks label every
+    absorption, and the index keeps only the few decays of absorptions."""
+    network, trace = _broadcast_run()
+    index = TraceIndex(trace)
+    assert index.clocks == [3, 11, 26]
+    steps = index._order.steps
+    assert len(trace) == 890 and len(steps) == 27
+    assert {e.kind for e in steps} == {EventKind.DECAY}
+    for clock_id in index.clocks:
+        labels, skipped = index.label(network.clock_by_node[clock_id], index.pulses(clock_id))
+        assert (len(labels), skipped) == (50, 0)
