@@ -3,10 +3,11 @@
 Nothing in the engine is an observable time. A time number exists only
 once a detection has been paired with a standard-clock pulse: the
 absorption event, the pulse, and the pulse's counter form a triplet, and
-the label extracted from the triplet is the time number. Pairing uses
-the latest pulse at or before the absorption (the floor rule, how a
-counter readout is actually read; rounding to the nearest pulse could
-label an event with a pulse that has not happened yet).
+the time number is the paired pulse's recorded time, which depends on no
+clock spec. Pairing uses the latest pulse at or before the absorption
+(the floor rule, how a counter readout is actually read; rounding to the
+nearest pulse could label an event with a pulse that has not happened
+yet).
 
 Everything here is pure post-processing over immutable traces.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -106,9 +108,7 @@ def pulses_from_trace(trace: EventTrace, clock: NodeId) -> tuple[ClockPulse, ...
     return tuple(_pulse(e) for e in trace if e.kind is EventKind.CLOCK_TICK and e.node == clock)
 
 
-def clock_pulses(
-    spec: StandardClockSpec, until_s: float, start_pulse_id: PulseId = 0
-) -> tuple[ClockPulse, ...]:
+def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, ...]:
     """Synthesize the pulse history a clock would produce up to ``until_s``.
 
     Lets a trace be relabeled against hypothetical clocks (for example at
@@ -119,7 +119,7 @@ def clock_pulses(
     while spec.tick_time(k) <= until_s:
         pulses.append(
             ClockPulse(
-                id=start_pulse_id + k,
+                id=k,
                 clock=spec.id,
                 counter=spec.counter_start + k,
                 engine_time=spec.tick_time(k),
@@ -139,11 +139,6 @@ def form_triplet(absorption: SimEvent, pulses: tuple[ClockPulse, ...]) -> Triple
     if absorption.kind is not EventKind.ABSORPTION:
         raise ValueError(f"event {absorption.id} is {absorption.kind.value}, not an absorption")
     after = bisect_right(pulses, absorption.engine_time, key=attrgetter("engine_time"))
-    return _pair(absorption, pulses, after)
-
-
-def _pair(absorption: SimEvent, pulses: tuple[ClockPulse, ...], after: int) -> TripletState:
-    """The triplet of ``absorption`` and ``pulses[after - 1]``, the latest pulse at or before it."""
     if after == 0:
         raise NoClockPulse(
             f"absorption {absorption.id} at engine_time {absorption.engine_time} "
@@ -160,8 +155,10 @@ def extract_time(triplet: TripletState, clock: StandardClockSpec) -> TimeLabel:
 
     The time number is the paired pulse's nominal time,
     first_tick + (label - counter_start) * period, computed with the same
-    expression the engine uses for tick times. Raises ClockMismatch when
-    the triplet was formed against a different clock.
+    expression the engine uses for tick times, so for a pulse the engine
+    recorded it is that pulse's ``engine_time``, the number the labeling
+    functions below take. Raises ClockMismatch when the triplet was formed
+    against a different clock.
     """
     if triplet.clock != clock.id:
         raise ClockMismatch(
@@ -179,45 +176,42 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
     return (label.time_number_s, label.event)
 
 
-@dataclass(frozen=True)
-class _IdOrder:
+def _skeleton(
+    trace: EventTrace, candidates: Iterable[EventId]
+) -> tuple[list[SimEvent], dict[EventId, int]]:
     """The steps of a trace, in id order, that can carry a labeled ancestor.
 
     Only ids in ``candidates`` may be labeled, so an event can have a
     labeled ancestor only if one of its parents is a candidate or a kept
     step; every other event is dropped. A later record of a kept id is kept
     as well, so that the last record of a repeated id still counts.
-    ``last_reader`` maps each parent id to the last step that names it.
+    Returns the steps and ``last_reader``, which maps each parent id to the
+    last step that names it.
     """
-
-    steps: list[SimEvent]
-    last_reader: dict[EventId, int]
-
-    @classmethod
-    def of(cls, trace: EventTrace, candidates: Iterable[EventId]) -> _IdOrder:
-        reach = set(candidates)  # candidates and the ids of kept steps
-        steps: list[SimEvent] = []
-        kept: EventId | None = None  # the id of the last kept step
-        isdisjoint, keep, add = reach.isdisjoint, steps.append, reach.add
-        for event in sorted(trace, key=attrgetter("id")):
-            if isdisjoint(event.parents) and event.id != kept:
-                continue
-            keep(event)
-            add(kept := event.id)
-        return cls(steps, {p: k for k, event in enumerate(steps) for p in event.parents})
+    reach = set(candidates)  # candidates and the ids of kept steps
+    steps: list[SimEvent] = []
+    kept: EventId | None = None  # the id of the last kept step
+    isdisjoint, keep, add = reach.isdisjoint, steps.append, reach.add
+    for event in sorted(trace, key=attrgetter("id")):
+        if isdisjoint(event.parents) and event.id != kept:
+            continue
+        keep(event)
+        add(kept := event.id)
+    return steps, {p: k for k, event in enumerate(steps) for p in event.parents}
 
 
 def _check_ancestry(
-    entries: tuple[TimeLabel, ...], order: _IdOrder
+    entries: tuple[TimeLabel, ...], steps: list[SimEvent], last_reader: dict[EventId, int]
 ) -> tuple[list[CausalViolation], ResolutionReport]:
     """Compare sorted timeline entries with the causal ancestry of a trace.
 
     Returns the inversions (unsorted) and the resolution report: the
     causally ordered entry pairs and those among them that share a label.
-    ``entries`` must ascend by (time number, event id), and ``order`` must
-    count every entry's event among its candidates.
+    ``entries`` must ascend by (time number, event id), and ``steps`` and
+    ``last_reader`` must come from ``_skeleton`` with every entry's event
+    among its candidates.
 
-    One forward pass over the steps of ``order``. Each step carries a
+    One forward pass over ``steps``. Each step carries a
     Python-int bitset of its labeled ancestors, bit ``i`` standing for
     ``entries[i]``; a step's bitset is dropped once its last child has
     read it, so memory follows the live causal frontier. As entries
@@ -239,7 +233,6 @@ def _check_ancestry(
         label_range[t] = (lo, hi)
         lo = hi
 
-    steps, last_reader = order.steps, order.last_reader
     live: dict[EventId, int] = {}
     violations: list[CausalViolation] = []
     ordered = indistinguishable = 0
@@ -281,23 +274,6 @@ def _check_ancestry(
     )
 
 
-def _check(
-    labels: tuple[TimeLabel, ...] | list[TimeLabel], order: _IdOrder, observer: NodeId | None
-) -> tuple[Timeline, tuple[CausalViolation, ...], ResolutionReport]:
-    """The timeline, its sorted inversions and its resolution, from one pass."""
-    labels = tuple(labels)
-    clocks = {lb.triplet.clock for lb in labels}
-    if len(clocks) > 1:
-        raise ClockMismatch(f"labels span several clocks: {sorted(clocks)}")
-    if observer is None and clocks:
-        observer = next(iter(clocks))
-
-    entries = tuple(sorted(labels, key=_by_time_then_event))
-    violations, resolution = _check_ancestry(entries, order)
-    violations.sort(key=lambda v: (v.descendant, v.ancestor))
-    return Timeline(observer=observer, entries=entries), tuple(violations), resolution
-
-
 def build_timeline(
     labels: tuple[TimeLabel, ...] | list[TimeLabel],
     trace: EventTrace,
@@ -310,17 +286,10 @@ def build_timeline(
     ancestor's time number must not exceed the descendant's; inversions
     are reported, not raised, because a coarse clock legitimately gives
     equal labels to causally ordered events and only inversions are
-    defects. All labels must come from one clock.
-
-    Cost: one sort of the trace by id and one scan that keeps the events
-    with a labeled event among their ancestors, then one pass over those
-    holding one bitset per live event; inversions are enumerated only for
-    events that have one.
+    defects. All labels must come from one clock. Cost: as
+    ``TraceIndex`` plus one ``TraceIndex.check``.
     """
-    labels = tuple(labels)
-    order = _IdOrder.of(trace, [lb.event for lb in labels])
-    timeline, violations, _ = _check(labels, order, observer)
-    return timeline, violations
+    return TraceIndex(trace).check(labels, observer)[:2]
 
 
 def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport:
@@ -329,66 +298,71 @@ def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport
     Cost: as ``build_timeline``; pairs are counted by popcount, not
     enumerated.
     """
-    entries = tuple(sorted(timeline.entries, key=_by_time_then_event))
-    return _check_ancestry(entries, _IdOrder.of(trace, [lb.event for lb in entries]))[1]
+    return TraceIndex(trace).check(timeline.entries)[2]
 
 
 def _label(
-    absorptions: list[SimEvent], clock: StandardClockSpec, pulses: tuple[ClockPulse, ...]
+    absorptions: list[SimEvent], pulses: tuple[ClockPulse, ...]
 ) -> tuple[tuple[TimeLabel, ...], int]:
-    """Label ``absorptions``, bisecting the pulse times once per absorption."""
+    """Pair each absorption with the latest pulse at or before it and label
+    it with that pulse's recorded time, bisecting the pulse times once per
+    absorption. Absorptions before the first pulse are counted, not labeled.
+    """
     times = [p.engine_time for p in pulses]
     labels = []
-    skipped = 0
     for event in absorptions:
-        try:
-            triplet = _pair(event, pulses, bisect_right(times, event.engine_time))
-        except NoClockPulse:
-            skipped += 1
-            continue
-        labels.append(extract_time(triplet, clock))
-    return tuple(labels), skipped
+        after = bisect_right(times, event.engine_time)
+        if after:
+            pulse = pulses[after - 1]
+            triplet = TripletState(event.id, pulse.id, pulse.counter, pulse.clock)
+            labels.append(TimeLabel(event.id, pulse.engine_time, triplet))
+    return tuple(labels), len(absorptions) - len(labels)
 
 
 def label_absorptions(
     trace: EventTrace, clock: StandardClockSpec, pulses: tuple[ClockPulse, ...] | None = None
 ) -> tuple[tuple[TimeLabel, ...], int]:
-    """Label every absorption in a trace with one clock.
+    """Label every absorption in a trace with one clock's pulses.
 
     Returns the labels plus the count of absorptions skipped because they
-    precede the first pulse. ``pulses`` defaults to the clock's pulses as
-    recorded in the trace.
+    precede the first pulse. Each time number is the paired pulse's
+    ``engine_time``. ``pulses`` defaults to the pulses of ``clock`` as
+    recorded in the trace; ``clock`` has no other use.
     """
     if pulses is None:
         pulses = pulses_from_trace(trace, clock.id)
-    return _label([e for e in trace if e.kind is EventKind.ABSORPTION], clock, pulses)
+    return _label([e for e in trace if e.kind is EventKind.ABSORPTION], pulses)
 
 
 class TraceIndex:
     """One trace, indexed once for labeling and checking against many clocks.
 
-    Building it scans the trace once for every clock's ticks and for the
-    absorptions, sorts it by event id once, and keeps the events that have
-    an absorption among their ancestors: only absorptions get labels, so
-    only those events can carry a labeled ancestor. After that, labeling
-    costs one bisection per absorption and checking one pass over the kept
-    events; labels that name an event other than an absorption get a scan
-    of their own. The results equal ``pulses_from_trace``,
-    ``label_absorptions``, ``build_timeline`` and ``resolution_report`` on
-    the same trace.
+    Building it collects the absorptions, sorts the trace by event id once,
+    and keeps the events that have an absorption among their ancestors:
+    only absorptions get labels, so only those events can carry a labeled
+    ancestor. The clocks' ticks are collected in one more scan when first
+    needed; ``check`` needs none. After that, labeling costs one bisection
+    per absorption and checking one pass over the kept events; labels that
+    name an event other than an absorption get a scan of their own.
+    ``build_timeline`` and ``resolution_report`` are ``check`` on a fresh
+    index.
     """
 
     def __init__(self, trace: EventTrace):
         self._trace = trace
-        self._ticks: dict[NodeId, list[SimEvent]] = {}
-        self._absorptions: list[SimEvent] = []
-        for event in trace:
-            if event.kind is EventKind.CLOCK_TICK:
-                self._ticks.setdefault(event.node, []).append(event)
-            elif event.kind is EventKind.ABSORPTION:
-                self._absorptions.append(event)
+        absorption = EventKind.ABSORPTION  # one enum lookup, not one per event
+        self._absorptions = [e for e in trace if e.kind is absorption]
         self._absorption_ids = {e.id for e in self._absorptions}
-        self._order = _IdOrder.of(trace, self._absorption_ids)
+        self._steps, self._last_reader = _skeleton(trace, self._absorption_ids)
+
+    @cached_property
+    def _ticks(self) -> dict[NodeId, list[SimEvent]]:
+        ticks: dict[NodeId, list[SimEvent]] = {}
+        tick = EventKind.CLOCK_TICK
+        for event in self._trace:
+            if event.kind is tick:
+                ticks.setdefault(event.node, []).append(event)
+        return ticks
 
     @property
     def clocks(self) -> list[NodeId]:
@@ -399,17 +373,29 @@ class TraceIndex:
         """The pulse history of the clock at ``clock``."""
         return tuple(map(_pulse, self._ticks.get(clock, ())))
 
-    def label(
-        self, clock: StandardClockSpec, pulses: tuple[ClockPulse, ...]
-    ) -> tuple[tuple[TimeLabel, ...], int]:
-        """Label every absorption with ``clock``, paired with ``pulses``."""
-        return _label(self._absorptions, clock, pulses)
+    def label(self, pulses: tuple[ClockPulse, ...]) -> tuple[tuple[TimeLabel, ...], int]:
+        """Label every absorption with ``pulses``, as ``label_absorptions`` does."""
+        return _label(self._absorptions, pulses)
 
     def check(
-        self, labels: tuple[TimeLabel, ...], observer: NodeId | None = None
+        self, labels: tuple[TimeLabel, ...] | list[TimeLabel], observer: NodeId | None = None
     ) -> tuple[Timeline, tuple[CausalViolation, ...], ResolutionReport]:
-        """``build_timeline`` and ``resolution_report`` from one ancestry pass."""
-        order = self._order
+        """The timeline of ``labels``, its inversions sorted by (descendant,
+        ancestor), and its resolution report, from one ancestry pass.
+
+        ``observer`` defaults to the labels' clock. Raises ClockMismatch
+        when the labels come from more than one clock.
+        """
+        labels = tuple(labels)
+        clocks = {lb.triplet.clock for lb in labels}
+        if len(clocks) > 1:
+            raise ClockMismatch(f"labels span several clocks: {sorted(clocks)}")
+        if observer is None and clocks:
+            observer = next(iter(clocks))
+        steps, last_reader = self._steps, self._last_reader
         if not self._absorption_ids.issuperset(lb.event for lb in labels):
-            order = _IdOrder.of(self._trace, [lb.event for lb in labels])
-        return _check(labels, order, observer)
+            steps, last_reader = _skeleton(self._trace, [lb.event for lb in labels])
+        entries = tuple(sorted(labels, key=_by_time_then_event))
+        violations, resolution = _check_ancestry(entries, steps, last_reader)
+        violations.sort(key=lambda v: (v.descendant, v.ancestor))
+        return Timeline(observer=observer, entries=entries), tuple(violations), resolution

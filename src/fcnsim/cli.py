@@ -23,7 +23,7 @@ from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 
-from .chronology import ClockPulse, TraceIndex
+from .chronology import TraceIndex
 from .engine import Engine, EventKind, EventTrace, RunConfig, SamplingMode
 from .entropy import EntropyModel
 from .errors import FcnError, ParseError, ValidationFailed
@@ -35,7 +35,7 @@ from .io import (
     write_timeline_csv,
     write_trace,
 )
-from .network import CouplingKind, StandardClockSpec, classify_coupling
+from .network import CouplingKind, classify_coupling
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     p_timeline = sub.add_parser("timeline", help="label a trace's absorptions with one clock")
     p_timeline.add_argument("trace", help="trace file (JSONL)")
     p_timeline.add_argument("--clock", type=int, required=True, metavar="ID", help="clock host node id")
-    p_timeline.add_argument("--net", help="network document; clock spec read from it when given")
+    p_timeline.add_argument("--net", help="network document; the recorded pulses must match its clock")
     p_timeline.add_argument("--out", help="timeline CSV; stdout when omitted")
 
     p_entropy = sub.add_parser("entropy", help="emit the per-decay entropy report")
@@ -178,37 +178,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reconstruct_clock(clock_id: int, pulses: tuple[ClockPulse, ...]) -> StandardClockSpec | None:
-    """Rebuild a clock spec from its pulses as recorded in the trace."""
-    if not pulses:
-        return None
-    # With a single pulse the period is unconstrained; any positive value
-    # works because every label then equals the first counter.
-    period = pulses[1].engine_time - pulses[0].engine_time if len(pulses) > 1 else 1.0
-    return StandardClockSpec(
-        id=clock_id,
-        period_s=period,
-        first_tick_s=pulses[0].engine_time,
-        counter_start=pulses[0].counter,
-    )
-
-
 def _cmd_timeline(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     index = TraceIndex(trace)
     pulses = index.pulses(args.clock)
     if args.net:
-        doc = parse_network_file(args.net)
-        spec = doc.network.clock_by_node.get(args.clock)
+        spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
         if spec is None:
             print(f"error: no standard clock at node {args.clock} in {args.net}", file=sys.stderr)
             return 2
-    else:
-        spec = _reconstruct_clock(args.clock, pulses)
-        if spec is None:
-            print(f"error: clock {args.clock}: no pulses in trace", file=sys.stderr)
-            return 2
-    labels, skipped = index.label(spec, pulses)
+        for k, pulse in enumerate(pulses):
+            t, counter = spec.tick_time(k), spec.counter_start + k
+            if (pulse.engine_time, pulse.counter) != (t, counter):
+                print(
+                    f"error: clock {args.clock}: pulse {pulse.id} (tick {k}) is at engine_time "
+                    f"{pulse.engine_time} with counter {pulse.counter}; {args.net} declares "
+                    f"{t} with counter {counter}",
+                    file=sys.stderr,
+                )
+                return 2
+    elif not pulses:
+        print(f"error: clock {args.clock}: no pulses in trace", file=sys.stderr)
+        return 2
+    labels, skipped = index.label(pulses)
     timeline, violations, _ = index.check(labels, observer=args.clock)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
@@ -255,12 +247,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     index = TraceIndex(trace)
     for clock_id in index.clocks:
         pulses = index.pulses(clock_id)
-        spec = _reconstruct_clock(clock_id, pulses)
-        assert spec is not None
-        labels, skipped = index.label(spec, pulses)
+        labels, skipped = index.label(pulses)
         _, violations, resolution = index.check(labels, observer=clock_id)
+        # The spacing of the first two recorded pulses; 1.0 for a clock that ticked once.
+        period = pulses[1].engine_time - pulses[0].engine_time if len(pulses) > 1 else 1.0
         print(
-            f"clock {clock_id} (period {spec.period_s}): {len(labels)} labels, "
+            f"clock {clock_id} (period {period}): {len(labels)} labels, "
             f"{skipped} skipped, {len(violations)} causal violations, "
             f"{resolution.indistinguishable_pairs} indistinguishable pairs"
         )

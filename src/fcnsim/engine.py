@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from .constants import CONSTANTS, PhysicalConstants
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
 from .errors import Exhausted, UnknownNode
 from .network import ArcId, EventId, Network, NodeId, propagation_delay
@@ -115,19 +114,14 @@ def _exponential_delay(tau: float, u: float) -> float:
     return tau * -math.log1p(-u)
 
 
-def sample_decay_delay(
-    gamma_ev: float | None,
-    mode: SamplingMode,
-    rng: Any = None,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
+def sample_decay_delay(gamma_ev: float | None, mode: SamplingMode, rng: Any = None) -> float:
     """Delay between excitation and decay for a node with rate ``gamma_ev``.
 
     Deterministic mode returns the lifetime exactly. Stochastic mode
     returns an exponential draw with the lifetime as its mean, by inverse
     CDF from exactly one uniform, ``rng.random()`` (a numpy Generator works).
     """
-    tau = lifetime(gamma_ev, constants)
+    tau = lifetime(gamma_ev)
     if mode is SamplingMode.DETERMINISTIC:
         return tau
     if rng is None:
@@ -230,11 +224,9 @@ class Engine:
         network: Network,
         config: RunConfig,
         injections: Iterable[tuple[NodeId, float]] = (),
-        constants: PhysicalConstants = CONSTANTS,
     ):
         self._network = network
         self._config = config
-        self._constants = constants
         self._queue: list[tuple[Any, ...]] = []
         self._seq = itertools.count()
         self._event_ids = itertools.count()
@@ -310,11 +302,10 @@ class Engine:
     # -- set-up -----------------------------------------------------------
 
     def _build_tables(self) -> None:
-        constants = self._constants
         # Outgoing arcs in arc id order, so fan-out order is reproducible.
         arcs: dict[NodeId, list[tuple[ArcId, NodeId, float]]] = {n.id: [] for n in self._network.nodes}
         for arc in sorted(self._network.arcs, key=lambda a: a.id):
-            arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc, constants)))
+            arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc)))
         rows = {}
         for node in self._network.nodes:
             spec = node.spec
@@ -325,8 +316,8 @@ class Engine:
                 tolerance_ev=node.resonance_tolerance_ev,
                 can_detect=node.can_detect,
                 can_emit=node.can_emit,
-                lifetime_s=lifetime(spec.gamma_ev, constants) if spec.can_decay else None,
-                wavelength_nm=wavelength_of(gap, constants),
+                lifetime_s=lifetime(spec.gamma_ev) if spec.can_decay else None,
+                wavelength_nm=wavelength_of(gap),
                 arcs=tuple(arcs[node.id]),
             )
         self._rows = rows
@@ -392,9 +383,7 @@ class Engine:
         self._states[node] = ground
         fields = self._decay_fields.get(node)
         if fields is None:
-            breakdown, tau, rate = decay_entropy(
-                emitted, row.spec.gamma_ev, self._config.entropy_model, self._constants
-            )
+            breakdown, tau, rate = decay_entropy(emitted, row.spec.gamma_ev, self._config.entropy_model)
             fields = self._decay_fields[node] = {
                 "gamma_ev": row.spec.gamma_ev,
                 "ds_internal": breakdown.ds_internal,

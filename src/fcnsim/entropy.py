@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import DuplicateEvent, NonPositiveEnergy
 from .quantum import lifetime
 
@@ -93,11 +93,7 @@ class EntropyLedgerEntry:
     production_rate_kb_per_s: float
 
 
-def breakdown_for_decay(
-    delta_e_ev: float,
-    model: EntropyModel,
-    constants: PhysicalConstants = CONSTANTS,
-) -> EntropyBreakdown:
+def breakdown_for_decay(delta_e_ev: float, model: EntropyModel) -> EntropyBreakdown:
     """Decompose the entropy change of one decay emitting ``delta_e_ev``.
 
     Internal term: -delta_e / (k_B * T_source). Signal term:
@@ -108,7 +104,7 @@ def breakdown_for_decay(
     """
     if not delta_e_ev > 0:
         raise NonPositiveEnergy(f"decay energy must be > 0 eV, got {delta_e_ev}")
-    kb = constants.k_b_ev_per_k
+    kb = CONSTANTS.k_b_ev_per_k
     return EntropyBreakdown(
         ds_internal=-_per_kt(delta_e_ev, kb * model.source_temperature_k),
         ds_signal=_per_kt(delta_e_ev, kb * model.environment_temperature_k),
@@ -123,26 +119,19 @@ def _per_kt(delta_e_ev: float, kt_ev: float) -> float:
 
 
 def decay_entropy(
-    delta_e_ev: float,
-    gamma_ev: float,
-    model: EntropyModel,
-    constants: PhysicalConstants = CONSTANTS,
+    delta_e_ev: float, gamma_ev: float, model: EntropyModel
 ) -> tuple[EntropyBreakdown, float, float]:
     """Breakdown, lifetime (s) and production rate (k_B/s) of one decay.
 
     The single definition of a ledger row's numbers, shared by the ledger
     and the engine's decay payloads. The rate is total / lifetime.
     """
-    breakdown = breakdown_for_decay(delta_e_ev, model, constants)
-    tau = lifetime(gamma_ev, constants)
+    breakdown = breakdown_for_decay(delta_e_ev, model)
+    tau = lifetime(gamma_ev)
     return breakdown, tau, breakdown.total() / tau
 
 
-def entropy_lifetime(
-    breakdown: EntropyBreakdown,
-    gamma_ev: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> EntropyLifetime:
+def entropy_lifetime(breakdown: EntropyBreakdown, gamma_ev: float) -> EntropyLifetime:
     """Duration of the entropy production process, computed through the rate.
 
     The production rate is taken constant across the decay, so the duration
@@ -154,7 +143,7 @@ def entropy_lifetime(
     underflows to zero or a subnormal, or one that overflows) takes the
     same fallback: dividing by it would raise or lose the identity.
     """
-    tau = lifetime(gamma_ev, constants)
+    tau = lifetime(gamma_ev)
     total = breakdown.total()
     rate = total / tau
     if not sys.float_info.min <= abs(rate) <= sys.float_info.max:
@@ -169,8 +158,7 @@ class EntropyLedger:
     immutable snapshots that are safe to share afterwards.
     """
 
-    def __init__(self, constants: PhysicalConstants = CONSTANTS):
-        self._constants = constants
+    def __init__(self) -> None:
         self._entries: dict[int, EntropyLedgerEntry] = {}
 
     def record_decay(
@@ -188,7 +176,7 @@ class EntropyLedger:
         """
         if event_id in self._entries:
             raise DuplicateEvent(f"decay event {event_id} already recorded")
-        breakdown, tau, rate = decay_entropy(delta_e_ev, gamma_ev, model, self._constants)
+        breakdown, tau, rate = decay_entropy(delta_e_ev, gamma_ev, model)
         entry = EntropyLedgerEntry(
             decay_event_id=event_id,
             breakdown=breakdown,

@@ -130,6 +130,11 @@ def _reject_constant(text: str) -> float:
     raise ParseError(f"non-finite number literal {text!r} is not allowed", "document")
 
 
+def _reject_line_constant(text: str) -> float:
+    # Raised as a JSON error so that the trace reader names the line.
+    raise json.JSONDecodeError(f"non-finite number literal {text!r} is not allowed", text, 0)
+
+
 def _parse_position(value: Any, where: str) -> tuple[float, float, float]:
     if (
         not isinstance(value, list)
@@ -281,7 +286,7 @@ _READ_FIELDS: dict[EventKind, tuple[tuple[str, tuple[type, ...]], ...]] = {
 }
 # Kind name -> (kind, read fields): one lookup by the string the line holds.
 _KINDS = {kind.value: (kind, _READ_FIELDS.get(kind, ())) for kind in EventKind}
-_scan_once = json.JSONDecoder().scan_once
+_scan_once = json.JSONDecoder(parse_constant=_reject_line_constant).scan_once
 
 
 def event_to_record(event: SimEvent) -> dict[str, Any]:
@@ -441,8 +446,9 @@ def _line_event(line: str, where: str | int) -> SimEvent | None:
     ``where`` is the line number, or the context, that an error names.
     The C scanner decodes one JSON value trailed by at most JSON whitespace
     (a CRLF file's ``\r``); any other line (blank, padded or malformed) goes
-    to ``json.loads``, whose message a malformed line reports. The message
-    of a failed check, and the context string, are built only on failure.
+    to ``json.loads``, whose message a malformed line reports. Both reject
+    the literals ``NaN``, ``Infinity`` and ``-Infinity``. The message of a
+    failed check, and the context string, are built only on failure.
     """
     try:
         record, end = _scan_once(line, 0)
@@ -452,7 +458,7 @@ def _line_event(line: str, where: str | int) -> SimEvent | None:
         if not line.strip():
             return None
         try:
-            record = json.loads(line)
+            record = json.loads(line, parse_constant=_reject_line_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", _context(where)) from exc
     event = _event(record)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import ValidationFailed
 from .quantum import TwoLevelSpec, lifetime, signal_energy
 
@@ -129,12 +129,6 @@ class CouplingClassification:
     classes: tuple[CouplingClass, ...]
     sen_links: tuple[ArcId, ...]
 
-    def class_of(self, node: NodeId) -> CouplingClass:
-        for cls in self.classes:
-            if node in cls.members:
-                return cls
-        raise KeyError(node)
-
 
 @dataclass(frozen=True)
 class Network:
@@ -200,25 +194,23 @@ def validate_network(
     return Network(nodes=tuple(nodes), arcs=tuple(arcs), clocks=tuple(clocks))
 
 
-def propagation_delay(arc: Arc, constants: PhysicalConstants = CONSTANTS) -> float:
+def propagation_delay(arc: Arc) -> float:
     """Signal transit time along an arc: distance / c, in seconds.
 
     This division is the single arithmetic step defining arrival times;
     absorption times downstream are exactly emission time plus this value.
     """
-    return arc.distance_m / constants.c_m_per_s
+    return arc.distance_m / CONSTANTS.c_m_per_s
 
 
-def _node_lifetime(node: ClockNode, constants: PhysicalConstants) -> float:
+def _node_lifetime(node: ClockNode) -> float:
     if node.spec.gamma_ev is None:
         return math.inf
-    return lifetime(node.spec.gamma_ev, constants)
+    return lifetime(node.spec.gamma_ev)
 
 
 def classify_coupling(
-    network: Network,
-    coupling_fraction: float = DEFAULT_COUPLING_FRACTION,
-    constants: PhysicalConstants = CONSTANTS,
+    network: Network, coupling_fraction: float = DEFAULT_COUPLING_FRACTION
 ) -> CouplingClassification:
     """Partition nodes into collective groups and sequential singletons.
 
@@ -248,8 +240,8 @@ def classify_coupling(
     def coupled(arc: Arc) -> bool:
         src = network.node_by_id[arc.source]
         dst = network.node_by_id[arc.target]
-        shorter = min(_node_lifetime(src, constants), _node_lifetime(dst, constants))
-        return propagation_delay(arc, constants) < coupling_fraction * shorter
+        shorter = min(_node_lifetime(src), _node_lifetime(dst))
+        return propagation_delay(arc) < coupling_fraction * shorter
 
     for arc in network.arcs:
         if coupled(arc):

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import DegenerateLevels, NonPositiveEnergy, NotExcited, StableConfiguration
 
 
@@ -95,8 +95,8 @@ class ExcitationIds:
     excitations identically.
     """
 
-    def __init__(self, start: int = 0):
-        self._counter = itertools.count(start)
+    def __init__(self) -> None:
+        self._counter = itertools.count()
 
     def fresh(self) -> int:
         return next(self._counter)
@@ -107,17 +107,17 @@ def signal_energy(spec: TwoLevelSpec) -> float:
     return spec.excited.energy_ev - spec.ground.energy_ev
 
 
-def wavelength_of(delta_e_ev: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def wavelength_of(delta_e_ev: float) -> float:
     """Wavelength in nm of a signal with the given energy.
 
     Raises NonPositiveEnergy for delta_e_ev <= 0.
     """
     if not delta_e_ev > 0:
         raise NonPositiveEnergy(f"signal energy must be > 0 eV, got {delta_e_ev}")
-    return constants.hc_ev_nm / delta_e_ev
+    return CONSTANTS.hc_ev_nm / delta_e_ev
 
 
-def lifetime(gamma_ev: float | None, constants: PhysicalConstants = CONSTANTS) -> float:
+def lifetime(gamma_ev: float | None) -> float:
     """Lifetime in seconds of an excited state with decay rate ``gamma_ev``.
 
     Strictly decreasing in gamma. Raises StableConfiguration when gamma is
@@ -125,7 +125,7 @@ def lifetime(gamma_ev: float | None, constants: PhysicalConstants = CONSTANTS) -
     """
     if gamma_ev is None or not gamma_ev > 0:
         raise StableConfiguration(f"no decay channel (gamma={gamma_ev})")
-    return constants.hbar_ev_s / gamma_ev
+    return CONSTANTS.hbar_ev_s / gamma_ev
 
 
 def absorb(

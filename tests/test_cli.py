@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -161,6 +162,56 @@ class TestTimeline:
         assert out.splitlines()[0] == "event_id,node,pulse_id,label,time_number_s"
         assert out.splitlines()[1] == "5,2,1,1,1.0"
 
+    @pytest.fixture
+    def offset_clock(self, fixtures_dir, tmp_path):
+        """The chain run with clock 3 at period 0.3 from 0.1: its first two
+        pulses are 0.30000000000000004 apart, not 0.3."""
+        doc = json.loads((fixtures_dir / "chain.net.json").read_text())
+        doc["standard_clocks"][0].update(period_s=0.3, first_tick_s=0.1)
+        net = tmp_path / "offset.net.json"
+        net.write_text(json.dumps(doc))
+        trace = tmp_path / "offset.jsonl"
+        assert main(["run", str(net), "--until", "5.0", "--out", str(trace)]) == 0
+        return doc, net, trace
+
+    def test_time_numbers_do_not_depend_on_net(self, offset_clock, capsys):
+        _, net, trace = offset_clock
+        assert main(["timeline", str(trace), "--clock", "3"]) == 0
+        plain = capsys.readouterr().out
+        assert [row.split(",")[-1] for row in plain.splitlines()[1:]] == ["1.3", "3.6999999999999997"]
+        assert main(["timeline", str(trace), "--clock", "3", "--net", str(net)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_net_without_that_clock_exits_2_and_names_node(self, chain_trace_file, chain_net, capsys):
+        assert main(["timeline", str(chain_trace_file), "--clock", "2", "--net", chain_net]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no standard clock at node 2 in {chain_net}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"period_s": 0.25},
+                "pulse 1 (tick 1) is at engine_time 0.4 with counter 1; {net} declares 0.35 with counter 1",
+            ),
+            (
+                {"counter_start": 7},
+                "pulse 0 (tick 0) is at engine_time 0.1 with counter 0; {net} declares 0.1 with counter 7",
+            ),
+        ],
+        ids=["period", "counter"],
+    )
+    def test_net_disagreeing_with_recorded_pulses_exits_2(self, offset_clock, tmp_path, change, message, capsys):
+        doc, _, trace = offset_clock
+        doc["standard_clocks"][0].update(change)
+        net = tmp_path / "other.net.json"
+        net.write_text(json.dumps(doc))
+        assert main(["timeline", str(trace), "--clock", "3", "--net", str(net)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: clock 3: {message.format(net=net)}\n"
+        assert captured.out == ""
+
 
 class TestEntropy:
     def test_columns_and_rows(self, chain_trace_file, capsys):
@@ -237,6 +288,20 @@ class TestMalformedTrace:
         assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: line {lineno}: 'engine_time' is beyond the float range\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("kind, field, value, literal", [
+        ("absorption", "engine_time", math.nan, "NaN"),
+        ("decay", "lifetime_s", math.inf, "Infinity"),
+    ], ids=["nan-time", "infinite-lifetime"])
+    def test_non_finite_literal_exits_2(self, chain_trace_file, command, kind, field, value, literal, capsys):
+        lineno = _set_on_first(chain_trace_file, kind, field, value)
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line {lineno}: invalid JSON: non-finite number literal '{literal}' is not allowed\n"
+        )
         assert captured.out == ""
 
     def test_report_on_tick_without_pulse_id_exits_2(self, chain_trace_file, capsys):

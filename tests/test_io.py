@@ -214,6 +214,27 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError, match=r"^line 1: invalid JSON: Expecting ',' delimiter$"):
             parse_trace('{"id": 0, "kind": "decay"\n')
 
+    # The padded line takes the json.loads path, the bare line the scanner's.
+    @pytest.mark.parametrize("pad", ["", " "], ids=["scanner", "loads"])
+    @pytest.mark.parametrize(
+        "record, field, literal",
+        [
+            (_ABSORPTION, "engine_time", "NaN"),
+            (_ABSORPTION, "engine_time", "-Infinity"),
+            (_DECAY, "lifetime_s", "Infinity"),
+            (_TICK, "note", "NaN"),
+        ],
+    )
+    def test_non_finite_literal_rejected(self, record, field, literal, pad):
+        line = pad + json.dumps({**record, field: 0.25}).replace("0.25", literal)
+        message = f"invalid JSON: non-finite number literal '{literal}' is not allowed"
+        with pytest.raises(ParseError) as err:
+            parse_trace(_lines(_ROOT) + line + "\n")
+        assert str(err.value) == f"line 2: {message}"
+        with pytest.raises(ParseError) as err:
+            parse_event_line(line)
+        assert str(err.value) == f"line: {message}"
+
     def test_unknown_kind_rejected(self):
         line = json.dumps(
             {"id": 0, "kind": "banana", "node": 1, "engine_time": 0.0, "parents": []}
