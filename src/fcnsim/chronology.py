@@ -105,7 +105,8 @@ def _pulse(tick: SimEvent) -> ClockPulse:
 
 def pulses_from_trace(trace: EventTrace, clock: NodeId) -> tuple[ClockPulse, ...]:
     """Extract the pulse history of the clock at ``clock`` from a trace."""
-    return tuple(_pulse(e) for e in trace if e.kind is EventKind.CLOCK_TICK and e.node == clock)
+    tick = EventKind.CLOCK_TICK
+    return tuple(_pulse(e) for e in trace if e.kind is tick and e.node == clock)
 
 
 def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, ...]:
@@ -331,7 +332,8 @@ def label_absorptions(
     """
     if pulses is None:
         pulses = pulses_from_trace(trace, clock.id)
-    return _label([e for e in trace if e.kind is EventKind.ABSORPTION], pulses)
+    absorption = EventKind.ABSORPTION
+    return _label([e for e in trace if e.kind is absorption], pulses)
 
 
 class TraceIndex:

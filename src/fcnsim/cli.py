@@ -22,16 +22,17 @@ import sys
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 from .chronology import TraceIndex
-from .engine import Engine, EventKind, EventTrace, RunConfig, SamplingMode
+from .engine import Engine, EventKind, EventTrace, RunConfig, SamplingMode, SimEvent
 from .entropy import EntropyModel
 from .errors import FcnError, ParseError, ValidationFailed
 from .io import (
     parse_network_file,
     read_trace,
-    serialize_trace,
     write_entropy_csv,
+    write_events,
     write_timeline_csv,
     write_trace,
 )
@@ -148,14 +149,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     mode = SamplingMode.STOCHASTIC if args.mode == "sto" else SamplingMode.DETERMINISTIC
     injections = [(inj.node, inj.at_s) for inj in doc.injections]
 
-    def run_one(seed: int) -> EventTrace:
-        config = RunConfig(
-            run_until_s=args.until,
-            mode=mode,
-            seed=seed,
-            entropy_model=_entropy_model(args),
-        )
-        return Engine(doc.network, config, injections).run()
+    def events(seed: int) -> Iterator[SimEvent]:
+        config = RunConfig(run_until_s=args.until, mode=mode, seed=seed, entropy_model=_entropy_model(args))
+        return Engine(doc.network, config, injections).events()
 
     if args.seeds:
         if mode is not SamplingMode.STOCHASTIC:
@@ -163,18 +159,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not args.out:
             raise _UsageError("--seeds requires --out")
         for seed in _parse_seed_range(args.seeds):
-            trace = run_one(seed)
             out = _seed_out_path(args.out, seed)
-            write_trace(trace, out)
-            print(f"run: seed {seed}: {len(trace)} events -> {out}", file=sys.stderr)
+            count = write_trace(events(seed), out)
+            print(f"run: seed {seed}: {count} events -> {out}", file=sys.stderr)
         return 0
 
-    trace = run_one(args.seed)
     if args.out:
-        write_trace(trace, args.out)
+        count = write_trace(events(args.seed), args.out)
     else:
-        sys.stdout.write(serialize_trace(trace))
-    print(f"run: {len(trace)} events, until {args.until}", file=sys.stderr)
+        count = write_events(events(args.seed), sys.stdout)
+    print(f"run: {count} events, until {args.until}", file=sys.stderr)
     return 0
 
 
@@ -216,7 +210,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _second_law_violations(trace: EventTrace) -> int:
-    return sum(1 for e in trace if e.kind is EventKind.DECAY and e.payload["total"] < 0)
+    decay = EventKind.DECAY
+    return sum(1 for e in trace if e.kind is decay and e.payload["total"] < 0)
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:

@@ -3,13 +3,18 @@
 The engine owns a priority queue of pending occurrences ordered by
 (engine_time, scheduling sequence number); the sequence number breaks
 ties so reruns are bit-identical. Popping an occurrence applies its
-effect, appends exactly one event to the trace, and schedules any
-children. Event ids are assigned in emission order, so the trace is
-totally ordered by (engine_time, id).
+effect, produces exactly one event, and schedules any children. Event
+ids are assigned in emission order, so the trace is totally ordered by
+(engine_time, id).
+
+``Engine.events`` is the loop: it yields each event as it is produced
+and keeps none, so ``fcnsim run``, which writes each one out as it comes,
+holds no trace whatever the horizon. ``run`` and ``step`` drive the same
+loop and keep in ``trace`` the events they produce.
 
 Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
 unique, so no later field is ever compared. The int tag indexes the
-handler table that ``step`` and ``run`` share. Per-node and per-arc
+handler table that the loop dispatches through. Per-node and per-arc
 tables (spec, gap, tolerance, lifetime, wavelength, outgoing arcs) are
 built when the run starts, on the first step.
 
@@ -275,28 +280,39 @@ class Engine:
         return self._schedule(at, _INJECTION, node)
 
     def step(self) -> SimEvent:
-        """Pop the earliest pending occurrence and apply it.
+        """Pop the earliest pending occurrence, apply it and keep its event in the trace.
 
         Ties in engine_time resolve by scheduling order. Raises Exhausted
         when nothing is pending within the run horizon.
         """
-        if self._rows is None:
-            self._build_tables()
-        queue = self._queue
-        if not queue or queue[0][0] > self._config.run_until_s:
+        event = next(self.events(), None)
+        if event is None:
             raise Exhausted("no pending occurrences within run_until")
-        occ = heapq.heappop(queue)
-        return self._handlers[occ[2]](self, occ)
+        self._trace.append(event)
+        return event
 
-    def run(self) -> EventTrace:
-        """Step until exhausted and return the trace snapshot."""
+    def events(self) -> Iterator[SimEvent]:
+        """Apply pending occurrences in order until the horizon, yielding each event.
+
+        Keeps no event (``trace`` does not grow), so a consumer that writes
+        each one as it comes holds none. An occurrence that fails, such as
+        a decay with a non-finite entropy term, raises after the last yield.
+        """
         if self._rows is None:
             self._build_tables()
         queue, handlers, until = self._queue, self._handlers, self._config.run_until_s
         heappop = heapq.heappop
+        debug = logger.isEnabledFor(logging.DEBUG)
         while queue and queue[0][0] <= until:
             occ = heappop(queue)
-            handlers[occ[2]](self, occ)
+            event = handlers[occ[2]](self, occ)
+            if debug:
+                logger.debug("event %d %s node=%d t=%r", event.id, event.kind.value, event.node, event.engine_time)
+            yield event
+
+    def run(self) -> EventTrace:
+        """Step until exhausted, keeping every event, and return the trace snapshot."""
+        self._trace.extend(self.events())
         return self.trace
 
     # -- set-up -----------------------------------------------------------
@@ -330,18 +346,9 @@ class Engine:
         return seq
 
     def _emit_event(
-        self,
-        kind: EventKind,
-        node: NodeId,
-        t: float,
-        parents: frozenset[EventId],
-        payload: dict[str, Any],
+        self, kind: EventKind, node: NodeId, t: float, parents: frozenset[EventId], payload: dict[str, Any]
     ) -> SimEvent:
-        event = tuple.__new__(SimEvent, (next(self._event_ids), kind, node, t, parents, payload))
-        self._trace.append(event)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("event %d %s node=%d t=%r", event.id, kind.value, node, t)
-        return event
+        return tuple.__new__(SimEvent, (next(self._event_ids), kind, node, t, parents, payload))
 
     def _schedule_decay(self, row: _NodeRow, node: NodeId, excitation_id: int, t: float, parent: EventId) -> None:
         tau = row.lifetime_s
@@ -460,5 +467,5 @@ class Engine:
             self._schedule(next_t, _TICK, node, k + 1, event.id)
         return event
 
-    # Indexed by occurrence tag; step() and run() both dispatch through it.
+    # Indexed by occurrence tag; events() dispatches through it.
     _handlers = (_process_injection, _process_decay, _process_emission, _process_arrival, _process_tick)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, IO, Iterable
@@ -61,18 +62,6 @@ class NetworkDocument:
     schema_version: str
     network: Network
     injections: tuple[Injection, ...]
-
-    @property
-    def nodes(self) -> tuple[ClockNode, ...]:
-        return self.network.nodes
-
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        return self.network.arcs
-
-    @property
-    def standard_clocks(self) -> tuple[StandardClockSpec, ...]:
-        return self.network.clocks
 
 
 # -- network document parsing ------------------------------------------
@@ -278,6 +267,8 @@ _BASE_KEY_SET = frozenset(_BASE_KEYS)
 # so the reader tests types by identity.
 _INT = (int,)
 _NUMBER = (int, float)
+# What a number literal beyond the float range, such as 1e999, decodes to.
+_INFINITE = frozenset((math.inf, -math.inf))
 # The payload fields the analysis commands read, by kind, with their types:
 # the clock pulse pairing reads the ticks, the entropy report the decays.
 _READ_FIELDS: dict[EventKind, tuple[tuple[str, tuple[type, ...]], ...]] = {
@@ -390,13 +381,14 @@ def _event(record: Any) -> SimEvent | None:
         return None
     if not (0 <= event_id <= _MAX_ID and 0 <= node <= _MAX_ID):
         return None
-    if type(t) not in _NUMBER or type(parents) is not list:
+    if type(t) not in _NUMBER or t in _INFINITE or type(parents) is not list:
         return None
     for parent in parents:
         if type(parent) is not int or not 0 <= parent <= _MAX_ID:
             return None
     for name, types in fields:
-        if type(record.get(name)) not in types:
+        value = record.get(name)
+        if type(value) not in types or value in _INFINITE:
             return None
     try:
         return tuple.__new__(SimEvent, (event_id, kind, node, float(t), frozenset(parents), record))
@@ -437,6 +429,9 @@ def _rejection(record: Any) -> str:
         float(record["engine_time"])
     except OverflowError:
         return "'engine_time' is beyond the float range"
+    for name in ("engine_time", *(name for name, _ in fields)):
+        if record[name] in _INFINITE:
+            return f"{name!r} is beyond the float range"
     raise AssertionError(f"record passes every check: {record!r}")
 
 
@@ -510,11 +505,30 @@ def parse_trace(text: str) -> EventTrace:
     return tuple(events)
 
 
-def write_trace(trace: Iterable[SimEvent], path: str | Path) -> None:
-    """Write the trace as JSONL, one line at a time."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        for event in trace:
-            fp.write(serialize_event(event) + "\n")
+def write_events(events: Iterable[SimEvent], fp: IO[str]) -> int:
+    """Write each event as one whole JSONL line as it comes; returns the line count."""
+    lines = 0
+    for lines, event in enumerate(events, 1):
+        fp.write(serialize_event(event) + "\n")
+    return lines
+
+
+def write_trace(trace: Iterable[SimEvent], path: str | Path) -> int:
+    """Write the trace as JSONL, one line at a time; returns the line count.
+
+    They go to a temporary file beside ``path`` that replaces it once the
+    last is written; if ``trace`` raises, ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
+            lines = write_events(trace, fp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return lines
 
 
 def read_trace(path: str | Path) -> EventTrace:
@@ -559,9 +573,9 @@ def write_entropy_csv(trace: EventTrace, fp: IO[str]) -> int:
     """Write one row per decay, straight from the decay payloads."""
     writer = _csv_writer(fp)
     writer.writerow(ENTROPY_COLUMNS)
-    rows = 0
+    rows, decay = 0, EventKind.DECAY
     for event in trace:
-        if event.kind is not EventKind.DECAY:
+        if event.kind is not decay:
             continue
         p = event.payload
         writer.writerow(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from fcnsim import (
@@ -381,8 +382,9 @@ def reference_resolution(timeline, trace):
 # -- reference trace record reader -----------------------------------------
 #
 # The record check the trace reader made before it decoded lines with the
-# C scanner and checked types by identity, copied as it was: the oracle for
-# the reader's events and its messages.
+# C scanner and checked types by identity, copied as it was, plus the later
+# rejection of float literals beyond the range: the oracle for the reader's
+# events and its messages.
 
 from typing import Any  # noqa: E402
 
@@ -456,6 +458,10 @@ def reference_record_to_event(record: dict[str, Any], where: str = "record") -> 
         engine_time = float(t)
     except OverflowError:  # an int beyond the float range
         raise ParseError("'engine_time' is beyond the float range", where) from None
+    # A float literal beyond the range, such as 1e999, decodes to an infinity.
+    for name, value in (("engine_time", t), *((name, record[name]) for name, _ in fields or ())):
+        if isinstance(value, float) and math.isinf(value):
+            raise ParseError(f"{name!r} is beyond the float range", where)
     return SimEvent(
         id=event_id,
         kind=kind,

@@ -11,13 +11,15 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fcnsim
 from fcnsim.cli import main
-from fcnsim.io import parse_network_file, read_trace
+from fcnsim.engine import Engine, RunConfig, SamplingMode
+from fcnsim.io import parse_network_file, read_trace, serialize_trace
 from helpers import mixed_network, network_document, random_network
 
 # sha256 of ``run --until 5.0 --mode sto --seed 5`` on helpers.mixed_network,
@@ -136,6 +138,83 @@ class TestRun:
         reasons = {r["reason"] for r in records if r["kind"] == "pass_through"}
         assert reasons == {"occupied", "off_resonance", "not_detector"}
         assert hashlib.sha256(out.read_bytes()).hexdigest() == MIXED_STO_SHA256
+
+
+class TestRunStreams:
+    """``run`` writes each event as the engine produces it: the bytes are those
+    of the in-process trace, and a failed run leaves no partial file."""
+
+    @pytest.fixture
+    def mixed_net(self, tmp_path):
+        net, injections = mixed_network()
+        path = tmp_path / "net" / "mixed.net.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(network_document(net, injections)))
+        return str(path)
+
+    @staticmethod
+    def in_process(net_path: str, mode: SamplingMode, seed: int) -> str:
+        doc = parse_network_file(net_path)
+        config = RunConfig(run_until_s=5.0, mode=mode, seed=seed)
+        return serialize_trace(Engine(doc.network, config, [(i.node, i.at_s) for i in doc.injections]).run())
+
+    @pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value[:3])
+    def test_out_and_stdout_equal_in_process_trace(self, mixed_net, tmp_path, mode, capsys):
+        expected = self.in_process(mixed_net, mode, 4)
+        assert expected.count("\n") > 1000
+        args = ["run", mixed_net, "--until", "5", "--mode", mode.value[:3], "--seed", "4"]
+        out = tmp_path / "trace.jsonl"
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        err = f"run: {expected.count(chr(10))} events, until 5.0\n"
+        assert capsys.readouterr().err == err
+        assert main(args) == 0
+        assert capsys.readouterr() == (expected, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net", "trace.jsonl"]
+
+    def test_each_seed_file_equals_in_process_trace(self, mixed_net, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["run", mixed_net, "--until", "5", "--mode", "sto", "--seeds", "2..4", "--out", str(out)]) == 0
+        err = []
+        for seed in (2, 3, 4):
+            expected = self.in_process(mixed_net, SamplingMode.STOCHASTIC, seed)
+            path = tmp_path / f"trace.seed{seed}.jsonl"
+            assert path.read_bytes() == expected.encode()
+            err.append(f"run: seed {seed}: {expected.count(chr(10))} events -> {path}\n")
+        assert capsys.readouterr().err == "".join(err)
+        assert len(list(tmp_path.iterdir())) == 4
+
+    # With k_B * T underflowing to 0 the first decay fails (exit 3).
+    FAILING = ["--until", "5", "--t-env", "1e-320"]
+    FAILURE = "runtime error: ds_signal must be finite, got inf\n"
+
+    @pytest.mark.parametrize("existing", [None, b"earlier\nbytes"], ids=["new", "existing"])
+    def test_failed_run_leaves_out_as_it_was(self, chain_net, tmp_path, existing, capsys):
+        out = tmp_path / "trace.jsonl"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["run", chain_net, *self.FAILING, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", self.FAILURE)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["trace.jsonl"])
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+    def test_failed_seed_run_writes_no_seed_file(self, chain_net, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(["run", chain_net, *self.FAILING, "--mode", "sto", "--seeds", "1..3", "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", self.FAILURE)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_on_stdout_leaves_whole_lines(self, chain_net, fixtures_dir, capsys):
+        """The events before the failing decay stay on stdout, each a whole
+        line; stderr holds the error alone, as when nothing was written."""
+        assert main(["run", chain_net, *self.FAILING]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == self.FAILURE
+        golden = (fixtures_dir / "chain.expected-trace.jsonl").read_text().splitlines(keepends=True)
+        first_decay = next(i for i, line in enumerate(golden) if '"kind":"decay"' in line)
+        assert first_decay > 0
+        assert captured.out == "".join(golden[:first_decay])
 
 
 class TestTimeline:
@@ -291,6 +370,17 @@ class TestMalformedTrace:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    @pytest.mark.parametrize("kind, field", [("absorption", "engine_time"), ("decay", "lifetime_s")])
+    def test_float_literal_beyond_range_exits_2(self, chain_trace_file, command, kind, field, literal, capsys):
+        lineno = _set_on_first(chain_trace_file, kind, field, "@")
+        chain_trace_file.write_text(chain_trace_file.read_text().replace('"@"', literal))
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {lineno}: '{field}' is beyond the float range\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
     @pytest.mark.parametrize("kind, field, value, literal", [
         ("absorption", "engine_time", math.nan, "NaN"),
         ("decay", "lifetime_s", math.inf, "Infinity"),
@@ -316,6 +406,30 @@ class TestMalformedTrace:
         assert capsys.readouterr().err == (
             f"error: line {lineno}: missing field(s): {', '.join(columns)}\n"
         )
+
+
+def test_run_memory_does_not_grow_with_horizon(tmp_path):
+    """``run --out`` holds no trace: on a network with only a clock (1000
+    ticks per second), the traced peak at 4 s stays within 10% of the peak
+    at 1 s, where a run that kept its 4000 events would hold about 2 MB more."""
+    net = tmp_path / "clock.net.json"
+    net.write_text(json.dumps({
+        "schema_version": "1",
+        "nodes": [{"id": 1, "ground_ev": 0.0, "excited_ev": 1.5}],
+        "standard_clocks": [{"id": 1, "period_s": 0.001}],
+    }))
+
+    def peak(until: str) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["run", str(net), "--until", until, "--out", str(tmp_path / "t.jsonl")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("1")  # warm-up: first-use caches are not the run's memory
+    once, four_times = peak("1"), peak("4")
+    assert four_times <= 1.1 * once + 64 * 1024, (once, four_times)
 
 
 class TestCycleCollector:

@@ -392,7 +392,8 @@ class TestDeterminism:
 @pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("case_seed", range(40))
 def test_step_loop_equals_run(case_seed, mode):
-    """step() and run() dispatch alike: stepping to exhaustion gives run()'s trace."""
+    """step(), run() and events() run one loop: stepping to exhaustion and
+    streaming give run()'s trace, and streaming keeps none of it."""
     network, injections = random_network(random.Random(case_seed))
     config = RunConfig(run_until_s=3.0, mode=mode, seed=case_seed)
     engine = Engine(network, config, injections)
@@ -402,7 +403,22 @@ def test_step_loop_equals_run(case_seed, mode):
             stepped.append(engine.step())
         except Exhausted:
             break
-    assert tuple(stepped) == engine.trace == Engine(network, config, injections).run()
+    streaming = Engine(network, config, injections)
+    streamed = tuple(streaming.events())
+    assert tuple(stepped) == engine.trace == Engine(network, config, injections).run() == streamed
+    assert streaming.trace == ()
+    assert tuple(streaming.events()) == ()
+    with pytest.raises(Exhausted):
+        streaming.step()
+
+
+def test_events_after_steps_continue_the_run(chain):
+    net, injections = chain
+    engine = Engine(net, det_config(), injections)
+    first = engine.step(), engine.step()
+    rest = tuple(engine.events())
+    assert engine.trace == first
+    assert first + rest == Engine(net, det_config(), injections).run()
 
 
 class TestEventLog:
@@ -412,6 +428,17 @@ class TestEventLog:
             trace = Engine(net, det_config(), injections).run()
         logged = {r.args[0] for r in caplog.records if r.msg.startswith("event ")}
         assert logged == {e.id for e in trace}
+
+    def test_debug_level_logs_streamed_and_stepped_events(self, chain, caplog):
+        net, injections = chain
+        with caplog.at_level(logging.DEBUG, logger="fcnsim.engine"):
+            engine = Engine(net, det_config(), injections)
+            stepped = engine.step()
+            streamed = tuple(engine.events())
+        logged = [r.getMessage() for r in caplog.records if r.msg.startswith("event ")]
+        assert logged == [
+            f"event {e.id} {e.kind.value} node={e.node} t={e.engine_time!r}" for e in (stepped, *streamed)
+        ]
 
     def test_no_event_records_above_debug(self, chain, caplog):
         net, injections = chain

@@ -77,14 +77,14 @@ def chain_doc() -> dict:
 class TestParseNetwork:
     def test_chain_document(self):
         doc = parse_network(json.dumps(chain_doc()))
-        assert len(doc.nodes) == 3
-        assert len(doc.arcs) == 2
-        assert len(doc.standard_clocks) == 1
+        assert len(doc.network.nodes) == 3
+        assert len(doc.network.arcs) == 2
+        assert len(doc.network.clocks) == 1
         assert doc.injections[0].node == 1
 
     def test_shipped_fixture_parses(self, fixtures_dir):
         doc = parse_network((fixtures_dir / "chain.net.json").read_bytes())
-        assert len(doc.nodes) == 3
+        assert len(doc.network.nodes) == 3
 
     def test_unknown_field_rejected(self):
         raw = chain_doc()
@@ -210,6 +210,24 @@ class TestTraceRoundTrip:
         write_trace(trace, path)
         assert read_trace(path) == trace
 
+    def test_write_trace_counts_lines_and_replaces_only_on_success(self, chain, tmp_path):
+        net, injections = chain
+        trace = Engine(net, RunConfig(run_until_s=5.0), injections).run()
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"earlier\n")
+
+        def failing():
+            yield from trace[:5]
+            raise ValueError("stop")
+
+        with pytest.raises(ValueError, match="stop"):
+            write_trace(failing(), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+        assert path.read_bytes() == b"earlier\n"
+        assert write_trace(iter(trace), path) == len(trace)
+        assert path.read_text() == serialize_trace(trace)
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ParseError, match=r"^line 1: invalid JSON: Expecting ',' delimiter$"):
             parse_trace('{"id": 0, "kind": "decay"\n')
@@ -326,6 +344,43 @@ class TestTraceRoundTrip:
             with pytest.raises(ParseError) as err:
                 parse_trace("\n" + json.dumps({**record, "engine_time": sign * 10**400}) + "\n")
             assert str(err.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    @pytest.mark.parametrize(
+        "record, field",
+        [(_ABSORPTION, "engine_time"), ({**_DECAY, "parents": [0]}, "lifetime_s")],
+        ids=["engine_time", "lifetime_s"],
+    )
+    def test_float_literal_beyond_range(self, record, field, literal):
+        """JSON decodes such a literal to an infinity, which the reader rejects."""
+        line = json.dumps({**record, field: "@"}).replace('"@"', literal)
+        message = f"'{field}' is beyond the float range"
+        with pytest.raises(ParseError) as err:
+            parse_trace(_lines(_ROOT) + line + "\n")
+        assert str(err.value) == f"line 2: {message}"
+        with pytest.raises(ParseError) as err:
+            parse_event_line(line)
+        assert str(err.value) == f"line: {message}"
+        assert _outcome(reference_record_to_event, json.loads(line), "line") == f"ParseError: line: {message}"
+        # The largest finite literal still reads.
+        assert parse_event_line(line.replace(literal, literal.replace("1e999", "1.7976931348623157e308")))
+
+    @pytest.mark.parametrize("record, fields, message", [
+        ({**_ABSORPTION, "parents": [1.5]}, ("engine_time",), "'parents' must be an array of integers"),
+        ({**_DECAY, "total": "-1"}, ("lifetime_s",), "'total' must be a number"),
+        (_without(_DECAY, "total"), ("lifetime_s",), "missing field(s): total"),
+        ({**_DECAY, "engine_time": 10**400}, ("lifetime_s",), "'engine_time' is beyond the float range"),
+        (_DECAY, ("lifetime_s", "engine_time"), "'engine_time' is beyond the float range"),
+        (_DECAY, ("lifetime_s", "ds_internal"), "'ds_internal' is beyond the float range"),
+    ])
+    def test_float_literal_beyond_range_is_checked_last(self, record, fields, message):
+        """An earlier failed check keeps its message; then engine_time, then
+        the entropy columns in their order."""
+        line = json.dumps({**record, **dict.fromkeys(fields, "@")}).replace('"@"', "1e999")
+        with pytest.raises(ParseError) as err:
+            parse_event_line(line)
+        assert str(err.value) == f"line: {message}"
+        assert _outcome(reference_record_to_event, json.loads(line), "line") == f"ParseError: line: {message}"
 
     def test_largest_ids_parse(self):
         top = 2**64 - 1
