@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .engine import EventKind, EventTrace, SimEvent
@@ -177,9 +176,15 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
     return (label.time_number_s, label.event)
 
 
+class _Step(NamedTuple):  # what the ancestry pass reads of one event
+    id: EventId
+    kind: EventKind
+    parents: tuple[EventId, ...]  # 48 bytes for one parent, where a frozenset takes 216
+
+
 def _skeleton(
-    trace: EventTrace, candidates: Iterable[EventId]
-) -> tuple[list[SimEvent], dict[EventId, int]]:
+    records: Iterable[_Step], candidates: Iterable[EventId]
+) -> tuple[list[_Step], dict[EventId, int]]:
     """The steps of a trace, in id order, that can carry a labeled ancestor.
 
     Only ids in ``candidates`` may be labeled, so an event can have a
@@ -190,19 +195,20 @@ def _skeleton(
     last step that names it.
     """
     reach = set(candidates)  # candidates and the ids of kept steps
-    steps: list[SimEvent] = []
+    steps: list[_Step] = []
     kept: EventId | None = None  # the id of the last kept step
     isdisjoint, keep, add = reach.isdisjoint, steps.append, reach.add
-    for event in sorted(trace, key=attrgetter("id")):
-        if isdisjoint(event.parents) and event.id != kept:
+    for step in sorted(records, key=itemgetter(0)):
+        eid, _, parents = step
+        if isdisjoint(parents) and eid != kept:
             continue
-        keep(event)
-        add(kept := event.id)
-    return steps, {p: k for k, event in enumerate(steps) for p in event.parents}
+        keep(step)
+        add(kept := eid)
+    return steps, {p: k for k, (_, _, parents) in enumerate(steps) for p in parents}
 
 
 def _check_ancestry(
-    entries: tuple[TimeLabel, ...], steps: list[SimEvent], last_reader: dict[EventId, int]
+    entries: tuple[TimeLabel, ...], steps: list[_Step], last_reader: dict[EventId, int]
 ) -> tuple[list[CausalViolation], ResolutionReport]:
     """Compare sorted timeline entries with the causal ancestry of a trace.
 
@@ -238,18 +244,17 @@ def _check_ancestry(
     violations: list[CausalViolation] = []
     ordered = indistinguishable = 0
     n = len(steps)
-    for k, event in enumerate(steps):
+    for k, (eid, _, parents) in enumerate(steps):
         bits = 0
-        for p in event.parents:
+        for p in parents:
             bits |= live.pop(p, 0) if last_reader[p] == k else live.get(p, 0)
             i = bit.get(p)
             if i is not None:
                 bits |= 1 << i
-        eid = event.id
         if last_reader.get(eid, k) > k:
             live[eid] = bits
         i = bit.get(eid)
-        if i is None or not bits or (k + 1 < n and steps[k + 1].id == eid):
+        if i is None or not bits or (k + 1 < n and steps[k + 1][0] == eid):
             continue
         t = entries[i].time_number_s
         lo, hi = label_range[t]
@@ -339,32 +344,32 @@ def label_absorptions(
 class TraceIndex:
     """One trace, indexed once for labeling and checking against many clocks.
 
-    Building it collects the absorptions, sorts the trace by event id once,
-    and keeps the events that have an absorption among their ancestors:
-    only absorptions get labels, so only those events can carry a labeled
-    ancestor. The clocks' ticks are collected in one more scan when first
-    needed; ``check`` needs none. After that, labeling costs one bisection
-    per absorption and checking one pass over the kept events; labels that
-    name an event other than an absorption get a scan of their own.
-    ``build_timeline`` and ``resolution_report`` are ``check`` on a fresh
-    index.
+    Building it takes one pass over ``trace``, any iterable of events: it
+    keeps ``absorptions`` (in trace order) and the clock ticks whole, and of
+    every event what the ancestry pass reads. It sorts those records
+    by event id once and keeps the events with an absorption among their
+    ancestors: only absorptions get labels, so only those events can carry
+    a labeled ancestor. Then labeling costs one bisection per absorption
+    and checking one pass over the kept events; labels that name another
+    event get a scan of the records. ``build_timeline`` and
+    ``resolution_report`` are ``check`` on a fresh index.
     """
 
-    def __init__(self, trace: EventTrace):
-        self._trace = trace
-        absorption = EventKind.ABSORPTION  # one enum lookup, not one per event
-        self._absorptions = [e for e in trace if e.kind is absorption]
-        self._absorption_ids = {e.id for e in self._absorptions}
-        self._steps, self._last_reader = _skeleton(trace, self._absorption_ids)
-
-    @cached_property
-    def _ticks(self) -> dict[NodeId, list[SimEvent]]:
-        ticks: dict[NodeId, list[SimEvent]] = {}
-        tick = EventKind.CLOCK_TICK
-        for event in self._trace:
-            if event.kind is tick:
-                ticks.setdefault(event.node, []).append(event)
-        return ticks
+    def __init__(self, trace: Iterable[SimEvent]):
+        self.absorptions: list[SimEvent] = []
+        self._ticks: dict[NodeId, list[SimEvent]] = {}
+        self._records: list[_Step] = []
+        absorb, record = self.absorptions.append, self._records.append
+        absorption, tick = EventKind.ABSORPTION, EventKind.CLOCK_TICK  # one enum lookup, not one per event
+        for event in trace:
+            eid, kind, node, _, parents, _ = event
+            if kind is absorption:
+                absorb(event)
+            elif kind is tick:
+                self._ticks.setdefault(node, []).append(event)
+            record(tuple.__new__(_Step, (eid, kind, tuple(parents))))
+        self._absorption_ids = {e.id for e in self.absorptions}
+        self._steps, self._last_reader = _skeleton(self._records, self._absorption_ids)
 
     @property
     def clocks(self) -> list[NodeId]:
@@ -377,7 +382,7 @@ class TraceIndex:
 
     def label(self, pulses: tuple[ClockPulse, ...]) -> tuple[tuple[TimeLabel, ...], int]:
         """Label every absorption with ``pulses``, as ``label_absorptions`` does."""
-        return _label(self._absorptions, pulses)
+        return _label(self.absorptions, pulses)
 
     def check(
         self, labels: tuple[TimeLabel, ...] | list[TimeLabel], observer: NodeId | None = None
@@ -396,7 +401,7 @@ class TraceIndex:
             observer = next(iter(clocks))
         steps, last_reader = self._steps, self._last_reader
         if not self._absorption_ids.issuperset(lb.event for lb in labels):
-            steps, last_reader = _skeleton(self._trace, [lb.event for lb in labels])
+            steps, last_reader = _skeleton(self._records, [lb.event for lb in labels])
         entries = tuple(sorted(labels, key=_by_time_then_event))
         violations, resolution = _check_ancestry(entries, steps, last_reader)
         violations.sort(key=lambda v: (v.descendant, v.ancestor))

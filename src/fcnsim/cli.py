@@ -19,19 +19,20 @@ import gc
 import logging
 import os
 import sys
-from collections import Counter
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .chronology import TraceIndex
-from .engine import Engine, EventKind, EventTrace, RunConfig, SamplingMode, SimEvent
+from .engine import Engine, EventKind, RunConfig, SamplingMode, SimEvent
 from .entropy import EntropyModel
 from .errors import FcnError, ParseError, ValidationFailed
 from .io import (
+    ENTROPY_COLUMNS,
+    entropy_rows,
+    iter_trace,
     parse_network_file,
-    read_trace,
-    write_entropy_csv,
+    write_csv,
     write_events,
     write_timeline_csv,
     write_trace,
@@ -173,14 +174,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
-    index = TraceIndex(trace)
-    pulses = index.pulses(args.clock)
     if args.net:
         spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
         if spec is None:
             print(f"error: no standard clock at node {args.clock} in {args.net}", file=sys.stderr)
             return 2
+    index = TraceIndex(iter_trace(args.trace))
+    pulses = index.pulses(args.clock)
+    if args.net:
         for k, pulse in enumerate(pulses):
             t, counter = spec.tick_time(k), spec.counter_start + k
             if (pulse.engine_time, pulse.counter) != (t, counter):
@@ -198,9 +199,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     timeline, violations, _ = index.check(labels, observer=args.clock)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            rows = write_timeline_csv(timeline, trace, fp)
+            rows = write_timeline_csv(timeline, index.absorptions, fp)
     else:
-        rows = write_timeline_csv(timeline, trace, sys.stdout)
+        rows = write_timeline_csv(timeline, index.absorptions, sys.stdout)
     print(
         f"timeline: clock {args.clock}: {rows} labels, {skipped} skipped, "
         f"{len(violations)} causal violations",
@@ -209,37 +210,40 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _second_law_violations(trace: EventTrace) -> int:
-    decay = EventKind.DECAY
-    return sum(1 for e in trace if e.kind is decay and e.payload["total"] < 0)
-
-
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
+    # The rows are written once the whole trace has passed its checks.
+    rows = entropy_rows(iter_trace(args.trace))
+    violations = sum(1 for row in rows if row[4] < 0)  # row[4] is the total
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            rows = write_entropy_csv(trace, fp)
+            write_csv(fp, ENTROPY_COLUMNS, rows)
     else:
-        rows = write_entropy_csv(trace, sys.stdout)
-    violations = _second_law_violations(trace)
-    print(f"entropy: {rows} decays, {violations} second-law violations", file=sys.stderr)
+        write_csv(sys.stdout, ENTROPY_COLUMNS, rows)
+    print(f"entropy: {len(rows)} decays, {violations} second-law violations", file=sys.stderr)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    trace = read_trace(args.trace)
-    print(f"events: {len(trace)}")
-    counts = Counter(e.kind for e in trace)
+    counts = dict.fromkeys(EventKind, 0)  # a plain dict: CPython specializes its item updates
+    negative = 0  # decays with a negative total entropy change
+
+    def tallied(events: Iterable[SimEvent]) -> Iterator[SimEvent]:
+        nonlocal negative
+        decay = EventKind.DECAY
+        for event in events:
+            counts[kind := event.kind] += 1
+            negative += kind is decay and event.payload["total"] < 0
+            yield event
+
+    # One pass over the stream counts the kinds, finds every clock's pulses
+    # and keeps the events that descend from an absorption; each clock then
+    # costs one labeling and one pass over those events.
+    index = TraceIndex(tallied(iter_trace(args.trace)))
+    print(f"events: {sum(counts.values())}")
     for kind in sorted(counts, key=attrgetter("value")):
-        print(f"  {kind.value}: {counts[kind]}")
-    print(
-        f"entropy: {counts[EventKind.DECAY]} decays, "
-        f"{_second_law_violations(trace)} second-law violations"
-    )
-    # One scan finds every clock's pulses and keeps the events that descend
-    # from an absorption; each clock then costs one labeling and one pass
-    # over those events.
-    index = TraceIndex(trace)
+        if counts[kind]:
+            print(f"  {kind.value}: {counts[kind]}")
+    print(f"entropy: {counts[EventKind.DECAY]} decays, {negative} second-law violations")
     for clock_id in index.clocks:
         pulses = index.pulses(clock_id)
         labels, skipped = index.label(pulses)

@@ -16,7 +16,8 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, IO, Iterable
+from operator import itemgetter
+from typing import Any, IO, Iterable, Iterator
 
 from .chronology import Timeline
 from .engine import EventKind, EventTrace, SimEvent
@@ -93,7 +94,7 @@ class _Fields:
         elif kind == "number":
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParseError(f"field {name!r} must be a number", self.where)
-            value = float(value)
+            value = _float(value, name, self.where)
             if not math.isfinite(value):
                 raise ParseError(f"field {name!r} must be finite", self.where)
         elif kind == "bool":
@@ -115,6 +116,13 @@ class _Fields:
             raise ParseError(f"unknown field(s): {', '.join(sorted(unknown))}", self.where)
 
 
+def _float(value: int | float, name: str, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"field {name!r} is beyond the float range", where) from None
+
+
 def _reject_constant(text: str) -> float:
     raise ParseError(f"non-finite number literal {text!r} is not allowed", "document")
 
@@ -131,7 +139,8 @@ def _parse_position(value: Any, where: str) -> tuple[float, float, float]:
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise ParseError("field 'position_m' must be an array of three numbers", where)
-    return (float(value[0]), float(value[1]), float(value[2]))
+    x, y, z = (_float(v, "position_m", where) for v in value)
+    return (x, y, z)
 
 
 def parse_network(data: bytes | str) -> NetworkDocument:
@@ -150,6 +159,8 @@ def parse_network(data: bytes | str) -> NetworkDocument:
         raw = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno} column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or too deep nesting
+        raise ParseError(f"invalid JSON: {exc}", "document") from exc
 
     top = _Fields(raw, "document")
     version = top.take("schema_version", "str")
@@ -444,18 +455,19 @@ def _line_event(line: str, where: str | int) -> SimEvent | None:
     to ``json.loads``, whose message a malformed line reports. Both reject
     the literals ``NaN``, ``Infinity`` and ``-Infinity``. The message of a
     failed check, and the context string, are built only on failure.
+    Integers over CPython's digit limit and too deep nesting are invalid.
     """
     try:
         record, end = _scan_once(line, 0)
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(line) and (end < 0 or line[end:].strip(" \t\r")):
         if not line.strip():
             return None
         try:
             record = json.loads(line, parse_constant=_reject_line_constant)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", _context(where)) from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", _context(where)) from exc
     event = _event(record)
     if event is None:
         raise ParseError(_rejection(json.loads(line)), _context(where))
@@ -479,6 +491,22 @@ def parse_event_line(line: str, where: str = "line") -> SimEvent:
     return event
 
 
+def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
+    """The checked events on the lines of a trace, each line without its line feed."""
+    first_line: dict[int, int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        event = _line_event(line, lineno)
+        if event is None:
+            continue
+        if not first_line.keys() >= event.parents:
+            parent = min(event.parents - first_line.keys())
+            raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
+        seen = first_line.setdefault(event.id, lineno)
+        if seen != lineno:
+            raise ParseError(f"repeated event id {event.id} (first on line {seen})", f"line {lineno}")
+        yield event
+
+
 def parse_trace(text: str) -> EventTrace:
     """Parse a JSONL trace, one event per non-blank line.
 
@@ -489,20 +517,7 @@ def parse_trace(text: str) -> EventTrace:
     already used, and for a parent id that no earlier line's event has.
     ``parse_event_line`` reads one record without the last two checks.
     """
-    events = []
-    first_line: dict[int, int] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        event = _line_event(line, lineno)
-        if event is None:
-            continue
-        if not first_line.keys() >= event.parents:
-            parent = min(event.parents - first_line.keys())
-            raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
-        seen = first_line.setdefault(event.id, lineno)
-        if seen != lineno:
-            raise ParseError(f"repeated event id {event.id} (first on line {seen})", f"line {lineno}")
-        events.append(event)
-    return tuple(events)
+    return tuple(_checked(text.split("\n")))
 
 
 def write_events(events: Iterable[SimEvent], fp: IO[str]) -> int:
@@ -531,63 +546,63 @@ def write_trace(trace: Iterable[SimEvent], path: str | Path) -> int:
     return lines
 
 
+def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
+        yield text.removesuffix("\n")
+
+
+def iter_trace(path: str | Path) -> Iterator[SimEvent]:
+    """The events of a trace file as ``parse_trace`` checks them, read one line at a time.
+
+    The bytes must be strict UTF-8, and a bad byte is reported before any
+    other error: after a failed check the rest of the file is decoded.
+    """
+    with open(path, "rb") as fp:
+        lines = _decoded(fp)
+        try:
+            yield from _checked(lines)
+        except ParseError:
+            for _ in lines:  # raises at the first bad byte after the failed line
+                pass
+            raise
+
+
 def read_trace(path: str | Path) -> EventTrace:
-    """``parse_trace`` of a file's bytes, which must be strict UTF-8."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
-    del data  # parse without holding the bytes as well as the text
-    return parse_trace(text)
+    """``parse_trace`` of a file, read as ``iter_trace`` reads it."""
+    return tuple(iter_trace(path))
 
 
 # -- CSV reports ---------------------------------------------------------
 
 
-def _csv_writer(fp: IO[str]) -> Any:
+def write_csv(fp: IO[str], columns: Iterable[str], rows: list[Iterable[Any]]) -> int:
+    """Write a header row and ``rows``; returns the row count."""
     # Fixed line terminator so files are byte-identical across platforms.
-    return csv.writer(fp, lineterminator="\n")
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return len(rows)
 
 
-def write_timeline_csv(timeline: Timeline, trace: EventTrace, fp: IO[str]) -> int:
-    """Write one row per time label; returns the row count."""
+def write_timeline_csv(timeline: Timeline, trace: Iterable[SimEvent], fp: IO[str]) -> int:
+    """Write one row per time label; ``trace`` need hold only the labeled events."""
     node_of = {e.id: e.node for e in trace}
-    writer = _csv_writer(fp)
-    writer.writerow(TIMELINE_COLUMNS)
-    for label in timeline.entries:
-        writer.writerow(
-            (
-                label.event,
-                node_of.get(label.event, ""),
-                label.triplet.pulse,
-                label.triplet.label,
-                label.time_number_s,
-            )
-        )
-    return len(timeline.entries)
+    return write_csv(fp, TIMELINE_COLUMNS, [
+        (lb.event, node_of.get(lb.event, ""), lb.triplet.pulse, lb.triplet.label, lb.time_number_s)
+        for lb in timeline.entries
+    ])
 
 
-def write_entropy_csv(trace: EventTrace, fp: IO[str]) -> int:
+def entropy_rows(trace: Iterable[SimEvent]) -> list[tuple[Any, ...]]:
+    """One ``ENTROPY_COLUMNS`` row per decay, straight from the decay payloads."""
+    decay, columns = EventKind.DECAY, itemgetter(*ENTROPY_COLUMNS[1:])
+    return [(e.id, *columns(e.payload)) for e in trace if e.kind is decay]
+
+
+def write_entropy_csv(trace: Iterable[SimEvent], fp: IO[str]) -> int:
     """Write one row per decay, straight from the decay payloads."""
-    writer = _csv_writer(fp)
-    writer.writerow(ENTROPY_COLUMNS)
-    rows, decay = 0, EventKind.DECAY
-    for event in trace:
-        if event.kind is not decay:
-            continue
-        p = event.payload
-        writer.writerow(
-            (
-                event.id,
-                p["ds_internal"],
-                p["ds_signal"],
-                p["ds_vacuum"],
-                p["total"],
-                p["production_rate"],
-                p["lifetime_s"],
-            )
-        )
-        rows += 1
-    return rows
+    return write_csv(fp, ENTROPY_COLUMNS, entropy_rows(trace))

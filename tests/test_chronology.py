@@ -288,12 +288,14 @@ class TestAgainstReference:
     def test_trace_index_check(self, trace, labels):
         """``TraceIndex.check`` agrees with the reference for labels on the
         absorptions alone, and for labels that also name other events."""
-        index = TraceIndex(trace)
+        index, streamed = TraceIndex(trace), TraceIndex(iter(trace))
         absorptions = {e.id for e in trace if e.kind is EventKind.ABSORPTION}
         for chosen in ([lb for lb in labels if lb.event in absorptions], labels):
             timeline, violations, resolution = index.check(chosen)
             assert violations == reference_violations(timeline, trace)
             assert resolution == reference_resolution(timeline, trace)
+            # An index built from a one-pass iterator gives the same result.
+            assert streamed.check(chosen) == (timeline, violations, resolution)
 
     def test_closed_form_counts_on_a_long_chain(self):
         """n chained absorptions in label groups of sizes k: every pair is

@@ -291,6 +291,12 @@ class TestTimeline:
         assert captured.err == f"error: clock 3: {message.format(net=net)}\n"
         assert captured.out == ""
 
+    def test_bad_net_is_reported_before_bad_trace(self, chain_trace_file, chain_net, capsys):
+        """``--net`` is read first, so with both inputs malformed the network is named."""
+        _set_on_first(chain_trace_file, "absorption", "parents", [99])
+        assert main(["timeline", str(chain_trace_file), "--clock", "2", "--net", chain_net]) == 2
+        assert capsys.readouterr().err == f"error: no standard clock at node 2 in {chain_net}\n"
+
 
 class TestEntropy:
     def test_columns_and_rows(self, chain_trace_file, capsys):
@@ -394,6 +400,30 @@ class TestMalformedTrace:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("decay", "note", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ("absorption", "node", "7" * 5001, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ], ids=["deep-nesting", "digit-limit"])
+    def test_undecodable_json_exits_2(self, chain_trace_file, command, kind, field, value, message, capsys):
+        lineno = _set_on_first(chain_trace_file, kind, field, "@")
+        chain_trace_file.write_text(chain_trace_file.read_text().replace('"@"', value))
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line {lineno}: invalid JSON: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    def test_bad_byte_is_reported_before_an_earlier_bad_line(self, chain_trace_file, command, capsys):
+        _set_on_first(chain_trace_file, "absorption", "parents", [99])
+        with open(chain_trace_file, "ab") as fp:
+            fp.write(b'{"note": "\xff"}\n')
+        lines = chain_trace_file.read_bytes().count(b"\n")
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {lines}: invalid UTF-8: invalid start byte\n"
+        assert captured.out == ""
+
     def test_report_on_tick_without_pulse_id_exits_2(self, chain_trace_file, capsys):
         lineno = _rewrite_first(chain_trace_file, "clock_tick", ("pulse_id",))
         assert main(["report", str(chain_trace_file)]) == 2
@@ -429,6 +459,36 @@ def test_run_memory_does_not_grow_with_horizon(tmp_path):
 
     peak("1")  # warm-up: first-use caches are not the run's memory
     once, four_times = peak("1"), peak("4")
+    assert four_times <= 1.1 * once + 64 * 1024, (once, four_times)
+
+
+def test_entropy_memory_does_not_grow_with_other_events(tmp_path):
+    """``entropy`` keeps the decay rows and no event: with 1000 decays, a
+    trace with 4x the other events (1000 emissions instead of 250) peaks
+    within 10% of the smaller one. A reader that kept the events would
+    hold about 1 MB more; the reader's table of seen ids grows by less
+    than 100 bytes per event."""
+    root = {"id": 0, "kind": "external_excitation", "node": 1, "engine_time": 0.0, "parents": [],
+            "excitation_id": 0, "energy_ev": 1.5}
+    decay = {"kind": "decay", "node": 1, "engine_time": 1.0, "parents": [0], "excitation_id": 0,
+             "energy_ev": 1.5, "gamma_ev": 1e-15, "ds_internal": -58.0, "ds_signal": 5802.25,
+             "ds_vacuum": 0.0, "total": 5744.25, "production_rate": 13442.5, "lifetime_s": 0.4}
+    trace = tmp_path / "t.jsonl"
+
+    def peak(others: int) -> int:
+        emissions = ({"id": i, "kind": "emission", "node": 1, "engine_time": 0.5, "parents": [i - 1],
+                      "arc": 1, "energy_ev": 1.5, "wavelength_nm": 826.5} for i in range(1, others + 1))
+        decays = ({**decay, "id": others + i, "lifetime_s": 0.4 + i} for i in range(1, 1001))
+        trace.write_text("".join(json.dumps(r) + "\n" for r in (root, *emissions, *decays)))
+        tracemalloc.start()
+        try:
+            assert main(["entropy", str(trace), "--out", str(tmp_path / "e.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(250)  # warm-up: first-use caches are not the command's memory
+    once, four_times = peak(250), peak(1000)
     assert four_times <= 1.1 * once + 64 * 1024, (once, four_times)
 
 

@@ -22,9 +22,11 @@ from fcnsim import (
     parse_trace,
     serialize_trace,
 )
+from fcnsim.cli import main
 from fcnsim.io import (
     ENTROPY_COLUMNS,
     event_to_record,
+    iter_trace,
     parse_event_line,
     read_trace,
     serialize_event,
@@ -167,6 +169,44 @@ class TestParseNetwork:
         text = json.dumps(chain_doc()).replace("0.0", "NaN", 1)
         with pytest.raises(ParseError):
             parse_network(text)
+
+    @pytest.mark.parametrize("field, where, path", [
+        ("distance_m", "arcs[0]", ("arcs", 0, "distance_m")),
+        ("position_m", "nodes[0]", ("nodes", 0, "position_m", 0)),
+    ])
+    def test_integer_beyond_float_range(self, fixtures_dir, tmp_path, capsys, field, where, path):
+        doc = json.loads((fixtures_dir / "chain.net.json").read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = "@"
+        text = json.dumps(doc).replace('"@"', str(10**400))
+        message = f"{where}: field {field!r} is beyond the float range"
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert str(err.value) == message
+        net = tmp_path / "net.json"
+        net.write_text(text)
+        trace = str(fixtures_dir / "chain.expected-trace.jsonl")
+        for argv in (["validate", str(net)], ["run", str(net), "--until", "1"],
+                     ["timeline", trace, "--clock", "3", "--net", str(net)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        (json.dumps({**chain_doc(), "standard_clocks": [{"id": 3, "period_s": 1.0, "counter_start": "@"}]})
+         .replace('"@"', "9" * 5001), "Exceeds the limit (4300 digits) for integer string conversion"),
+    ], ids=["deep-nesting", "digit-limit"])
+    def test_undecodable_json_names_the_document(self, tmp_path, capsys, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert str(err.value).startswith(f"document: invalid JSON: {message}")
+        net = tmp_path / "net.json"
+        net.write_text(text)
+        assert main(["validate", str(net)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: document: invalid JSON: {message}")
 
     def test_malformed_parent_list_rejected(self):
         line = json.dumps(
@@ -443,6 +483,48 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError) as err:
             read_trace(path)
         assert str(err.value) == "line 3: invalid UTF-8: invalid start byte"
+
+    @pytest.mark.parametrize("earlier, lineno", [
+        (b'{"id": 9', 4),  # invalid JSON
+        (json.dumps(_DECAY).encode(), 4),  # a parent that names no earlier event
+        (json.dumps(_ROOT).encode(), 4),  # a repeated id
+        (json.dumps(_without(_TICK, "counter")).encode(), 4),  # a missing field
+        (b'{"id": 9, "note": "\xfe"}', 2),  # the first of two bad bytes
+    ], ids=["json", "parent", "repeated-id", "field", "utf8"])
+    def test_invalid_utf8_is_reported_before_any_other_error(self, tmp_path, earlier, lineno):
+        """Read one line at a time, a file still reports its first bad byte
+        rather than an error on an earlier line."""
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(_lines(_ROOT).encode() + earlier + b'\n\n{"id": 2, "note": "\xff"}\n')
+        for read in (read_trace, lambda p: list(iter_trace(p))):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert str(err.value) == f"line {lineno}: invalid UTF-8: invalid start byte"
+
+    def test_iter_trace_reads_one_line_at_a_time(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(_lines(_ROOT, _ABSORPTION) + '{"id": 9\n')
+        events = iter_trace(path)
+        assert (next(events), next(events)) == parse_trace(_lines(_ROOT, _ABSORPTION))
+        with pytest.raises(ParseError) as err:
+            next(events)
+        assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("note", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ("node", "7" * 5001, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ], ids=["deep-nesting", "digit-limit"])
+    def test_undecodable_json_names_its_line(self, tmp_path, field, value, message):
+        """Nesting deeper than the recursion limit and an integer over
+        CPython's digit limit are invalid JSON, not a crash."""
+        line = json.dumps({**_ABSORPTION, field: "@"}).replace('"@"', value)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(_lines(_ROOT) + line + "\n")
+        for read, where in ((read_trace, "line 2"), (lambda p: parse_trace(p.read_text()), "line 2"),
+                            (lambda p: parse_event_line(line), "line")):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert str(err.value).startswith(f"{where}: invalid JSON: {message}")
 
     def test_parents_must_name_earlier_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -218,6 +218,27 @@ def test_trace_index_matches_reference(case):
 
 
 @pytest.mark.parametrize("case", RUNS)
+def test_streamed_index_matches_index_of_trace(case):
+    """An index built from a one-pass iterator equals one built from the
+    trace: the same absorptions, clocks, pulses, labels, timelines,
+    violations and resolution, for the recorded pulses and at half the period."""
+    network, trace = _run(case)
+    index, streamed = TraceIndex(trace), TraceIndex(iter(trace))
+    assert streamed.absorptions == index.absorptions
+    assert streamed.clocks == index.clocks
+    horizon = max((e.engine_time for e in trace), default=0.0)
+    for clock_id in index.clocks:
+        pulses = index.pulses(clock_id)
+        assert streamed.pulses(clock_id) == pulses
+        declared = network.clock_by_node[clock_id]
+        half = replace(declared, period_s=declared.period_s / 2)
+        for spec_pulses in (pulses, clock_pulses(half, until_s=horizon)):
+            labels, skipped = index.label(spec_pulses)
+            assert streamed.label(spec_pulses) == (labels, skipped)
+            assert streamed.check(labels, observer=clock_id) == index.check(labels, observer=clock_id)
+
+
+@pytest.mark.parametrize("case", RUNS)
 def test_recorded_pulses_never_invert_causal_order(case):
     """Labels taken from a trace's own pulses never invert causal order:
     the floor label is monotone in engine_time, and engine_time never
