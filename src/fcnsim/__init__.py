@@ -17,8 +17,6 @@ from .chronology import (
     TripletState,
     build_timeline,
     clock_pulses,
-    extract_time,
-    form_triplet,
     label_absorptions,
     pulses_from_trace,
     resolution_report,
@@ -31,7 +29,6 @@ from .engine import (
     RunConfig,
     SamplingMode,
     SimEvent,
-    sample_decay_delay,
 )
 from .entropy import (
     DEFAULT_ENTROPY_MODEL,
@@ -47,9 +44,7 @@ from .errors import (
     ClockMismatch,
     DegenerateLevels,
     DuplicateEvent,
-    Exhausted,
     FcnError,
-    NoClockPulse,
     NonPositiveEnergy,
     NotExcited,
     ParseError,
@@ -80,9 +75,7 @@ from .network import (
     validate_network,
 )
 from .quantum import (
-    ConfigurationState,
     EnergyLevel,
-    ExcitationIds,
     TwoLevelSpec,
     absorb,
     decay,

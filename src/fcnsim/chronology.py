@@ -21,7 +21,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .engine import EventKind, EventTrace, SimEvent
-from .errors import ClockMismatch, NoClockPulse
+from .errors import ClockMismatch
 from .network import EventId, NodeId, PulseId, StandardClockSpec
 
 
@@ -39,8 +39,8 @@ class TripletState(NamedTuple):
 
     ``signal_state`` is the absorption event id, ``pulse`` the paired
     pulse id, ``label`` the pulse's counter at pairing. ``clock`` records
-    which clock the pulse belongs to so a mismatched extraction is
-    detectable from the triplet alone.
+    which clock the pulse belongs to, so labels from different clocks are
+    detectable from the triplets alone (``TraceIndex.check`` rejects them).
     """
 
     signal_state: EventId
@@ -127,49 +127,6 @@ def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, .
         )
         k += 1
     return tuple(pulses)
-
-
-def form_triplet(absorption: SimEvent, pulses: tuple[ClockPulse, ...]) -> TripletState:
-    """Pair an absorption with the latest pulse at or before it.
-
-    ``pulses`` must be in time order, as the pulse helpers produce them.
-    An arrival exactly on a tick pairs with that tick. Raises NoClockPulse
-    when the absorption precedes the first pulse (or there are none).
-    """
-    if absorption.kind is not EventKind.ABSORPTION:
-        raise ValueError(f"event {absorption.id} is {absorption.kind.value}, not an absorption")
-    after = bisect_right(pulses, absorption.engine_time, key=attrgetter("engine_time"))
-    if after == 0:
-        raise NoClockPulse(
-            f"absorption {absorption.id} at engine_time {absorption.engine_time} "
-            f"precedes the first clock pulse"
-        )
-    pulse = pulses[after - 1]
-    return TripletState(
-        signal_state=absorption.id, pulse=pulse.id, label=pulse.counter, clock=pulse.clock
-    )
-
-
-def extract_time(triplet: TripletState, clock: StandardClockSpec) -> TimeLabel:
-    """Turn a triplet into a time number using its clock's spec.
-
-    The time number is the paired pulse's nominal time,
-    first_tick + (label - counter_start) * period, computed with the same
-    expression the engine uses for tick times, so for a pulse the engine
-    recorded it is that pulse's ``engine_time``, the number the labeling
-    functions below take. Raises ClockMismatch when the triplet was formed
-    against a different clock.
-    """
-    if triplet.clock != clock.id:
-        raise ClockMismatch(
-            f"triplet paired with clock at node {triplet.clock}, "
-            f"asked to extract with clock at node {clock.id}"
-        )
-    return TimeLabel(
-        event=triplet.signal_state,
-        time_number_s=clock.tick_time(triplet.label - clock.counter_start),
-        triplet=triplet,
-    )
 
 
 def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:

@@ -1,8 +1,8 @@
 """Command-line surface: validate, run, timeline, entropy, report.
 
-Exit codes: 0 success, 1 usage error, 2 validation or parse error,
-3 runtime error. Set FCN_LOG=debug|info|warning for diagnostics on
-stderr.
+Exit codes: 0 success, 1 usage error, 2 validation or parse error or a
+path that is missing or a directory, 3 runtime error. Set
+FCN_LOG=debug|info|warning for diagnostics on stderr.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores its previous state afterwards. A command builds tens of
@@ -37,7 +37,7 @@ from .io import (
     write_timeline_csv,
     write_trace,
 )
-from .network import CouplingKind, classify_coupling
+from .network import DEFAULT_COUPLING_FRACTION, CouplingKind, classify_coupling
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     p_validate.add_argument(
         "--coupling-fraction",
         type=float,
-        default=0.01,
+        default=DEFAULT_COUPLING_FRACTION,
         help="transit/lifetime ratio below which nodes couple collectively",
     )
 
@@ -295,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FcnError, OSError, ValueError) as exc:

@@ -9,14 +9,13 @@ ids are assigned in emission order, so the trace is totally ordered by
 
 ``Engine.events`` is the loop: it yields each event as it is produced
 and keeps none, so ``fcnsim run``, which writes each one out as it comes,
-holds no trace whatever the horizon. ``run`` and ``step`` drive the same
-loop and keep in ``trace`` the events they produce.
+holds no trace whatever the horizon. ``run`` is ``tuple(events())``.
 
 Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
 unique, so no later field is ever compared. The int tag indexes the
 handler table that the loop dispatches through. Per-node and per-arc
 tables (spec, gap, tolerance, lifetime, wavelength, outgoing arcs) are
-built when the run starts, on the first step.
+built when the run starts, on the first call of ``events``.
 
 engine_time is internal scheduler plumbing, not an observable: it never
 leaves the engine except inside trace files, where it is named
@@ -47,18 +46,9 @@ from enum import Enum
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
-from .errors import Exhausted, UnknownNode
+from .errors import UnknownNode
 from .network import ArcId, EventId, Network, NodeId, propagation_delay
-from .quantum import (
-    ConfigurationState,
-    ExcitationIds,
-    TwoLevelSpec,
-    absorb,
-    decay,
-    lifetime,
-    signal_energy,
-    wavelength_of,
-)
+from .quantum import TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
 
 logger = logging.getLogger(__name__)
 
@@ -117,21 +107,6 @@ class RunConfig:
 def _exponential_delay(tau: float, u: float) -> float:
     """Inverse-CDF exponential draw with mean ``tau`` from one uniform in [0, 1)."""
     return tau * -math.log1p(-u)
-
-
-def sample_decay_delay(gamma_ev: float | None, mode: SamplingMode, rng: Any = None) -> float:
-    """Delay between excitation and decay for a node with rate ``gamma_ev``.
-
-    Deterministic mode returns the lifetime exactly. Stochastic mode
-    returns an exponential draw with the lifetime as its mean, by inverse
-    CDF from exactly one uniform, ``rng.random()`` (a numpy Generator works).
-    """
-    tau = lifetime(gamma_ev)
-    if mode is SamplingMode.DETERMINISTIC:
-        return tau
-    if rng is None:
-        raise ValueError("stochastic sampling requires a generator")
-    return _exponential_delay(tau, rng.random())
 
 
 _BLOCK = 1024  # uniforms computed per refill of the stream
@@ -218,10 +193,9 @@ _NO_PARENTS: frozenset[EventId] = frozenset()
 class Engine:
     """Single-threaded event loop over one validated network.
 
-    All mutable state (node configurations, queue, trace, RNG) is owned by
-    the instance; separate instances share nothing and may run in
-    parallel. Identical (network, config, injections) give bit-identical
-    traces.
+    All mutable state (node states, queue, RNG) is owned by the instance;
+    separate instances share nothing and may run in parallel. Identical
+    (network, config, injections) give bit-identical traces.
     """
 
     def __init__(
@@ -236,9 +210,9 @@ class Engine:
         self._seq = itertools.count()
         self._event_ids = itertools.count()
         self._pulse_ids = itertools.count()
-        self._excitations = ExcitationIds()
-        self._states = {n.id: ConfigurationState.in_ground() for n in network.nodes}
-        self._trace: list[SimEvent] = []
+        self._excitations = itertools.count()
+        # Per node, the id of the excitation it holds; None in the ground state.
+        self._states: dict[NodeId, int | None] = dict.fromkeys(n.id for n in network.nodes)
         self._rows: dict[NodeId, _NodeRow] | None = None
         # Per node, the decay payload fields that depend only on the node.
         self._decay_fields: dict[NodeId, dict[str, float]] = {}
@@ -252,18 +226,6 @@ class Engine:
                 self._schedule(clock.tick_time(0), _TICK, clock.id, 0, None)
         for node, at in injections:
             self.inject_excitation(node, at)
-
-    @property
-    def network(self) -> Network:
-        return self._network
-
-    @property
-    def config(self) -> RunConfig:
-        return self._config
-
-    @property
-    def trace(self) -> EventTrace:
-        return tuple(self._trace)
 
     def inject_excitation(self, node: NodeId, at: float) -> int:
         """Schedule an external excitation of ``node`` at engine time ``at``.
@@ -279,24 +241,12 @@ class Engine:
             raise ValueError(f"injection time must be finite and >= 0, got {at}")
         return self._schedule(at, _INJECTION, node)
 
-    def step(self) -> SimEvent:
-        """Pop the earliest pending occurrence, apply it and keep its event in the trace.
-
-        Ties in engine_time resolve by scheduling order. Raises Exhausted
-        when nothing is pending within the run horizon.
-        """
-        event = next(self.events(), None)
-        if event is None:
-            raise Exhausted("no pending occurrences within run_until")
-        self._trace.append(event)
-        return event
-
     def events(self) -> Iterator[SimEvent]:
         """Apply pending occurrences in order until the horizon, yielding each event.
 
-        Keeps no event (``trace`` does not grow), so a consumer that writes
-        each one as it comes holds none. An occurrence that fails, such as
-        a decay with a non-finite entropy term, raises after the last yield.
+        Keeps no event, so a consumer that writes each one as it comes holds
+        none. An occurrence that fails, such as a decay with a non-finite
+        entropy term, raises after the last yield.
         """
         if self._rows is None:
             self._build_tables()
@@ -311,9 +261,8 @@ class Engine:
             yield event
 
     def run(self) -> EventTrace:
-        """Step until exhausted, keeping every event, and return the trace snapshot."""
-        self._trace.extend(self.events())
-        return self.trace
+        """The events of the remaining run, as a trace; a second call returns ()."""
+        return tuple(self.events())
 
     # -- set-up -----------------------------------------------------------
 
@@ -363,31 +312,31 @@ class Engine:
         gap = row.gap_ev
         # An injection delivers exactly the gap energy, so it is resonant
         # by construction; absorb() still arbitrates occupancy.
-        outcome = absorb(self._states[node], row.spec, gap, 0.0, self._excitations)
-        if outcome is None:
+        excitation = absorb(self._states[node], row.spec, gap, 0.0, self._excitations)
+        if excitation is None:
             return self._emit_event(
                 EventKind.PASS_THROUGH, node, t, _NO_PARENTS, {"reason": "occupied", "energy_ev": gap}
             )
-        self._states[node] = outcome
+        self._states[node] = excitation
         event = self._emit_event(
             EventKind.EXTERNAL_EXCITATION,
             node,
             t,
             _NO_PARENTS,
-            {"excitation_id": outcome.excitation_id, "energy_ev": gap},
+            {"excitation_id": excitation, "energy_ev": gap},
         )
-        self._schedule_decay(row, node, outcome.excitation_id, t, event.id)
+        self._schedule_decay(row, node, excitation, t, event.id)
         return event
 
     def _process_decay(self, occ: tuple[Any, ...]) -> SimEvent:
         t, _, _, node, excitation_id, parent = occ
         row = self._rows[node]
-        state = self._states[node]
+        held = self._states[node]
         # Exactly one decay is scheduled per excitation and nothing else
-        # de-excites a node, so the state must still carry this id.
-        assert state.excitation_id == excitation_id
-        ground, emitted = decay(state, row.spec)
-        self._states[node] = ground
+        # de-excites a node, so the node must still hold this id.
+        assert held == excitation_id
+        emitted = decay(held, row.spec)
+        self._states[node] = None
         fields = self._decay_fields.get(node)
         if fields is None:
             breakdown, tau, rate = decay_entropy(emitted, row.spec.gamma_ev, self._config.entropy_model)
@@ -432,20 +381,20 @@ class Engine:
         row = self._rows[target]
         parents = frozenset((parent,))
         if row.can_detect:
-            state = self._states[target]
-            outcome = absorb(state, row.spec, energy, row.tolerance_ev, self._excitations)
-            if outcome is not None:
-                self._states[target] = outcome
+            held = self._states[target]
+            excitation = absorb(held, row.spec, energy, row.tolerance_ev, self._excitations)
+            if excitation is not None:
+                self._states[target] = excitation
                 event = self._emit_event(
                     EventKind.ABSORPTION,
                     target,
                     t,
                     parents,
-                    {"arc": arc, "energy_ev": energy, "excitation_id": outcome.excitation_id},
+                    {"arc": arc, "energy_ev": energy, "excitation_id": excitation},
                 )
-                self._schedule_decay(row, target, outcome.excitation_id, t, event.id)
+                self._schedule_decay(row, target, excitation, t, event.id)
                 return event
-            reason = "occupied" if state.is_excited else "off_resonance"
+            reason = "off_resonance" if held is None else "occupied"
         else:
             reason = "not_detector"
         return self._emit_event(

@@ -154,8 +154,9 @@ def entropy_lifetime(breakdown: EntropyBreakdown, gamma_ev: float) -> EntropyLif
 class EntropyLedger:
     """Append-only record of entropy rows, keyed by decay event id.
 
-    Single-writer: the engine owns it during a run. ``entries()`` hands out
-    immutable snapshots that are safe to share afterwards.
+    Nothing in the engine or the CLI writes one: a run carries each decay's
+    entropy row in the decay event's payload. ``entries()`` hands out
+    immutable snapshots that are safe to share.
     """
 
     def __init__(self) -> None:

@@ -31,16 +31,8 @@ class UnknownNode(FcnError):
     """Referenced node id does not exist in the network."""
 
 
-class NoClockPulse(FcnError):
-    """No clock pulse at or before the event being labeled."""
-
-
 class ClockMismatch(FcnError):
     """Triplet was formed against a different standard clock."""
-
-
-class Exhausted(FcnError):
-    """No pending occurrence remains within the run horizon."""
 
 
 class ValidationFailed(FcnError):

@@ -4,15 +4,17 @@ A node is a two-level system. In its excited configuration it is an
 unstable emitter destined to decay; in its ground configuration it is a
 detector that a resonant signal can re-excite. The decay rate ``gamma``
 is an energy-valued quantity; dividing the reduced Planck constant by it
-yields the configuration's lifetime. All types here are immutable value
-objects and all operations are pure functions.
+yields the configuration's lifetime. A node's state is the id of the
+excitation it holds, or None in its ground state. All types here are
+immutable value objects, and every operation is a pure function except
+that ``absorb`` takes the next id from the iterator it is given.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .constants import CONSTANTS
 from .errors import DegenerateLevels, NonPositiveEnergy, NotExcited, StableConfiguration
@@ -60,48 +62,6 @@ class TwoLevelSpec:
         return self.gamma_ev is not None
 
 
-@dataclass(frozen=True)
-class ConfigurationState:
-    """Ground, or excited tagged with the excitation instance that created it.
-
-    Excitation ids are never reused: each absorption mints a fresh one, and
-    a decay retires it for good. Holding the id on the state is what makes
-    the decay-once rule checkable after the fact.
-    """
-
-    excitation_id: int | None = None
-
-    @classmethod
-    def in_ground(cls) -> "ConfigurationState":
-        return cls(None)
-
-    @classmethod
-    def in_excited(cls, excitation_id: int) -> "ConfigurationState":
-        return cls(excitation_id)
-
-    @property
-    def is_excited(self) -> bool:
-        return self.excitation_id is not None
-
-    @property
-    def is_ground(self) -> bool:
-        return self.excitation_id is None
-
-
-class ExcitationIds:
-    """Monotone allocator for excitation instance ids, one per engine run.
-
-    Engine-scoped rather than process-global so identical runs label their
-    excitations identically.
-    """
-
-    def __init__(self) -> None:
-        self._counter = itertools.count()
-
-    def fresh(self) -> int:
-        return next(self._counter)
-
-
 def signal_energy(spec: TwoLevelSpec) -> float:
     """Energy (eV) of the signal bridging the node's two levels."""
     return spec.excited.energy_ev - spec.ground.energy_ev
@@ -129,38 +89,39 @@ def lifetime(gamma_ev: float | None) -> float:
 
 
 def absorb(
-    state: ConfigurationState,
+    excitation: int | None,
     spec: TwoLevelSpec,
     signal_energy_ev: float,
     tolerance_ev: float,
-    ids: ExcitationIds,
-) -> ConfigurationState | None:
-    """Attempt resonant absorption; return the excited state or None.
+    ids: Iterator[int],
+) -> int | None:
+    """Attempt resonant absorption; return the new excitation id or None.
 
-    Absorption happens only when the node is in its ground state and the
-    incoming energy matches the level gap within ``tolerance_ev``. Every
-    other case is a pass-through (None): the signal is unchanged and keeps
-    going, and the node state is unchanged. An occupied node cannot hold a
-    second excitation, and off-resonance signals do not couple.
+    A node's state is the id of the excitation it holds, or None in its
+    ground state. Absorption happens only in the ground state and when the
+    incoming energy matches the level gap within ``tolerance_ev``; it takes
+    the next id from ``ids``, so ids are never reused. Every other case is
+    a pass-through (None): the signal is unchanged and keeps going, the
+    node state is unchanged, and no id is taken. An occupied node cannot
+    hold a second excitation, and off-resonance signals do not couple.
     """
     if tolerance_ev < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance_ev}")
-    if state.is_excited:
+    if excitation is not None:
         return None
     # Written so a NaN energy compares as off-resonance, not as a match.
     if not abs(signal_energy_ev - signal_energy(spec)) <= tolerance_ev:
         return None
-    return ConfigurationState.in_excited(ids.fresh())
+    return next(ids)
 
 
-def decay(state: ConfigurationState, spec: TwoLevelSpec) -> tuple[ConfigurationState, float]:
-    """Irreversibly decay an excited state.
+def decay(excitation: int | None, spec: TwoLevelSpec) -> float:
+    """Irreversibly decay the excitation a node holds; return the emitted energy.
 
-    Returns the ground state and the emitted signal energy (the full level
-    gap). The excitation id carried by ``state`` is retired: the returned
-    ground state cannot decay again, and no later state may reuse the id.
-    Raises NotExcited when called on a ground state.
+    The emitted signal carries the full level gap. The node returns to its
+    ground state (None) and the excitation id is retired. Raises
+    NotExcited when the node holds no excitation (``None``).
     """
-    if not state.is_excited:
+    if excitation is None:
         raise NotExcited("cannot decay a ground-state node")
-    return ConfigurationState.in_ground(), signal_energy(spec)
+    return signal_energy(spec)

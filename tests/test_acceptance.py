@@ -21,7 +21,6 @@ from fcnsim import (
     EntropyModel,
     EventKind,
     RunConfig,
-    SamplingMode,
     breakdown_for_decay,
     build_timeline,
     clock_pulses,
@@ -29,9 +28,9 @@ from fcnsim import (
     label_absorptions,
     lifetime,
     resolution_report,
-    sample_decay_delay,
 )
 from fcnsim.cli import main
+from fcnsim.engine import _exponential_delay
 from fcnsim.io import parse_network_file, serialize_trace
 from helpers import (
     HBAR,
@@ -174,9 +173,7 @@ def test_criterion_7_stochastic_decay():
 
     def draw_all(seed: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(seed))
-        return np.array(
-            [sample_decay_delay(gamma, SamplingMode.STOCHASTIC, rng) for _ in range(100_000)]
-        )
+        return np.array([_exponential_delay(lifetime(gamma), rng.random()) for _ in range(100_000)])
 
     draws = draw_all(42)
     rerun = draw_all(42)

@@ -1,4 +1,4 @@
-"""Triplet pairing, time extraction, timelines, and resolution counting."""
+"""Triplet pairing, time numbers, timelines, and resolution counting."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from fcnsim import (
     ClockMismatch,
     Engine,
     EventKind,
-    NoClockPulse,
     RunConfig,
     SimEvent,
     StandardClockSpec,
@@ -19,8 +18,6 @@ from fcnsim import (
     TripletState,
     build_timeline,
     clock_pulses,
-    extract_time,
-    form_triplet,
     label_absorptions,
     pulses_from_trace,
     resolution_report,
@@ -49,33 +46,34 @@ def chain_trace(chain):
     return Engine(net, RunConfig(run_until_s=5.0), injections).run()
 
 
+def label_one(t: float, clock: StandardClockSpec, until_s: float = 5.0) -> tuple[tuple[TimeLabel, ...], int]:
+    """``label_absorptions`` of a trace holding one absorption at ``t``."""
+    return label_absorptions((absorption_at(10, t),), clock, clock_pulses(clock, until_s))
+
+
 class TestFormTriplet:
     def test_floor_pairing(self):
-        pulses = clock_pulses(unit_clock(), until_s=5.0)
-        triplet = form_triplet(absorption_at(10, 2.3), pulses)
-        assert triplet.label == 2
-        assert triplet.signal_state == 10
+        (label,), _ = label_one(2.3, unit_clock())
+        assert label.triplet.label == 2
+        assert label.triplet.signal_state == 10
 
     def test_arrival_on_tick_pairs_with_that_tick(self):
-        pulses = clock_pulses(unit_clock(), until_s=5.0)
-        assert form_triplet(absorption_at(10, 3.0), pulses).label == 3
+        (label,), _ = label_one(3.0, unit_clock())
+        assert label.triplet.label == 3
 
     def test_absorption_before_first_pulse(self):
-        pulses = clock_pulses(unit_clock(first=1.0), until_s=5.0)
-        with pytest.raises(NoClockPulse):
-            form_triplet(absorption_at(10, 0.5), pulses)
+        assert label_one(0.5, unit_clock(first=1.0)) == ((), 1)
 
     def test_empty_pulse_history(self):
-        with pytest.raises(NoClockPulse):
-            form_triplet(absorption_at(10, 0.5), ())
+        assert label_absorptions((absorption_at(10, 0.5),), unit_clock(), ()) == ((), 1)
 
     def test_rejects_non_absorption(self):
+        """Only absorptions are paired: a clock tick in the trace gets no label."""
         tick = SimEvent(
             id=0, kind=EventKind.CLOCK_TICK, node=9, engine_time=0.0,
             parents=frozenset(), payload={"pulse_id": 0, "counter": 0},
         )
-        with pytest.raises(ValueError):
-            form_triplet(tick, clock_pulses(unit_clock(), until_s=5.0))
+        assert label_absorptions((tick,), unit_clock(), clock_pulses(unit_clock(), until_s=5.0)) == ((), 0)
 
     @given(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -83,40 +81,54 @@ class TestFormTriplet:
     )
     def test_matches_linear_scan(self, t, period):
         """The bisect pairing agrees with a brute-force scan of the pulses."""
-        pulses = clock_pulses(unit_clock(period=period), until_s=101.0)
+        clock = unit_clock(period=period)
+        pulses = clock_pulses(clock, until_s=101.0)
         expected = max((p for p in pulses if p.engine_time <= t), key=lambda p: p.engine_time)
-        assert form_triplet(absorption_at(1, t), pulses).pulse == expected.id
+        (label,), _ = label_one(t, clock, until_s=101.0)
+        assert label.triplet.pulse == expected.id
 
 
 class TestExtractTime:
+    """A time number is the paired pulse's recorded time, which is bitwise
+    the clock's nominal time ``tick_time(label - counter_start)``."""
+
+    @staticmethod
+    def nominal(label: TimeLabel, clock: StandardClockSpec) -> float:
+        return clock.tick_time(label.triplet.label - clock.counter_start)
+
     def test_unit_period(self):
-        triplet = TripletState(signal_state=1, pulse=2, label=2, clock=9)
-        label = extract_time(triplet, unit_clock())
-        assert label.time_number_s == 2.0
+        clock = unit_clock()
+        (label,), _ = label_one(2.3, clock)
+        assert label.time_number_s == self.nominal(label, clock) == 2.0
 
     def test_offset_clock(self):
-        triplet = TripletState(signal_state=1, pulse=2, label=2, clock=9)
-        label = extract_time(triplet, unit_clock(period=0.5, first=0.25))
-        assert label.time_number_s == 1.25
+        clock = unit_clock(period=0.5, first=0.25)
+        (label,), _ = label_one(1.3, clock)
+        assert label.triplet.label == 2
+        assert label.time_number_s == self.nominal(label, clock) == 1.25
 
     def test_counter_start_offsets_label(self):
-        triplet = TripletState(signal_state=1, pulse=0, label=7, clock=9)
-        label = extract_time(triplet, unit_clock(counter=5))
-        assert label.time_number_s == 2.0
+        clock = unit_clock(counter=5)
+        (label,), _ = label_one(2.3, clock)
+        assert label.triplet.label == 7
+        assert label.time_number_s == self.nominal(label, clock) == 2.0
 
     def test_wrong_clock_rejected(self):
-        triplet = TripletState(signal_state=1, pulse=2, label=2, clock=9)
+        """Labels carry their clock, so labels of two clocks are refused together."""
+        (ours,), _ = label_one(2.3, unit_clock())
+        (other,), _ = label_one(2.3, unit_clock(node=8))
+        assert (ours.triplet.clock, other.triplet.clock) == (9, 8)
         with pytest.raises(ClockMismatch):
-            extract_time(triplet, unit_clock(node=8))
+            build_timeline([ours, other], (absorption_at(10, 2.3),))
 
     def test_time_number_equals_pulse_time(self):
-        """Extraction reproduces the paired pulse's engine time bitwise."""
+        """The time number is the paired pulse's engine time and the nominal time, bitwise."""
         clock = unit_clock(period=0.25, first=0.125)
         pulses = clock_pulses(clock, until_s=20.0)
         for t in (0.125, 3.3, 7.77, 19.9):
-            triplet = form_triplet(absorption_at(1, t), pulses)
-            paired = next(p for p in pulses if p.id == triplet.pulse)
-            assert extract_time(triplet, clock).time_number_s == paired.engine_time
+            (label,), _ = label_one(t, clock, until_s=20.0)
+            paired = next(p for p in pulses if p.id == label.triplet.pulse)
+            assert label.time_number_s == paired.engine_time == self.nominal(label, clock)
 
 
 class TestBuildTimeline:

@@ -55,6 +55,14 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "timeline", "entropy", "report"])
+    def test_directory_exits_2(self, command, tmp_path, capsys):
+        """A directory given as the input is reported as a missing file is, not as a runtime error."""
+        extra = ["--clock", "3"] if command == "timeline" else []
+        assert main([command, str(tmp_path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and str(tmp_path) in err
+
     def test_validation_problems_listed(self, tmp_path, capsys):
         bad = tmp_path / "bad.net.json"
         bad.write_text(json.dumps({

@@ -13,18 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcnsim import engine as engine_module
+from fcnsim.engine import _exponential_delay
 from fcnsim import (
     Arc,
     Engine,
     EntropyModel,
     EventKind,
-    Exhausted,
     RunConfig,
     SamplingMode,
     StableConfiguration,
     StandardClockSpec,
     UnknownNode,
-    sample_decay_delay,
+    lifetime,
     validate_network,
     wavelength_of,
 )
@@ -64,16 +64,24 @@ class TestPcg64Stream:
 
 
 class TestSampleDecayDelay:
+    """The engine's decay delay: the lifetime in deterministic mode, else
+    ``_exponential_delay(lifetime(gamma), u)`` of one uniform ``u``. The
+    draws here take ``u`` from numpy's ``Generator(PCG64(seed))``, the
+    oracle the engine's own PCG64 stream is compared against."""
+
     def test_deterministic_is_the_lifetime(self):
-        assert sample_decay_delay(HBAR / 3.0, SamplingMode.DETERMINISTIC) == 3.0
+        net = validate_network([make_node(1, tau=3.0)], [])
+        trace = Engine(net, det_config(), [(1, 0.0)]).run()
+        assert [(e.kind, e.engine_time) for e in trace] == [
+            (EventKind.EXTERNAL_EXCITATION, 0.0),
+            (EventKind.DECAY, 3.0),
+        ]
 
     def test_stochastic_statistics(self):
         """With a pinned seed, 1e5 draws match the exponential's moments."""
         rng = np.random.Generator(np.random.PCG64(7))
         tau = 2.0
-        draws = [
-            sample_decay_delay(HBAR / tau, SamplingMode.STOCHASTIC, rng) for _ in range(100_000)
-        ]
+        draws = [_exponential_delay(lifetime(HBAR / tau), rng.random()) for _ in range(100_000)]
         mean = sum(draws) / len(draws)
         var = sum((d - mean) ** 2 for d in draws) / (len(draws) - 1)
         assert 1.98 <= mean <= 2.02
@@ -84,16 +92,14 @@ class TestSampleDecayDelay:
 
         rng = np.random.Generator(np.random.PCG64(11))
         tau = 0.5
-        draws = [
-            sample_decay_delay(HBAR / tau, SamplingMode.STOCHASTIC, rng) for _ in range(10_000)
-        ]
+        draws = [_exponential_delay(lifetime(HBAR / tau), rng.random()) for _ in range(10_000)]
         assert stats.kstest(draws, "expon", args=(0, tau)).pvalue >= 0.01
 
     def test_exactly_one_uniform_per_draw(self):
         rng = np.random.Generator(np.random.PCG64(123))
         tau = 2.0
-        d1 = sample_decay_delay(HBAR / tau, SamplingMode.STOCHASTIC, rng)
-        d2 = sample_decay_delay(HBAR / tau, SamplingMode.STOCHASTIC, rng)
+        d1 = _exponential_delay(lifetime(HBAR / tau), rng.random())
+        d2 = _exponential_delay(lifetime(HBAR / tau), rng.random())
         mirror = np.random.Generator(np.random.PCG64(123))
         u1, u2 = mirror.random(), mirror.random()
         assert d1 == tau * -math.log1p(-u1)
@@ -101,11 +107,7 @@ class TestSampleDecayDelay:
 
     def test_stable_configuration(self):
         with pytest.raises(StableConfiguration):
-            sample_decay_delay(None, SamplingMode.DETERMINISTIC)
-
-    def test_stochastic_requires_generator(self):
-        with pytest.raises(ValueError):
-            sample_decay_delay(HBAR, SamplingMode.STOCHASTIC, None)
+            lifetime(None)
 
 
 class TestChainFixture:
@@ -164,22 +166,21 @@ class TestStepAndScheduling:
     def test_step_returns_one_event_at_a_time(self, chain):
         net, injections = chain
         engine = Engine(net, det_config(), injections)
-        first = engine.step()
-        second = engine.step()
+        first = next(engine.events())
+        second = next(engine.events())
         assert first.id == 0 and second.id == 1
-        assert engine.trace == (first, second)
+        assert (first, second) == Engine(net, det_config(), injections).run()[:2]
 
     def test_exhausted_on_empty_schedule(self):
         net = validate_network([make_node(1, tau=1.0)], [])
-        with pytest.raises(Exhausted):
-            Engine(net, det_config()).step()
+        assert next(Engine(net, det_config()).events(), None) is None
 
     def test_exhausted_is_sticky(self, chain):
         net, injections = chain
         engine = Engine(net, det_config(), injections)
         engine.run()
-        with pytest.raises(Exhausted):
-            engine.step()
+        assert engine.run() == ()
+        assert next(engine.events(), None) is None
 
     def test_unknown_node_injection(self, chain):
         net, _ = chain
@@ -335,7 +336,7 @@ class TestDeterminism:
         trace = Engine(net, config, injections).run()
         decays = events_of(trace, EventKind.DECAY)
         rng = np.random.Generator(np.random.PCG64(7))
-        expected_first = 0.0 + sample_decay_delay(HBAR / 1.0, SamplingMode.STOCHASTIC, rng)
+        expected_first = 0.0 + _exponential_delay(lifetime(HBAR / 1.0), rng.random())
         assert decays[0].engine_time == expected_first
 
     def test_run_config_requires_positive_horizon(self):
@@ -371,7 +372,7 @@ class TestDeterminism:
         exciting = (EventKind.EXTERNAL_EXCITATION, EventKind.ABSORPTION)
         for parent in (e for e in trace if e.kind in exciting):
             gamma = net.node_by_id[parent.node].spec.gamma_ev
-            at = parent.engine_time + sample_decay_delay(gamma, SamplingMode.STOCHASTIC, rng)
+            at = parent.engine_time + _exponential_delay(lifetime(gamma), rng.random())
             decay = decay_of.pop(parent.id, None)
             if decay is None:
                 assert at > until
@@ -383,8 +384,8 @@ class TestDeterminism:
         net, injections = chain
         config = RunConfig(run_until_s=5.0, entropy_model=EntropyModel(environment_temperature_k=1e-310))
         engine = Engine(net, config, injections)
-        assert engine.step().kind is EventKind.CLOCK_TICK
-        assert engine.step().kind is EventKind.EXTERNAL_EXCITATION
+        assert next(engine.events()).kind is EventKind.CLOCK_TICK
+        assert next(engine.events()).kind is EventKind.EXTERNAL_EXCITATION
         with pytest.raises(ValueError, match="ds_signal must be finite"):
             engine.run()
 
@@ -392,32 +393,26 @@ class TestDeterminism:
 @pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("case_seed", range(40))
 def test_step_loop_equals_run(case_seed, mode):
-    """step(), run() and events() run one loop: stepping to exhaustion and
-    streaming give run()'s trace, and streaming keeps none of it."""
+    """run() is events() collected: taking one event per events() call to
+    exhaustion and streaming give run()'s trace, and nothing is left after."""
     network, injections = random_network(random.Random(case_seed))
     config = RunConfig(run_until_s=3.0, mode=mode, seed=case_seed)
     engine = Engine(network, config, injections)
     stepped = []
-    while True:
-        try:
-            stepped.append(engine.step())
-        except Exhausted:
-            break
+    while (event := next(engine.events(), None)) is not None:
+        stepped.append(event)
     streaming = Engine(network, config, injections)
     streamed = tuple(streaming.events())
-    assert tuple(stepped) == engine.trace == Engine(network, config, injections).run() == streamed
-    assert streaming.trace == ()
+    assert tuple(stepped) == Engine(network, config, injections).run() == streamed
     assert tuple(streaming.events()) == ()
-    with pytest.raises(Exhausted):
-        streaming.step()
+    assert streaming.run() == ()
 
 
 def test_events_after_steps_continue_the_run(chain):
     net, injections = chain
     engine = Engine(net, det_config(), injections)
-    first = engine.step(), engine.step()
-    rest = tuple(engine.events())
-    assert engine.trace == first
+    first = next(engine.events()), next(engine.events())
+    rest = engine.run()
     assert first + rest == Engine(net, det_config(), injections).run()
 
 
@@ -433,7 +428,7 @@ class TestEventLog:
         net, injections = chain
         with caplog.at_level(logging.DEBUG, logger="fcnsim.engine"):
             engine = Engine(net, det_config(), injections)
-            stepped = engine.step()
+            stepped = next(engine.events())
             streamed = tuple(engine.events())
         logged = [r.getMessage() for r in caplog.records if r.msg.startswith("event ")]
         assert logged == [
