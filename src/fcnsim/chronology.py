@@ -15,7 +15,6 @@ Everything here is pure post-processing over immutable traces.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
@@ -66,8 +65,7 @@ class CausalViolation(NamedTuple):
     descendant_time_s: float
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(NamedTuple):
     """Ordered time labels for one observer's clock.
 
     Entries ascend by (time_number, event id). ``observer`` is the node
@@ -79,8 +77,7 @@ class Timeline:
     entries: tuple[TimeLabel, ...]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     """How well one clock separates causally ordered events.
 
     ``indistinguishable_pairs`` counts causally ordered pairs that share a

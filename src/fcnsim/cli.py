@@ -121,14 +121,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _entropy_model(args: argparse.Namespace) -> EntropyModel:
-    return EntropyModel(
-        source_temperature_k=args.t_source,
-        environment_temperature_k=args.t_env,
-        vacuum_term_kb=args.vacuum_term,
-    )
-
-
 def _parse_seed_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
@@ -148,11 +140,10 @@ def _seed_out_path(out: str, seed: int) -> Path:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc = parse_network_file(args.net)
     mode = SamplingMode.STOCHASTIC if args.mode == "sto" else SamplingMode.DETERMINISTIC
-    injections = [(inj.node, inj.at_s) for inj in doc.injections]
 
     def events(seed: int) -> Iterator[SimEvent]:
-        config = RunConfig(run_until_s=args.until, mode=mode, seed=seed, entropy_model=_entropy_model(args))
-        return Engine(doc.network, config, injections).events()
+        model = EntropyModel(args.t_source, args.t_env, args.vacuum_term)
+        return Engine(doc.network, RunConfig(args.until, mode, seed, model), doc.injections).events()
 
     if args.seeds:
         if mode is not SamplingMode.STOCHASTIC:

@@ -2,26 +2,42 @@
 
 Energies are in eV, durations in seconds, wavelengths in nm, distances
 in m, temperatures in K. CODATA 2018 values.
+
+Value types throughout fcnsim are immutable NamedTuples; those whose
+fields have invariants also derive from ``Checked``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Any, Iterable
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class Checked:
+    """Base of a NamedTuple whose ``__new__`` checks its fields: ``_make``,
+    and so ``_replace``, call the constructor instead of filling the tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable[Any]) -> Any:
+        return cls(*fields)
+
+
+class PhysicalConstants(Checked, namedtuple("PhysicalConstants", "hbar_ev_s hc_ev_nm c_m_per_s k_b_ev_per_k")):
     """Fixed conversion factors; one instance is shared for a whole run."""
 
-    hbar_ev_s: float = 6.582119569e-16
-    hc_ev_nm: float = 1239.841984
-    c_m_per_s: float = 2.99792458e8
-    k_b_ev_per_k: float = 8.617333262e-5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("hbar_ev_s", "hc_ev_nm", "c_m_per_s", "k_b_ev_per_k"):
-            if getattr(self, name) <= 0:
+    def __new__(
+        cls, hbar_ev_s: float = 6.582119569e-16, hc_ev_nm: float = 1239.841984,
+        c_m_per_s: float = 2.99792458e8, k_b_ev_per_k: float = 8.617333262e-5,
+    ) -> PhysicalConstants:
+        values = (hbar_ev_s, hc_ev_nm, c_m_per_s, k_b_ev_per_k)
+        for name, value in zip(cls._fields, values):
+            if value <= 0:
                 raise ValueError(f"{name} must be > 0")
+        return tuple.__new__(cls, values)
 
 
 CONSTANTS = PhysicalConstants()

@@ -41,10 +41,11 @@ import heapq
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Any, Iterable, Iterator, NamedTuple
 
+from .constants import Checked
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
 from .errors import UnknownNode
 from .network import ArcId, EventId, Network, NodeId, propagation_delay
@@ -89,19 +90,19 @@ class SamplingMode(Enum):
     STOCHASTIC = "stochastic"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked, namedtuple("RunConfig", "run_until_s mode seed entropy_model")):
     """Per-run parameters; together with the network they fix the trace."""
 
-    run_until_s: float
-    mode: SamplingMode = SamplingMode.DETERMINISTIC
-    seed: int = 0
-    entropy_model: EntropyModel = DEFAULT_ENTROPY_MODEL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, run_until_s: float, mode: SamplingMode = SamplingMode.DETERMINISTIC, seed: int = 0,
+        entropy_model: EntropyModel = DEFAULT_ENTROPY_MODEL,
+    ) -> RunConfig:
         # A non-finite horizon would schedule clock ticks forever.
-        if not (self.run_until_s > 0 and math.isfinite(self.run_until_s)):
-            raise ValueError(f"run_until must be > 0 s and finite, got {self.run_until_s}")
+        if not (run_until_s > 0 and math.isfinite(run_until_s)):
+            raise ValueError(f"run_until must be > 0 s and finite, got {run_until_s}")
+        return tuple.__new__(cls, (run_until_s, mode, seed, entropy_model))
 
 
 def _exponential_delay(tau: float, u: float) -> float:
@@ -272,18 +273,11 @@ class Engine:
         for arc in sorted(self._network.arcs, key=lambda a: a.id):
             arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc)))
         rows = {}
-        for node in self._network.nodes:
-            spec = node.spec
+        for node_id, spec, _, tolerance, can_emit, can_detect in self._network.nodes:
             gap = signal_energy(spec)
-            rows[node.id] = _NodeRow(
-                spec=spec,
-                gap_ev=gap,
-                tolerance_ev=node.resonance_tolerance_ev,
-                can_detect=node.can_detect,
-                can_emit=node.can_emit,
-                lifetime_s=lifetime(spec.gamma_ev) if spec.can_decay else None,
-                wavelength_nm=wavelength_of(gap),
-                arcs=tuple(arcs[node.id]),
+            tau = lifetime(spec.gamma_ev) if spec.can_decay else None
+            rows[node_id] = _NodeRow(
+                spec, gap, tolerance, can_detect, can_emit, tau, wavelength_of(gap), tuple(arcs[node_id])
             )
         self._rows = rows
 

@@ -13,26 +13,25 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from typing import Iterator, NamedTuple
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, Checked
 from .errors import DuplicateEvent, NonPositiveEnergy
 from .quantum import lifetime
 
 
-@dataclass(frozen=True)
-class EntropyBreakdown:
+class EntropyBreakdown(Checked, namedtuple("EntropyBreakdown", "ds_internal ds_signal ds_vacuum")):
     """Three-way entropy split for one decay, in k_B units."""
 
-    ds_internal: float
-    ds_signal: float
-    ds_vacuum: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("ds_internal", "ds_signal", "ds_vacuum"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+    def __new__(cls, ds_internal: float, ds_signal: float, ds_vacuum: float) -> EntropyBreakdown:
+        terms = (ds_internal, ds_signal, ds_vacuum)
+        for name, value in zip(cls._fields, terms):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        return tuple.__new__(cls, terms)
 
     def total(self) -> float:
         return self.ds_internal + self.ds_signal + self.ds_vacuum
@@ -43,8 +42,9 @@ class EntropyBreakdown:
         return self.total() >= 0
 
 
-@dataclass(frozen=True)
-class EntropyModel:
+class EntropyModel(
+    Checked, namedtuple("EntropyModel", "source_temperature_k environment_temperature_k vacuum_term_kb")
+):
     """Reservoir temperatures and vacuum offset supplying the magnitudes.
 
     The decomposition itself fixes only signs and structure; this model
@@ -53,24 +53,22 @@ class EntropyModel:
     vacuum term is a constant knob.
     """
 
-    source_temperature_k: float = 300.0
-    environment_temperature_k: float = 3.0
-    vacuum_term_kb: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.source_temperature_k > 0:
-            raise ValueError(f"source temperature must be > 0 K, got {self.source_temperature_k}")
-        if not self.environment_temperature_k > 0:
-            raise ValueError(
-                f"environment temperature must be > 0 K, got {self.environment_temperature_k}"
-            )
+    def __new__(
+        cls, source_temperature_k: float = 300.0, environment_temperature_k: float = 3.0, vacuum_term_kb: float = 0.0
+    ) -> EntropyModel:
+        if not source_temperature_k > 0:
+            raise ValueError(f"source temperature must be > 0 K, got {source_temperature_k}")
+        if not environment_temperature_k > 0:
+            raise ValueError(f"environment temperature must be > 0 K, got {environment_temperature_k}")
+        return tuple.__new__(cls, (source_temperature_k, environment_temperature_k, vacuum_term_kb))
 
 
 DEFAULT_ENTROPY_MODEL = EntropyModel()
 
 
-@dataclass(frozen=True)
-class EntropyLifetime:
+class EntropyLifetime(NamedTuple):
     """Duration of the entropy production process for one decay.
 
     ``zero_entropy_change`` flags the degenerate case where the breakdown
@@ -83,8 +81,7 @@ class EntropyLifetime:
     zero_entropy_change: bool = False
 
 
-@dataclass(frozen=True)
-class EntropyLedgerEntry:
+class EntropyLedgerEntry(NamedTuple):
     """One ledger row: breakdown, lifetime, and production rate for a decay."""
 
     decay_event_id: int

@@ -14,10 +14,9 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from operator import itemgetter
-from typing import Any, IO, Iterable, Iterator
+from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple
 
 from .chronology import Timeline
 from .engine import EventKind, EventTrace, SimEvent
@@ -46,18 +45,22 @@ ENTROPY_COLUMNS = (
 )
 
 _MAX_ID = 2**64 - 1
+# JSON decoding yields exact ints and floats (booleans are their own type),
+# so the readers test types by identity.
+_INT = (int,)
+_NUMBER = (int, float)
+# What a number literal beyond the float range, such as 1e999, decodes to.
+_INFINITE = frozenset((math.inf, -math.inf))
 
 
-@dataclass(frozen=True)
-class Injection:
+class Injection(NamedTuple):
     """One external excitation request: node and engine time."""
 
     node: NodeId
     at_s: float
 
 
-@dataclass(frozen=True)
-class NetworkDocument:
+class NetworkDocument(NamedTuple):
     """Parsed and validated network description."""
 
     schema_version: str
@@ -68,59 +71,61 @@ class NetworkDocument:
 # -- network document parsing ------------------------------------------
 
 
-class _Fields:
-    """One JSON object with strict field accounting."""
-
-    def __init__(self, obj: Any, where: str):
-        if not isinstance(obj, dict):
-            raise ParseError(f"expected an object, got {type(obj).__name__}", where)
-        self.obj = obj
-        self.where = where
-        self.seen: set[str] = set()
-
-    def take(self, name: str, kind: str, required: bool = True, default: Any = None) -> Any:
-        self.seen.add(name)
-        if name not in self.obj:
-            if required:
-                raise ParseError(f"missing required field {name!r}", self.where)
-            return default
-        value = self.obj[name]
-        if kind == "id":
-            if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= _MAX_ID:
-                raise ParseError(f"field {name!r} must be an unsigned 64-bit integer", self.where)
-        elif kind == "int":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError(f"field {name!r} must be an integer", self.where)
-        elif kind == "number":
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParseError(f"field {name!r} must be a number", self.where)
-            value = _float(value, name, self.where)
-            if not math.isfinite(value):
-                raise ParseError(f"field {name!r} must be finite", self.where)
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                raise ParseError(f"field {name!r} must be a boolean", self.where)
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise ParseError(f"field {name!r} must be a string", self.where)
-        elif kind == "list":
-            if not isinstance(value, list):
-                raise ParseError(f"field {name!r} must be an array", self.where)
-        else:
-            raise AssertionError(kind)
-        return value
-
-    def finish(self) -> None:
-        unknown = set(self.obj) - self.seen
-        if unknown:
-            raise ParseError(f"unknown field(s): {', '.join(sorted(unknown))}", self.where)
+# Fields each object may hold; any other is reported once the known ones pass.
+_DOCUMENT_KEYS = frozenset(("schema_version", "nodes", "arcs", "standard_clocks", "injections"))
+_NODE_KEYS = frozenset(
+    ("id", "ground_ev", "excited_ev", "gamma_ev", "position_m", "resonance_tolerance_ev", "can_emit", "can_detect")
+)
+_ARC_KEYS = frozenset(("id", "source", "target", "distance_m"))
+_CLOCK_KEYS = frozenset(("id", "period_s", "first_tick_s", "counter_start"))
+_INJECTION_KEYS = frozenset(("node", "at_s"))
+_U64 = "must be an unsigned 64-bit integer"
 
 
-def _float(value: int | float, name: str, where: str) -> float:
+# The reader tests each field inline, by exact type, as the trace reader
+# does. What follows builds the errors: the place (``nodes[12]``) and the
+# message are made only when a check fails. ``i`` is None for the document.
+def _place(section: str, i: int | None) -> str:
+    return section if i is None else f"{section}[{i}]"
+
+
+def _not_object(obj: Any, section: str, i: int | None) -> ParseError:
+    return ParseError(f"expected an object, got {type(obj).__name__}", _place(section, i))
+
+
+def _bad_field(obj: dict, name: str, must: str, section: str, i: int | None) -> ParseError:
+    if name not in obj:
+        return ParseError(f"missing required field {name!r}", _place(section, i))
+    return ParseError(f"field {name!r} {must}", _place(section, i))
+
+
+def _unknown(obj: dict, known: frozenset[str], section: str, i: int | None) -> ParseError:
+    return ParseError(f"unknown field(s): {', '.join(sorted(obj.keys() - known))}", _place(section, i))
+
+
+def _number(obj: dict, name: str, section: str, i: int) -> float:
+    """A number field that is not a finite float: an int made a float, or the error."""
+    value = obj.get(name)
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ParseError(f"field {name!r} is beyond the float range", _place(section, i)) from None
+    if type(value) is float:  # an infinity, from a literal such as 1e999
+        raise ParseError(f"field {name!r} must be finite", _place(section, i))
+    raise _bad_field(obj, name, "must be a number", section, i)
+
+
+def _position(value: Any, i: int) -> tuple[float, float, float]:
+    if type(value) is not list:
+        raise ParseError("field 'position_m' must be an array", f"nodes[{i}]")
+    if len(value) != 3 or not (type(value[0]) in _NUMBER and type(value[1]) in _NUMBER and type(value[2]) in _NUMBER):
+        raise ParseError("field 'position_m' must be an array of three numbers", f"nodes[{i}]")
+    x, y, z = value
     try:
-        return float(value)
+        return (float(x), float(y), float(z))
     except OverflowError:  # an integer beyond the float range
-        raise ParseError(f"field {name!r} is beyond the float range", where) from None
+        raise ParseError("field 'position_m' is beyond the float range", f"nodes[{i}]") from None
 
 
 def _reject_constant(text: str) -> float:
@@ -132,23 +137,14 @@ def _reject_line_constant(text: str) -> float:
     raise json.JSONDecodeError(f"non-finite number literal {text!r} is not allowed", text, 0)
 
 
-def _parse_position(value: Any, where: str) -> tuple[float, float, float]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 3
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        raise ParseError("field 'position_m' must be an array of three numbers", where)
-    x, y, z = (_float(v, "position_m", where) for v in value)
-    return (x, y, z)
-
-
 def parse_network(data: bytes | str) -> NetworkDocument:
     """Parse and validate a network document.
 
     Raises ParseError for malformed JSON, wrong types, or unknown fields
     (with the offending JSON path), and ValidationFailed (with every
     problem found) when the parsed values violate network invariants.
+    The first failed check is reported; within an object, unknown fields
+    are looked for only once every known field has passed.
     """
     if isinstance(data, bytes):
         try:
@@ -162,97 +158,120 @@ def parse_network(data: bytes | str) -> NetworkDocument:
     except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or too deep nesting
         raise ParseError(f"invalid JSON: {exc}", "document") from exc
 
-    top = _Fields(raw, "document")
-    version = top.take("schema_version", "str")
+    if type(raw) is not dict:
+        raise _not_object(raw, "document", None)
+    version = raw.get("schema_version")
+    if type(version) is not str:
+        raise _bad_field(raw, "schema_version", "must be a string", "document", None)
     if version != SCHEMA_VERSION:
         raise ParseError(f"unrecognized schema_version {version!r}", "document")
-    raw_nodes = top.take("nodes", "list", required=False, default=[])
-    raw_arcs = top.take("arcs", "list", required=False, default=[])
-    raw_clocks = top.take("standard_clocks", "list", required=False, default=[])
-    raw_injections = top.take("injections", "list", required=False, default=[])
-    top.finish()
+    sections = []
+    for name in ("nodes", "arcs", "standard_clocks", "injections"):
+        entries = raw.get(name, [])
+        if type(entries) is not list:
+            raise _bad_field(raw, name, "must be an array", "document", None)
+        sections.append(entries)
+    if not raw.keys() <= _DOCUMENT_KEYS:
+        raise _unknown(raw, _DOCUMENT_KEYS, "document", None)
+    raw_nodes, raw_arcs, raw_clocks, raw_injections = sections
 
     problems: list[str] = []
     nodes: list[ClockNode] = []
     for i, obj in enumerate(raw_nodes):
-        where = f"nodes[{i}]"
-        f = _Fields(obj, where)
-        node_id = f.take("id", "id")
-        ground = f.take("ground_ev", "number")
-        excited = f.take("excited_ev", "number")
-        gamma = f.take("gamma_ev", "number", required=False)
-        raw_pos = f.take("position_m", "list", required=False)
-        position = _parse_position(raw_pos, where) if raw_pos is not None else (0.0, 0.0, 0.0)
-        tolerance = f.take("resonance_tolerance_ev", "number", required=False)
-        can_emit = f.take("can_emit", "bool", required=False, default=True)
-        can_detect = f.take("can_detect", "bool", required=False, default=True)
-        f.finish()
+        if type(obj) is not dict:
+            raise _not_object(obj, "nodes", i)
+        get = obj.get
+        node_id, ground, excited = get("id"), get("ground_ev"), get("excited_ev")
+        if type(node_id) is not int or not 0 <= node_id <= _MAX_ID:
+            raise _bad_field(obj, "id", _U64, "nodes", i)
+        if type(ground) is not float or ground in _INFINITE:
+            ground = _number(obj, "ground_ev", "nodes", i)
+        if type(excited) is not float or excited in _INFINITE:
+            excited = _number(obj, "excited_ev", "nodes", i)
+        gamma = get("gamma_ev")  # None when absent; an explicit null fails
+        if (type(gamma) is not float or gamma in _INFINITE) and "gamma_ev" in obj:
+            gamma = _number(obj, "gamma_ev", "nodes", i)
+        position = get("position_m")
+        position = (0.0, 0.0, 0.0) if position is None and "position_m" not in obj else _position(position, i)
+        tolerance = get("resonance_tolerance_ev")
+        if (type(tolerance) is not float or tolerance in _INFINITE) and "resonance_tolerance_ev" in obj:
+            tolerance = _number(obj, "resonance_tolerance_ev", "nodes", i)
+        can_emit, can_detect = get("can_emit", True), get("can_detect", True)
+        if type(can_emit) is not bool:
+            raise _bad_field(obj, "can_emit", "must be a boolean", "nodes", i)
+        if type(can_detect) is not bool:
+            raise _bad_field(obj, "can_detect", "must be a boolean", "nodes", i)
+        if not obj.keys() <= _NODE_KEYS:
+            raise _unknown(obj, _NODE_KEYS, "nodes", i)
         try:
-            nodes.append(
-                ClockNode(
-                    id=node_id,
-                    spec=TwoLevelSpec(
-                        ground=EnergyLevel("ground", ground),
-                        excited=EnergyLevel("excited", excited),
-                        gamma_ev=gamma,
-                    ),
-                    position_m=position,
-                    resonance_tolerance_ev=tolerance,
-                    can_emit=can_emit,
-                    can_detect=can_detect,
-                )
-            )
+            spec = TwoLevelSpec(EnergyLevel("ground", ground), EnergyLevel("excited", excited), gamma)
+            nodes.append(ClockNode(node_id, spec, position, tolerance, can_emit, can_detect))
         except Exception as exc:
-            problems.append(f"{where}: {exc}")
+            problems.append(f"nodes[{i}]: {exc}")
 
     arcs: list[Arc] = []
     for i, obj in enumerate(raw_arcs):
-        where = f"arcs[{i}]"
-        f = _Fields(obj, where)
-        arc_id = f.take("id", "id")
-        source = f.take("source", "id")
-        target = f.take("target", "id")
-        distance = f.take("distance_m", "number")
-        f.finish()
+        if type(obj) is not dict:
+            raise _not_object(obj, "arcs", i)
+        get = obj.get
+        arc_id, source, target, distance = get("id"), get("source"), get("target"), get("distance_m")
+        if type(arc_id) is not int or not 0 <= arc_id <= _MAX_ID:
+            raise _bad_field(obj, "id", _U64, "arcs", i)
+        if type(source) is not int or not 0 <= source <= _MAX_ID:
+            raise _bad_field(obj, "source", _U64, "arcs", i)
+        if type(target) is not int or not 0 <= target <= _MAX_ID:
+            raise _bad_field(obj, "target", _U64, "arcs", i)
+        if type(distance) is not float or distance in _INFINITE:
+            distance = _number(obj, "distance_m", "arcs", i)
+        if not obj.keys() <= _ARC_KEYS:
+            raise _unknown(obj, _ARC_KEYS, "arcs", i)
         try:
-            arcs.append(Arc(id=arc_id, source=source, target=target, distance_m=distance))
+            arcs.append(Arc(arc_id, source, target, distance))
         except Exception as exc:
-            problems.append(f"{where}: {exc}")
+            problems.append(f"arcs[{i}]: {exc}")
 
     clocks: list[StandardClockSpec] = []
     for i, obj in enumerate(raw_clocks):
-        where = f"standard_clocks[{i}]"
-        f = _Fields(obj, where)
-        clock_id = f.take("id", "id")
-        period = f.take("period_s", "number")
-        first_tick = f.take("first_tick_s", "number", required=False, default=0.0)
-        counter_start = f.take("counter_start", "int", required=False, default=0)
-        f.finish()
+        if type(obj) is not dict:
+            raise _not_object(obj, "standard_clocks", i)
+        get = obj.get
+        clock_id, period = get("id"), get("period_s")
+        first_tick, counter_start = get("first_tick_s", 0.0), get("counter_start", 0)
+        if type(clock_id) is not int or not 0 <= clock_id <= _MAX_ID:
+            raise _bad_field(obj, "id", _U64, "standard_clocks", i)
+        if type(period) is not float or period in _INFINITE:
+            period = _number(obj, "period_s", "standard_clocks", i)
+        if type(first_tick) is not float or first_tick in _INFINITE:
+            first_tick = _number(obj, "first_tick_s", "standard_clocks", i)
+        if type(counter_start) is not int:
+            raise _bad_field(obj, "counter_start", "must be an integer", "standard_clocks", i)
+        if not obj.keys() <= _CLOCK_KEYS:
+            raise _unknown(obj, _CLOCK_KEYS, "standard_clocks", i)
         if first_tick < 0:
-            problems.append(f"{where}: first_tick_s must be >= 0")
+            problems.append(f"standard_clocks[{i}]: first_tick_s must be >= 0")
             continue
         try:
-            clocks.append(
-                StandardClockSpec(
-                    id=clock_id, period_s=period, first_tick_s=first_tick, counter_start=counter_start
-                )
-            )
+            clocks.append(StandardClockSpec(clock_id, period, first_tick, counter_start))
         except Exception as exc:
-            problems.append(f"{where}: {exc}")
+            problems.append(f"standard_clocks[{i}]: {exc}")
 
     injections: list[Injection] = []
     node_ids = {n.id for n in nodes}
     for i, obj in enumerate(raw_injections):
-        where = f"injections[{i}]"
-        f = _Fields(obj, where)
-        node = f.take("node", "id")
-        at = f.take("at_s", "number")
-        f.finish()
+        if type(obj) is not dict:
+            raise _not_object(obj, "injections", i)
+        node, at = obj.get("node"), obj.get("at_s")
+        if type(node) is not int or not 0 <= node <= _MAX_ID:
+            raise _bad_field(obj, "node", _U64, "injections", i)
+        if type(at) is not float or at in _INFINITE:
+            at = _number(obj, "at_s", "injections", i)
+        if not obj.keys() <= _INJECTION_KEYS:
+            raise _unknown(obj, _INJECTION_KEYS, "injections", i)
         if node not in node_ids:
-            problems.append(f"{where}: unknown node {node}")
+            problems.append(f"injections[{i}]: unknown node {node}")
         if at < 0:
-            problems.append(f"{where}: at_s must be >= 0")
-        injections.append(Injection(node=node, at_s=at))
+            problems.append(f"injections[{i}]: at_s must be >= 0")
+        injections.append(Injection(node, at))
 
     try:
         network = validate_network(nodes, arcs, clocks)
@@ -261,9 +280,7 @@ def parse_network(data: bytes | str) -> NetworkDocument:
         raise ValidationFailed(problems) from None
     if problems:
         raise ValidationFailed(problems)
-    return NetworkDocument(
-        schema_version=version, network=network, injections=tuple(injections)
-    )
+    return NetworkDocument(version, network, tuple(injections))
 
 
 def parse_network_file(path: str | Path) -> NetworkDocument:
@@ -274,12 +291,6 @@ def parse_network_file(path: str | Path) -> NetworkDocument:
 
 _BASE_KEYS = ("id", "kind", "node", "engine_time", "parents")
 _BASE_KEY_SET = frozenset(_BASE_KEYS)
-# JSON decoding yields exact ints and floats (booleans are their own type),
-# so the reader tests types by identity.
-_INT = (int,)
-_NUMBER = (int, float)
-# What a number literal beyond the float range, such as 1e999, decodes to.
-_INFINITE = frozenset((math.inf, -math.inf))
 # The payload fields the analysis commands read, by kind, with their types:
 # the clock pulse pairing reads the ticks, the entropy report the decays.
 _READ_FIELDS: dict[EventKind, tuple[tuple[str, tuple[type, ...]], ...]] = {
@@ -491,20 +502,32 @@ def parse_event_line(line: str, where: str = "line") -> SimEvent:
     return event
 
 
-def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
-    """The checked events on the lines of a trace, each line without its line feed."""
-    first_line: dict[int, int] = {}
+def _checked(lines: Iterable[str], again: Callable[[], Iterable[str]]) -> Iterator[SimEvent]:
+    """The checked events on the lines of a trace, each line without its line feed.
+
+    Keeps the set of ids read so far; ``again`` gives the lines from the
+    start once more, read only to name the first line of a repeated id.
+    """
+    seen: set[int] = set()
+    add = seen.add
     for lineno, line in enumerate(lines, start=1):
         event = _line_event(line, lineno)
         if event is None:
             continue
-        if not first_line.keys() >= event.parents:
-            parent = min(event.parents - first_line.keys())
+        if not seen.issuperset(event.parents):
+            parent = min(event.parents - seen)
             raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
-        seen = first_line.setdefault(event.id, lineno)
-        if seen != lineno:
-            raise ParseError(f"repeated event id {event.id} (first on line {seen})", f"line {lineno}")
+        if event.id in seen:
+            first = _first_line(again(), event.id)
+            raise ParseError(f"repeated event id {event.id} (first on line {first})", f"line {lineno}")
+        add(event.id)
         yield event
+
+
+def _first_line(lines: Iterable[str], event_id: int) -> int | str:
+    """The number of the first line with ``event_id``; "?" if the input changed and none has it."""
+    events = (_line_event(line, lineno) for lineno, line in enumerate(lines, start=1))
+    return next((lineno for lineno, e in enumerate(events, start=1) if e is not None and e.id == event_id), "?")
 
 
 def parse_trace(text: str) -> EventTrace:
@@ -517,7 +540,8 @@ def parse_trace(text: str) -> EventTrace:
     already used, and for a parent id that no earlier line's event has.
     ``parse_event_line`` reads one record without the last two checks.
     """
-    return tuple(_checked(text.split("\n")))
+    lines = text.split("\n")
+    return tuple(_checked(lines, lambda: lines))
 
 
 def write_events(events: Iterable[SimEvent], fp: IO[str]) -> int:
@@ -546,13 +570,14 @@ def write_trace(trace: Iterable[SimEvent], path: str | Path) -> int:
     return lines
 
 
-def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
-        yield text.removesuffix("\n")
+def _decoded(path: str | Path) -> Iterator[str]:
+    with open(path, "rb") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
+            yield text.removesuffix("\n")
 
 
 def iter_trace(path: str | Path) -> Iterator[SimEvent]:
@@ -561,14 +586,13 @@ def iter_trace(path: str | Path) -> Iterator[SimEvent]:
     The bytes must be strict UTF-8, and a bad byte is reported before any
     other error: after a failed check the rest of the file is decoded.
     """
-    with open(path, "rb") as fp:
-        lines = _decoded(fp)
-        try:
-            yield from _checked(lines)
-        except ParseError:
-            for _ in lines:  # raises at the first bad byte after the failed line
-                pass
-            raise
+    lines = _decoded(path)
+    try:
+        yield from _checked(lines, lambda: _decoded(path))
+    except ParseError:
+        for _ in lines:  # raises at the first bad byte after the failed line
+            pass
+        raise
 
 
 def read_trace(path: str | Path) -> EventTrace:

@@ -14,10 +14,11 @@ The network is immutable once validated and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, Checked
 from .errors import ValidationFailed
 from .quantum import TwoLevelSpec, lifetime, signal_energy
 
@@ -33,8 +34,10 @@ ExcitationId = int
 DEFAULT_COUPLING_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
-class ClockNode:
+class ClockNode(
+    Checked,
+    namedtuple("ClockNode", "id spec position_m resonance_tolerance_ev can_emit can_detect"),
+):
     """A two-level node at a position in space.
 
     With ``can_detect`` the node acts as a detector while in its ground
@@ -44,24 +47,22 @@ class ClockNode:
     untestable.
     """
 
-    id: NodeId
-    spec: TwoLevelSpec
-    position_m: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    resonance_tolerance_ev: float | None = None
-    can_emit: bool = True
-    can_detect: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.resonance_tolerance_ev is None:
-            object.__setattr__(self, "resonance_tolerance_ev", 1e-6 * signal_energy(self.spec))
-        if not (self.resonance_tolerance_ev >= 0 and math.isfinite(self.resonance_tolerance_ev)):
-            raise ValueError(f"node {self.id}: resonance tolerance must be finite and >= 0")
-        if not all(math.isfinite(x) for x in self.position_m):
-            raise ValueError(f"node {self.id}: position must be finite")
+    def __new__(
+        cls, id: NodeId, spec: TwoLevelSpec, position_m: tuple[float, float, float] = (0.0, 0.0, 0.0),
+        resonance_tolerance_ev: float | None = None, can_emit: bool = True, can_detect: bool = True,
+    ) -> ClockNode:
+        if resonance_tolerance_ev is None:
+            resonance_tolerance_ev = 1e-6 * signal_energy(spec)
+        if not (resonance_tolerance_ev >= 0 and math.isfinite(resonance_tolerance_ev)):
+            raise ValueError(f"node {id}: resonance tolerance must be finite and >= 0")
+        if not all(map(math.isfinite, position_m)):
+            raise ValueError(f"node {id}: position must be finite")
+        return tuple.__new__(cls, (id, spec, position_m, resonance_tolerance_ev, can_emit, can_detect))
 
 
-@dataclass(frozen=True)
-class StandardClockSpec:
+class StandardClockSpec(Checked, namedtuple("StandardClockSpec", "id period_s first_tick_s counter_start")):
     """Cyclic reference clock attached to a host node.
 
     ``id`` names the node the clock lives at; its pulses happen there.
@@ -69,16 +70,16 @@ class StandardClockSpec:
     ``first_tick_s + k * period_s``.
     """
 
-    id: NodeId
-    period_s: float
-    first_tick_s: float = 0.0
-    counter_start: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.period_s > 0 and math.isfinite(self.period_s)):
-            raise ValueError(f"clock at node {self.id}: period must be finite and > 0 s")
-        if not math.isfinite(self.first_tick_s):
-            raise ValueError(f"clock at node {self.id}: first tick must be finite")
+    def __new__(
+        cls, id: NodeId, period_s: float, first_tick_s: float = 0.0, counter_start: int = 0
+    ) -> StandardClockSpec:
+        if not (period_s > 0 and math.isfinite(period_s)):
+            raise ValueError(f"clock at node {id}: period must be finite and > 0 s")
+        if not math.isfinite(first_tick_s):
+            raise ValueError(f"clock at node {id}: first tick must be finite")
+        return tuple.__new__(cls, (id, period_s, first_tick_s, counter_start))
 
     def tick_time(self, k: int) -> float:
         # Single shared expression so engine pulses and extracted time
@@ -86,20 +87,17 @@ class StandardClockSpec:
         return self.first_tick_s + k * self.period_s
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Checked, namedtuple("Arc", "id source target distance_m")):
     """Directed signal channel between two distinct nodes."""
 
-    id: ArcId
-    source: NodeId
-    target: NodeId
-    distance_m: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ValueError(f"arc {self.id}: source and target must differ")
-        if not (self.distance_m >= 0 and math.isfinite(self.distance_m)):
-            raise ValueError(f"arc {self.id}: distance must be finite and >= 0 m")
+    def __new__(cls, id: ArcId, source: NodeId, target: NodeId, distance_m: float) -> Arc:
+        if source == target:
+            raise ValueError(f"arc {id}: source and target must differ")
+        if not (distance_m >= 0 and math.isfinite(distance_m)):
+            raise ValueError(f"arc {id}: distance must be finite and >= 0 m")
+        return tuple.__new__(cls, (id, source, target, distance_m))
 
 
 class CouplingKind:
@@ -109,8 +107,7 @@ class CouplingKind:
     SEN = "sen"
 
 
-@dataclass(frozen=True)
-class CouplingClass:
+class CouplingClass(NamedTuple):
     """One element of the coupling partition.
 
     A CEN lists its member set (sorted); an SEN lists its nodes in order.
@@ -122,21 +119,20 @@ class CouplingClass:
     members: tuple[NodeId, ...]
 
 
-@dataclass(frozen=True)
-class CouplingClassification:
+class CouplingClassification(NamedTuple):
     """Partition of all nodes plus the sequential links between classes."""
 
     classes: tuple[CouplingClass, ...]
     sen_links: tuple[ArcId, ...]
 
 
-@dataclass(frozen=True)
-class Network:
-    """Validated, immutable network: nodes, arcs, and standard clocks."""
+class Network(namedtuple("Network", "nodes arcs clocks", defaults=((),))):
+    """Validated, immutable network: nodes, arcs, and standard clocks.
 
-    nodes: tuple[ClockNode, ...]
-    arcs: tuple[Arc, ...]
-    clocks: tuple[StandardClockSpec, ...] = field(default_factory=tuple)
+    Equal by value, as the tuple of those three. The id lookups are built
+    on first use, or by ``validate_network`` as it checks the ids, and
+    kept in the instance ``__dict__``: the class has no ``__slots__``.
+    """
 
     @cached_property
     def node_by_id(self) -> dict[NodeId, ClockNode]:
@@ -162,36 +158,41 @@ def validate_network(
     on unknown or doubly-clocked nodes) and raises ValidationFailed with
     the full list; an empty network is vacuously valid. Per-object
     invariants (finite positions, nonnegative distances, level ordering)
-    are enforced by the constructors before this point.
+    are enforced by the constructors before this point. The id tables
+    built here become the network's lookups.
     """
     problems: list[str] = []
 
-    seen_nodes: set[NodeId] = set()
+    node_by_id: dict[NodeId, ClockNode] = {}
     for node in nodes:
-        if node.id in seen_nodes:
+        if node.id in node_by_id:
             problems.append(f"duplicate node id {node.id}")
-        seen_nodes.add(node.id)
+        node_by_id[node.id] = node
 
-    seen_arcs: set[ArcId] = set()
+    arc_by_id: dict[ArcId, Arc] = {}
     for arc in arcs:
-        if arc.id in seen_arcs:
-            problems.append(f"duplicate arc id {arc.id}")
-        seen_arcs.add(arc.id)
-        for endpoint, role in ((arc.source, "source"), (arc.target, "target")):
-            if endpoint not in seen_nodes:
-                problems.append(f"arc {arc.id}: unknown {role} node {endpoint}")
+        arc_id, source, target, _ = arc
+        if arc_id in arc_by_id:
+            problems.append(f"duplicate arc id {arc_id}")
+        arc_by_id[arc_id] = arc
+        if source not in node_by_id:
+            problems.append(f"arc {arc_id}: unknown source node {source}")
+        if target not in node_by_id:
+            problems.append(f"arc {arc_id}: unknown target node {target}")
 
-    clocked: set[NodeId] = set()
+    clock_by_node: dict[NodeId, StandardClockSpec] = {}
     for clock in clocks:
-        if clock.id not in seen_nodes:
+        if clock.id not in node_by_id:
             problems.append(f"clock declared at unknown node {clock.id}")
-        if clock.id in clocked:
+        if clock.id in clock_by_node:
             problems.append(f"node {clock.id} carries more than one standard clock")
-        clocked.add(clock.id)
+        clock_by_node[clock.id] = clock
 
     if problems:
         raise ValidationFailed(problems)
-    return Network(nodes=tuple(nodes), arcs=tuple(arcs), clocks=tuple(clocks))
+    network = Network(tuple(nodes), tuple(arcs), tuple(clocks))
+    vars(network).update(node_by_id=node_by_id, arc_by_id=arc_by_id, clock_by_node=clock_by_node)
+    return network
 
 
 def propagation_delay(arc: Arc) -> float:

@@ -13,27 +13,25 @@ that ``absorb`` takes the next id from the iterator it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, Checked
 from .errors import DegenerateLevels, NonPositiveEnergy, NotExcited, StableConfiguration
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(Checked, namedtuple("EnergyLevel", "label energy_ev")):
     """One configuration level of a node, energy in eV."""
 
-    label: str
-    energy_ev: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.energy_ev >= 0 and math.isfinite(self.energy_ev)):
-            raise ValueError(f"level {self.label!r}: energy must be finite and >= 0, got {self.energy_ev}")
+    def __new__(cls, label: str, energy_ev: float) -> EnergyLevel:
+        if not (energy_ev >= 0 and math.isfinite(energy_ev)):
+            raise ValueError(f"level {label!r}: energy must be finite and >= 0, got {energy_ev}")
+        return tuple.__new__(cls, (label, energy_ev))
 
 
-@dataclass(frozen=True)
-class TwoLevelSpec:
+class TwoLevelSpec(Checked, namedtuple("TwoLevelSpec", "ground excited gamma_ev")):
     """Ground/excited level pair plus the decay rate of the excited state.
 
     ``gamma_ev`` is the energy-valued rate whose Planck division gives the
@@ -41,21 +39,20 @@ class TwoLevelSpec:
     can hold an excitation forever and never schedules a decay.
     """
 
-    ground: EnergyLevel
-    excited: EnergyLevel
-    gamma_ev: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.excited.energy_ev > self.ground.energy_ev:
+    def __new__(cls, ground: EnergyLevel, excited: EnergyLevel, gamma_ev: float | None = None) -> TwoLevelSpec:
+        if not excited.energy_ev > ground.energy_ev:
             raise DegenerateLevels(
-                f"excited level ({self.excited.energy_ev} eV) must sit strictly above "
-                f"ground ({self.ground.energy_ev} eV)"
+                f"excited level ({excited.energy_ev} eV) must sit strictly above "
+                f"ground ({ground.energy_ev} eV)"
             )
-        if self.gamma_ev is not None and not (self.gamma_ev > 0 and math.isfinite(self.gamma_ev)):
+        if gamma_ev is not None and not (gamma_ev > 0 and math.isfinite(gamma_ev)):
             raise StableConfiguration(
-                f"gamma must be finite and > 0 when present, got {self.gamma_ev}; "
+                f"gamma must be finite and > 0 when present, got {gamma_ev}; "
                 f"use None for a stable node"
             )
+        return tuple.__new__(cls, (ground, excited, gamma_ev))
 
     @property
     def can_decay(self) -> bool:

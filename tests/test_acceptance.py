@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 from scipy import stats
@@ -214,7 +213,7 @@ def test_criterion_8_chronology_properties():
         if violations:
             problems.append(f"case {i}: {len(violations)} causal violations")
         coarse = resolution_report(timeline, trace)
-        fine_tl, _ = labeled(replace(clock, period_s=clock.period_s * 0.5))
+        fine_tl, _ = labeled(clock._replace(period_s=clock.period_s * 0.5))
         fine = resolution_report(fine_tl, trace)
         if fine.indistinguishable_pairs > coarse.indistinguishable_pairs:
             problems.append(f"case {i}: refinement increased indistinguishable pairs")

@@ -593,6 +593,18 @@ def test_only_stochastic_runs_import_numpy(chain_net, tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["False", "False"]
 
 
+def test_cli_import_leaves_dataclasses_out():
+    """Every command starts a process; the value types are NamedTuples, so
+    importing the CLI loads no ``dataclasses`` (nor ``inspect``, which it
+    pulls in)."""
+    src = str(Path(fcnsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, fcnsim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestUsage:
     def test_no_arguments(self):
         assert main([]) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -76,7 +77,165 @@ def chain_doc() -> dict:
     }
 
 
+# A field value written into the document text as the literal itself.
+def _raw(literal: str) -> str:
+    return f"<raw {literal}>"
+
+
+_DROP = object()  # the field is removed
+_U64_MESSAGE = "must be an unsigned 64-bit integer"
+
+# (section, index, edit, exact str(ParseError)). ``edit`` updates the
+# ``index``-th entry of ``section`` in chain_doc() (the document itself for
+# "document"); an edit that is not a dict replaces the entry whole.
+_NETWORK_DEFECTS = [
+    ("document", 0, [], "document: expected an object, got list"),
+    ("document", 0, {"schema_version": _DROP}, "document: missing required field 'schema_version'"),
+    ("document", 0, {"schema_version": 1}, "document: field 'schema_version' must be a string"),
+    ("document", 0, {"schema_version": None}, "document: field 'schema_version' must be a string"),
+    ("document", 0, {"schema_version": "2"}, "document: unrecognized schema_version '2'"),
+    ("document", 0, {"nodes": None}, "document: field 'nodes' must be an array"),
+    ("document", 0, {"arcs": {}}, "document: field 'arcs' must be an array"),
+    ("document", 0, {"standard_clocks": "x"}, "document: field 'standard_clocks' must be an array"),
+    ("document", 0, {"injections": True}, "document: field 'injections' must be an array"),
+    ("document", 0, {"zeta": 1, "alpha": 2}, "document: unknown field(s): alpha, zeta"),
+    ("document", 0, {"extra": 1, "injections": 5}, "document: field 'injections' must be an array"),
+    ("document", 0, {"schema_version": 1, "nodes": None}, "document: field 'schema_version' must be a string"),
+    ("document", 0, {"nodes": [{"id": 1, "ground_ev": 1.0, "excited_ev": 0.0}, {"id": "x"}]},
+     f"nodes[1]: field 'id' {_U64_MESSAGE}"),
+    ("document", 0, {"nodes": [], "arcs": [7]}, "arcs[0]: expected an object, got int"),
+    ("nodes", 0, 5, "nodes[0]: expected an object, got int"),
+    ("nodes", 1, None, "nodes[1]: expected an object, got NoneType"),
+    ("nodes", 2, [1], "nodes[2]: expected an object, got list"),
+    ("nodes", 0, {"id": _DROP}, "nodes[0]: missing required field 'id'"),
+    ("nodes", 0, {"ground_ev": _DROP}, "nodes[0]: missing required field 'ground_ev'"),
+    ("nodes", 0, {"excited_ev": _DROP}, "nodes[0]: missing required field 'excited_ev'"),
+    ("nodes", 0, {"id": "one"}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"id": True}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"id": 1.0}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"id": None}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"id": -1}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"id": 2**64}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"id": _raw(str(10**400))}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"ground_ev": True}, "nodes[0]: field 'ground_ev' must be a number"),
+    ("nodes", 0, {"ground_ev": "0"}, "nodes[0]: field 'ground_ev' must be a number"),
+    ("nodes", 0, {"ground_ev": None}, "nodes[0]: field 'ground_ev' must be a number"),
+    ("nodes", 0, {"excited_ev": [1.5]}, "nodes[0]: field 'excited_ev' must be a number"),
+    ("nodes", 0, {"excited_ev": _raw(str(10**400))}, "nodes[0]: field 'excited_ev' is beyond the float range"),
+    ("nodes", 0, {"excited_ev": _raw("1e999")}, "nodes[0]: field 'excited_ev' must be finite"),
+    ("nodes", 0, {"ground_ev": _raw("-1e999")}, "nodes[0]: field 'ground_ev' must be finite"),
+    ("nodes", 0, {"gamma_ev": None}, "nodes[0]: field 'gamma_ev' must be a number"),
+    ("nodes", 0, {"gamma_ev": False}, "nodes[0]: field 'gamma_ev' must be a number"),
+    ("nodes", 0, {"gamma_ev": _raw("1e999")}, "nodes[0]: field 'gamma_ev' must be finite"),
+    ("nodes", 0, {"gamma_ev": _raw(str(-(10**400)))}, "nodes[0]: field 'gamma_ev' is beyond the float range"),
+    ("nodes", 0, {"position_m": None}, "nodes[0]: field 'position_m' must be an array"),
+    ("nodes", 0, {"position_m": "abc"}, "nodes[0]: field 'position_m' must be an array"),
+    ("nodes", 0, {"position_m": [1, 2]}, "nodes[0]: field 'position_m' must be an array of three numbers"),
+    ("nodes", 0, {"position_m": [1, 2, 3, 4]}, "nodes[0]: field 'position_m' must be an array of three numbers"),
+    ("nodes", 0, {"position_m": [1, 2, True]}, "nodes[0]: field 'position_m' must be an array of three numbers"),
+    ("nodes", 0, {"position_m": [1, None, 3]}, "nodes[0]: field 'position_m' must be an array of three numbers"),
+    ("nodes", 0, {"position_m": ["1", 2, 3]}, "nodes[0]: field 'position_m' must be an array of three numbers"),
+    ("nodes", 0, {"position_m": [1, 2, _raw(str(10**400))]},
+     "nodes[0]: field 'position_m' is beyond the float range"),
+    ("nodes", 0, {"resonance_tolerance_ev": None}, "nodes[0]: field 'resonance_tolerance_ev' must be a number"),
+    ("nodes", 0, {"resonance_tolerance_ev": _raw("1e999")},
+     "nodes[0]: field 'resonance_tolerance_ev' must be finite"),
+    ("nodes", 0, {"can_emit": 1}, "nodes[0]: field 'can_emit' must be a boolean"),
+    ("nodes", 0, {"can_emit": None}, "nodes[0]: field 'can_emit' must be a boolean"),
+    ("nodes", 0, {"can_detect": "yes"}, "nodes[0]: field 'can_detect' must be a boolean"),
+    ("nodes", 0, {"zeta": 1, "colour": "red", "mass": 2}, "nodes[0]: unknown field(s): colour, mass, zeta"),
+    ("nodes", 0, {"colour": "red", "can_detect": "yes"}, "nodes[0]: field 'can_detect' must be a boolean"),
+    ("nodes", 0, {"id": "x", "ground_ev": _DROP}, f"nodes[0]: field 'id' {_U64_MESSAGE}"),
+    ("nodes", 0, {"ground_ev": "x", "excited_ev": _DROP}, "nodes[0]: field 'ground_ev' must be a number"),
+    ("nodes", 0, {"gamma_ev": None, "position_m": None}, "nodes[0]: field 'gamma_ev' must be a number"),
+    ("nodes", 0, {"position_m": None, "resonance_tolerance_ev": "x"},
+     "nodes[0]: field 'position_m' must be an array"),
+    ("nodes", 0, {"resonance_tolerance_ev": "x", "can_emit": 1},
+     "nodes[0]: field 'resonance_tolerance_ev' must be a number"),
+    ("nodes", 0, {"can_emit": 1, "can_detect": 1}, "nodes[0]: field 'can_emit' must be a boolean"),
+    ("arcs", 0, [], "arcs[0]: expected an object, got list"),
+    ("arcs", 1, "x", "arcs[1]: expected an object, got str"),
+    ("arcs", 0, {"id": _DROP}, "arcs[0]: missing required field 'id'"),
+    ("arcs", 1, {"source": _DROP}, "arcs[1]: missing required field 'source'"),
+    ("arcs", 0, {"target": _DROP}, "arcs[0]: missing required field 'target'"),
+    ("arcs", 0, {"distance_m": _DROP}, "arcs[0]: missing required field 'distance_m'"),
+    ("arcs", 0, {"id": 2**64}, f"arcs[0]: field 'id' {_U64_MESSAGE}"),
+    ("arcs", 0, {"source": False}, f"arcs[0]: field 'source' {_U64_MESSAGE}"),
+    ("arcs", 0, {"target": -1}, f"arcs[0]: field 'target' {_U64_MESSAGE}"),
+    ("arcs", 0, {"target": 2.0}, f"arcs[0]: field 'target' {_U64_MESSAGE}"),
+    ("arcs", 0, {"distance_m": True}, "arcs[0]: field 'distance_m' must be a number"),
+    ("arcs", 0, {"distance_m": None}, "arcs[0]: field 'distance_m' must be a number"),
+    ("arcs", 0, {"distance_m": _raw(str(10**400))}, "arcs[0]: field 'distance_m' is beyond the float range"),
+    ("arcs", 0, {"distance_m": _raw("1e999")}, "arcs[0]: field 'distance_m' must be finite"),
+    ("arcs", 0, {"b": 1, "a": 2}, "arcs[0]: unknown field(s): a, b"),
+    ("arcs", 0, {"b": 1, "distance_m": "far"}, "arcs[0]: field 'distance_m' must be a number"),
+    ("arcs", 0, {"source": "x", "target": "y"}, f"arcs[0]: field 'source' {_U64_MESSAGE}"),
+    ("standard_clocks", 0, "x", "standard_clocks[0]: expected an object, got str"),
+    ("standard_clocks", 0, {"id": _DROP}, "standard_clocks[0]: missing required field 'id'"),
+    ("standard_clocks", 0, {"period_s": _DROP}, "standard_clocks[0]: missing required field 'period_s'"),
+    ("standard_clocks", 0, {"id": -1}, f"standard_clocks[0]: field 'id' {_U64_MESSAGE}"),
+    ("standard_clocks", 0, {"period_s": "1"}, "standard_clocks[0]: field 'period_s' must be a number"),
+    ("standard_clocks", 0, {"period_s": _raw("1e999")}, "standard_clocks[0]: field 'period_s' must be finite"),
+    ("standard_clocks", 0, {"first_tick_s": None}, "standard_clocks[0]: field 'first_tick_s' must be a number"),
+    ("standard_clocks", 0, {"first_tick_s": _raw(str(10**400))},
+     "standard_clocks[0]: field 'first_tick_s' is beyond the float range"),
+    ("standard_clocks", 0, {"first_tick_s": _raw("-1e999")},
+     "standard_clocks[0]: field 'first_tick_s' must be finite"),
+    ("standard_clocks", 0, {"counter_start": 1.5}, "standard_clocks[0]: field 'counter_start' must be an integer"),
+    ("standard_clocks", 0, {"counter_start": True}, "standard_clocks[0]: field 'counter_start' must be an integer"),
+    ("standard_clocks", 0, {"counter_start": None}, "standard_clocks[0]: field 'counter_start' must be an integer"),
+    ("standard_clocks", 0, {"tick": 1, "phase": 2}, "standard_clocks[0]: unknown field(s): phase, tick"),
+    ("standard_clocks", 0, {"tick": 1, "counter_start": "0"},
+     "standard_clocks[0]: field 'counter_start' must be an integer"),
+    ("standard_clocks", 0, {"period_s": "1", "counter_start": "0"},
+     "standard_clocks[0]: field 'period_s' must be a number"),
+    ("injections", 0, None, "injections[0]: expected an object, got NoneType"),
+    ("injections", 0, {"node": _DROP}, "injections[0]: missing required field 'node'"),
+    ("injections", 0, {"at_s": _DROP}, "injections[0]: missing required field 'at_s'"),
+    ("injections", 0, {"node": True}, f"injections[0]: field 'node' {_U64_MESSAGE}"),
+    ("injections", 0, {"node": 2**64}, f"injections[0]: field 'node' {_U64_MESSAGE}"),
+    ("injections", 0, {"at_s": "0"}, "injections[0]: field 'at_s' must be a number"),
+    ("injections", 0, {"at_s": None}, "injections[0]: field 'at_s' must be a number"),
+    ("injections", 0, {"at_s": _raw(str(10**400))}, "injections[0]: field 'at_s' is beyond the float range"),
+    ("injections", 0, {"at_s": _raw("-1e999")}, "injections[0]: field 'at_s' must be finite"),
+    ("injections", 0, {"z": 1, "y": 2}, "injections[0]: unknown field(s): y, z"),
+    ("injections", 0, {"z": 1, "at_s": False}, "injections[0]: field 'at_s' must be a number"),
+    ("injections", 0, {"node": "n", "at_s": _DROP}, f"injections[0]: field 'node' {_U64_MESSAGE}"),
+]
+
+
+def _edited_document(section: str, index: int, edit) -> str:
+    doc = chain_doc()
+    if section == "document" and not isinstance(edit, dict):
+        doc = edit
+    elif not isinstance(edit, dict):
+        doc[section][index] = edit
+    else:
+        target = doc if section == "document" else doc[section][index]
+        for key, value in edit.items():
+            if value is _DROP:
+                del target[key]
+            else:
+                target[key] = value
+    return re.sub(r'"<raw ([^>]*)>"', r"\1", json.dumps(doc))
+
+
 class TestParseNetwork:
+    @pytest.mark.parametrize(
+        "section, index, edit, message", _NETWORK_DEFECTS,
+        ids=[f"{case[0]}-{i}" for i, case in enumerate(_NETWORK_DEFECTS)],
+    )
+    def test_defect_message(self, tmp_path, capsys, section, index, edit, message):
+        """Every defect names its place, and the first failed check wins."""
+        text = _edited_document(section, index, edit)
+        with pytest.raises(ParseError) as err:
+            parse_network(text)
+        assert str(err.value) == message
+        net = tmp_path / "net.json"
+        net.write_text(text)
+        assert main(["validate", str(net)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_chain_document(self):
         doc = parse_network(json.dumps(chain_doc()))
         assert len(doc.network.nodes) == 3
@@ -439,6 +598,21 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError) as err:
             parse_trace("\n".join([*lines, "", lines[-1]]) + "\n")
         assert str(err.value) == "line 15: repeated event id 12 (first on line 13)"
+
+    @pytest.mark.parametrize("repeat", [0, 5, 12])
+    def test_repeated_event_id_names_its_first_line_in_text_and_files(self, chain, tmp_path, repeat):
+        net, injections = chain
+        lines = serialize_trace(Engine(net, RunConfig(run_until_s=5.0), injections).run()).splitlines()
+        text = "\n".join(["", *lines, "", lines[repeat], lines[-1]]) + "\n"
+        message = f"line 16: repeated event id {repeat} (first on line {repeat + 2})"
+        with pytest.raises(ParseError) as err:
+            parse_trace(text)
+        assert str(err.value) == message
+        path = tmp_path / "trace.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            list(iter_trace(path))
+        assert str(err.value) == message
 
     def test_unicode_line_breaks_stay_inside_their_line(self, tmp_path):
         note = "a\u2028b\u2029c\x85d"

@@ -9,8 +9,18 @@ import pytest
 
 from fcnsim import (
     Arc,
+    ClockNode,
     CouplingKind,
+    DegenerateLevels,
+    EnergyLevel,
+    EntropyBreakdown,
+    EntropyModel,
+    Network,
+    PhysicalConstants,
+    RunConfig,
+    StableConfiguration,
     StandardClockSpec,
+    TwoLevelSpec,
     ValidationFailed,
     classify_coupling,
     propagation_delay,
@@ -84,6 +94,75 @@ class TestValidation:
     def test_default_resonance_tolerance_scales_with_gap(self):
         node = make_node(1, gap=2.0)
         assert node.resonance_tolerance_ev == pytest.approx(2e-6, rel=1e-12)
+
+
+_GROUND, _EXCITED = EnergyLevel("ground", 0.0), EnergyLevel("excited", 1.5)
+_SPEC = TwoLevelSpec(_GROUND, _EXCITED, 1e-15)
+
+# (valid value, field changes that break it, exception type, message).
+_CHECKED_CASES = [
+    (_GROUND, {"energy_ev": -1.0}, ValueError, "level 'ground': energy must be finite and >= 0, got -1.0"),
+    (_SPEC, {"excited": _GROUND}, DegenerateLevels,
+     "excited level (0.0 eV) must sit strictly above ground (0.0 eV)"),
+    (_SPEC, {"gamma_ev": 0.0}, StableConfiguration,
+     "gamma must be finite and > 0 when present, got 0.0; use None for a stable node"),
+    (ClockNode(1, _SPEC), {"resonance_tolerance_ev": -1.0}, ValueError,
+     "node 1: resonance tolerance must be finite and >= 0"),
+    (ClockNode(1, _SPEC), {"position_m": (0.0, math.inf, 0.0)}, ValueError, "node 1: position must be finite"),
+    (Arc(1, 1, 2, 1.0), {"target": 1}, ValueError, "arc 1: source and target must differ"),
+    (Arc(1, 1, 2, 1.0), {"distance_m": -1.0}, ValueError, "arc 1: distance must be finite and >= 0 m"),
+    (StandardClockSpec(3, 1.0), {"period_s": 0.0}, ValueError, "clock at node 3: period must be finite and > 0 s"),
+    (StandardClockSpec(3, 1.0), {"first_tick_s": math.nan}, ValueError, "clock at node 3: first tick must be finite"),
+    (RunConfig(1.0), {"run_until_s": math.inf}, ValueError, "run_until must be > 0 s and finite, got inf"),
+    (EntropyModel(), {"environment_temperature_k": 0.0}, ValueError,
+     "environment temperature must be > 0 K, got 0.0"),
+    (EntropyModel(), {"source_temperature_k": -1.0}, ValueError, "source temperature must be > 0 K, got -1.0"),
+    (EntropyBreakdown(-1.0, 2.0, 0.0), {"ds_vacuum": math.nan}, ValueError, "ds_vacuum must be finite, got nan"),
+    (PhysicalConstants(), {"c_m_per_s": 0.0}, ValueError, "c_m_per_s must be > 0"),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "value, changes, error, message", _CHECKED_CASES,
+        ids=[f"{type(case[0]).__name__}-{next(iter(case[1]))}" for case in _CHECKED_CASES],
+    )
+    def test_derived_values_are_checked(self, value, changes, error, message):
+        """``_replace`` and ``_make`` run the constructor's checks."""
+        fields = value._asdict() | changes
+        with pytest.raises(error) as err:
+            type(value)(**fields)
+        assert str(err.value) == message
+        with pytest.raises(error) as err:
+            value._replace(**changes)
+        assert str(err.value) == message
+        with pytest.raises(error) as err:
+            type(value)._make(fields.values())
+        assert str(err.value) == message
+
+    def test_valid_replace_keeps_the_type(self):
+        clock = StandardClockSpec(3, 1.0, counter_start=4)
+        half = clock._replace(period_s=0.5)
+        assert type(half) is StandardClockSpec
+        assert half == StandardClockSpec(3, 0.5, 0.0, 4)
+        assert half.tick_time(3) == 1.5
+
+    def test_values_are_immutable_tuples(self):
+        arc = Arc(id=1, source=1, target=2, distance_m=1.0)
+        assert arc == (1, 1, 2, 1.0) and hash(arc) == hash((1, 1, 2, 1.0))
+        with pytest.raises(AttributeError):
+            arc.distance_m = 2.0
+
+    def test_network_lookups(self):
+        net, _ = chain_network()
+        assert net.node_by_id == {n.id: n for n in net.nodes}
+        assert net.arc_by_id == {a.id: a for a in net.arcs}
+        assert net.clock_by_node == {c.id: c for c in net.clocks}
+        same = Network(net.nodes, net.arcs, net.clocks)
+        assert same == net and hash(same) == hash(net)
+        assert same.node_by_id == net.node_by_id
+        fewer = net._replace(clocks=())
+        assert fewer.clock_by_node == {} and fewer.node_by_id == net.node_by_id
 
 
 class TestPropagationDelay:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from fcnsim import (
@@ -108,7 +106,7 @@ def _observer_clock(network):
 def _timeline_for(trace, network, period_scale=1.0):
     clock = _observer_clock(network)
     if period_scale != 1.0:
-        clock = replace(clock, period_s=clock.period_s * period_scale)
+        clock = clock._replace(period_s=clock.period_s * period_scale)
     horizon = max((e.engine_time for e in trace), default=0.0)
     pulses = clock_pulses(clock, until_s=horizon)
     labels, _ = label_absorptions(trace, clock, pulses)
@@ -206,7 +204,7 @@ def test_trace_index_matches_reference(case):
         pulses = index.pulses(clock_id)
         assert pulses == pulses_from_trace(trace, clock_id)
         declared = network.clock_by_node[clock_id]
-        half = replace(declared, period_s=declared.period_s / 2)
+        half = declared._replace(period_s=declared.period_s / 2)
         for spec, spec_pulses in ((declared, pulses), (half, clock_pulses(half, until_s=horizon))):
             labels, skipped = index.label(spec_pulses)
             assert (labels, skipped) == label_absorptions(trace, spec, spec_pulses)
@@ -231,7 +229,7 @@ def test_streamed_index_matches_index_of_trace(case):
         pulses = index.pulses(clock_id)
         assert streamed.pulses(clock_id) == pulses
         declared = network.clock_by_node[clock_id]
-        half = replace(declared, period_s=declared.period_s / 2)
+        half = declared._replace(period_s=declared.period_s / 2)
         for spec_pulses in (pulses, clock_pulses(half, until_s=horizon)):
             labels, skipped = index.label(spec_pulses)
             assert streamed.label(spec_pulses) == (labels, skipped)
