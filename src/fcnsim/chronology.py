@@ -17,11 +17,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .engine import EventKind, EventTrace, SimEvent
 from .errors import ClockMismatch
-from .network import EventId, NodeId, PulseId, StandardClockSpec
+from .events import EventId, EventKind, EventTrace, NodeId, PulseId, SimEvent
+
+if TYPE_CHECKING:
+    from .network import StandardClockSpec
 
 
 class ClockPulse(NamedTuple):
@@ -130,10 +132,9 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
     return (label.time_number_s, label.event)
 
 
-class _Step(NamedTuple):  # what the ancestry pass reads of one event
-    id: EventId
-    kind: EventKind
-    parents: tuple[EventId, ...]  # 48 bytes for one parent, where a frozenset takes 216
+# What the ancestry pass reads of one event: (id, kind, parents). The
+# parents are a tuple: 48 bytes for one parent, where a frozenset takes 216.
+_Step = tuple[EventId, EventKind, tuple[EventId, ...]]
 
 
 def _skeleton(
@@ -321,7 +322,7 @@ class TraceIndex:
                 absorb(event)
             elif kind is tick:
                 self._ticks.setdefault(node, []).append(event)
-            record(tuple.__new__(_Step, (eid, kind, tuple(parents))))
+            record((eid, kind, tuple(parents)))
         self._absorption_ids = {e.id for e in self.absorptions}
         self._steps, self._last_reader = _skeleton(self._records, self._absorption_ids)
 

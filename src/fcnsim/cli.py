@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation or parse error or a
 path that is missing or a directory, 3 runtime error. Set
-FCN_LOG=debug|info|warning for diagnostics on stderr.
+FCN_LOG=debug|info|warning for diagnostics on stderr. Each command
+imports the modules it runs, so reading a trace loads no engine code.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores its previous state afterwards. A command builds tens of
@@ -16,30 +17,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import sys
-from operator import attrgetter
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-from .chronology import TraceIndex
-from .engine import Engine, EventKind, RunConfig, SamplingMode, SimEvent
-from .entropy import EntropyModel
 from .errors import FcnError, ParseError, ValidationFailed
-from .io import (
-    ENTROPY_COLUMNS,
-    entropy_rows,
-    iter_trace,
-    parse_network_file,
-    write_csv,
-    write_events,
-    write_timeline_csv,
-    write_trace,
-)
-from .network import DEFAULT_COUPLING_FRACTION, CouplingKind, classify_coupling
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import Iterable, Iterator
+    from .events import SimEvent
 
 
 class _UsageError(Exception):
@@ -71,7 +58,6 @@ def _build_parser() -> _Parser:
     p_validate.add_argument(
         "--coupling-fraction",
         type=float,
-        default=DEFAULT_COUPLING_FRACTION,
         help="transit/lifetime ratio below which nodes couple collectively",
     )
 
@@ -103,13 +89,16 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .io import parse_network_file
+    from .network import DEFAULT_COUPLING_FRACTION, CouplingKind, classify_coupling
+    fraction = DEFAULT_COUPLING_FRACTION if args.coupling_fraction is None else args.coupling_fraction
     doc = parse_network_file(args.net)
     net = doc.network
     print(
         f"ok: {len(net.nodes)} nodes, {len(net.arcs)} arcs, "
         f"{len(net.clocks)} clocks, {len(doc.injections)} injections"
     )
-    coupling = classify_coupling(net, args.coupling_fraction)
+    coupling = classify_coupling(net, fraction)
     cens = [c for c in coupling.classes if c.kind == CouplingKind.CEN]
     for cen in cens:
         print(f"collective group: nodes {', '.join(map(str, cen.members))}")
@@ -133,11 +122,15 @@ def _parse_seed_range(text: str) -> range:
 
 
 def _seed_out_path(out: str, seed: int) -> Path:
+    from pathlib import Path
     path = Path(out)
     return path.with_name(f"{path.stem}.seed{seed}{path.suffix}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .engine import Engine, RunConfig, SamplingMode
+    from .entropy import EntropyModel
+    from .io import parse_network_file, write_events, write_trace
     doc = parse_network_file(args.net)
     mode = SamplingMode.STOCHASTIC if args.mode == "sto" else SamplingMode.DETERMINISTIC
 
@@ -165,6 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    from .chronology import TraceIndex
+    from .io import iter_trace, parse_network_file, write_timeline_csv
     if args.net:
         spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
         if spec is None:
@@ -202,6 +197,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    from .io import ENTROPY_COLUMNS, entropy_rows, iter_trace, write_csv
     # The rows are written once the whole trace has passed its checks.
     rows = entropy_rows(iter_trace(args.trace))
     violations = sum(1 for row in rows if row[4] < 0)  # row[4] is the total
@@ -215,6 +211,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from operator import attrgetter
+    from .chronology import TraceIndex
+    from .events import EventKind
+    from .io import iter_trace
     counts = dict.fromkeys(EventKind, 0)  # a plain dict: CPython specializes its item updates
     negative = 0  # decays with a negative total entropy change
 
@@ -261,6 +261,7 @@ _COMMANDS = {
 def _configure_logging() -> None:
     level_name = os.environ.get("FCN_LOG", "").strip().upper()
     if level_name:
+        import logging
         logging.basicConfig(
             level=getattr(logging, level_name, logging.WARNING),
             format="%(levelname)s %(name)s: %(message)s",

@@ -48,41 +48,11 @@ from typing import Any, Iterable, Iterator, NamedTuple
 from .constants import Checked
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
 from .errors import UnknownNode
-from .network import ArcId, EventId, Network, NodeId, propagation_delay
+from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
+from .network import Network, propagation_delay
 from .quantum import TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
 
 logger = logging.getLogger(__name__)
-
-
-class EventKind(str, Enum):
-    EXTERNAL_EXCITATION = "external_excitation"
-    ABSORPTION = "absorption"
-    DECAY = "decay"
-    EMISSION = "emission"
-    CLOCK_TICK = "clock_tick"
-    PASS_THROUGH = "pass_through"
-
-
-class SimEvent(NamedTuple):
-    """One causal happening, as recorded in the trace.
-
-    ``parents`` holds the ids of the events that caused this one; parents
-    always precede their children in (engine_time, id) order. ``payload``
-    is kind-specific and treated as immutable. A tuple, because the engine
-    and the trace reader build one per event: they call
-    ``tuple.__new__(SimEvent, fields)``, which skips the keyword handling
-    of ``SimEvent(...)``.
-    """
-
-    id: EventId
-    kind: EventKind
-    node: NodeId
-    engine_time: float
-    parents: frozenset[EventId]
-    payload: dict[str, Any]
-
-
-EventTrace = tuple[SimEvent, ...]
 
 
 class SamplingMode(Enum):

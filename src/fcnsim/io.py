@@ -16,20 +16,14 @@ import math
 import os
 from pathlib import Path
 from operator import itemgetter
-from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, IO, Iterable, Iterator, NamedTuple
 
-from .chronology import Timeline
-from .engine import EventKind, EventTrace, SimEvent
 from .errors import ParseError, ValidationFailed
-from .network import (
-    Arc,
-    ClockNode,
-    Network,
-    NodeId,
-    StandardClockSpec,
-    validate_network,
-)
-from .quantum import EnergyLevel, TwoLevelSpec
+from .events import EventKind, EventTrace, NodeId, SimEvent
+
+if TYPE_CHECKING:
+    from .chronology import Timeline
+    from .network import Network
 
 SCHEMA_VERSION = "1"
 
@@ -123,9 +117,12 @@ def _position(value: Any, i: int) -> tuple[float, float, float]:
         raise ParseError("field 'position_m' must be an array of three numbers", f"nodes[{i}]")
     x, y, z = value
     try:
-        return (float(x), float(y), float(z))
+        position = (float(x), float(y), float(z))
     except OverflowError:  # an integer beyond the float range
         raise ParseError("field 'position_m' is beyond the float range", f"nodes[{i}]") from None
+    if not _INFINITE.isdisjoint(position):  # from a literal such as 1e999
+        raise ParseError("field 'position_m' must be finite", f"nodes[{i}]")
+    return position
 
 
 def _reject_constant(text: str) -> float:
@@ -146,6 +143,10 @@ def parse_network(data: bytes | str) -> NetworkDocument:
     The first failed check is reported; within an object, unknown fields
     are looked for only once every known field has passed.
     """
+    # Imported here: the trace readers and writers need neither module.
+    from .network import Arc, ClockNode, StandardClockSpec, validate_network
+    from .quantum import EnergyLevel, TwoLevelSpec
+
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")

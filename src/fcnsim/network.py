@@ -20,14 +20,8 @@ from typing import NamedTuple
 
 from .constants import CONSTANTS, Checked
 from .errors import ValidationFailed
+from .events import ArcId, EventId, ExcitationId, NodeId, PulseId  # noqa: F401  (re-exported)
 from .quantum import TwoLevelSpec, lifetime, signal_energy
-
-# Opaque identifiers; unique within one network/run.
-NodeId = int
-ArcId = int
-EventId = int
-PulseId = int
-ExcitationId = int
 
 # Fraction of the shorter lifetime that signal transit must stay under for
 # two arc-joined nodes to count as collectively coupled.

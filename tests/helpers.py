@@ -470,3 +470,61 @@ def reference_record_to_event(record: dict[str, Any], where: str = "record") -> 
         parents=frozenset(parents),
         payload=record,
     )
+
+
+# -- fresh interpreters --------------------------------------------------
+
+import os  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import NamedTuple  # noqa: E402
+
+import fcnsim  # noqa: E402
+
+SRC = Path(fcnsim.__file__).resolve().parent.parent
+# Runs ``code`` if it is not empty, else the CLI on the remaining arguments;
+# either way the names in sys.modules at exit go to the file named first.
+_FRESH = """\
+import sys
+out, code = sys.argv.pop(1), sys.argv.pop(1)
+try:
+    if code:
+        exec(compile(code, "<fresh>", "exec"), {"__name__": "__main__"})
+    else:
+        from fcnsim.cli import main
+        sys.exit(main(sys.argv[1:]))
+finally:
+    with open(out, "w", encoding="utf-8") as fp:
+        fp.write("\\n".join(sys.modules))
+"""
+
+
+class Fresh(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+    modules: frozenset[str]  # every module loaded at exit
+
+    @property
+    def fcnsim_modules(self) -> frozenset[str]:
+        return frozenset(m for m in self.modules if m.partition(".")[0] == "fcnsim")
+
+
+def run_fresh(*argv: str, code: str = "") -> Fresh:
+    """Run ``fcnsim <argv>``, or ``code`` with ``argv`` as ``sys.argv[1:]``,
+    in a new interpreter that imports fcnsim from ``src/`` and has no
+    ``FCN_LOG`` set."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("FCN_LOG", None)
+    fd, out = tempfile.mkstemp(suffix=".modules")
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH, out, code, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        modules = frozenset(Path(out).read_text(encoding="utf-8").split("\n"))
+    finally:
+        os.unlink(out)
+    return Fresh(proc.returncode, proc.stdout, proc.stderr, modules)

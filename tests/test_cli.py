@@ -6,9 +6,7 @@ import gc
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import textwrap
 import tracemalloc
@@ -20,7 +18,7 @@ import fcnsim
 from fcnsim.cli import main
 from fcnsim.engine import Engine, RunConfig, SamplingMode
 from fcnsim.io import parse_network_file, read_trace, serialize_trace
-from helpers import mixed_network, network_document, random_network
+from helpers import mixed_network, network_document, random_network, run_fresh
 
 # sha256 of ``run --until 5.0 --mode sto --seed 5`` on helpers.mixed_network,
 # recorded from the engine that drew one scalar uniform per decay.
@@ -572,9 +570,7 @@ _NUMPY_PROBE = textwrap.dedent(
     assert main(["timeline", trace, "--clock", "3", "--out", out + "/timeline.csv"]) == 0
     assert main(["entropy", trace, "--out", out + "/entropy.csv"]) == 0
     assert main(["report", trace]) == 0
-    print("numpy" in sys.modules)
     assert main(["run", net, "--until", "5.0", "--mode", "sto", "--out", trace]) == 0
-    print("numpy" in sys.modules)
     """
 )
 
@@ -582,27 +578,67 @@ _NUMPY_PROBE = textwrap.dedent(
 def test_only_stochastic_runs_import_numpy(chain_net, tmp_path):
     """No command loads numpy, stochastic runs included: the engine
     computes its PCG64 stream itself, and numpy is only the tests' oracle."""
-    src = str(Path(fcnsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("FCN_LOG", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, chain_net, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh(chain_net, str(tmp_path), code=_NUMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+    assert "numpy" not in proc.modules
 
 
 def test_cli_import_leaves_dataclasses_out():
     """Every command starts a process; the value types are NamedTuples, so
     importing the CLI loads no ``dataclasses`` (nor ``inspect``, which it
     pulls in)."""
-    src = str(Path(fcnsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, fcnsim.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_fresh(code="import fcnsim.cli")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert not {"dataclasses", "inspect"} & proc.modules
+
+
+def test_package_import_loads_no_submodule():
+    """``import fcnsim`` alone loads none of its modules: each name is
+    imported from its module on first use."""
+    proc = run_fresh(code="import fcnsim")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.fcnsim_modules == {"fcnsim"}
+
+
+_CLI = {"fcnsim", "fcnsim.cli", "fcnsim.errors"}  # what every command loads
+_NETWORK = {"fcnsim.network", "fcnsim.quantum", "fcnsim.constants"}  # what reading a network document adds
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, logging",
+    [
+        (["validate", "{net}"], {"fcnsim.io", "fcnsim.events", *_NETWORK}, False),
+        (["run", "{net}", "--until", "5.0", "--out", "{out}/t.jsonl"],
+         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.engine", "fcnsim.entropy"}, True),
+        (["timeline", "{trace}", "--clock", "3", "--net", "{net}", "--out", "{out}/t.csv"],
+         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.chronology"}, False),
+        (["entropy", "{trace}", "--out", "{out}/e.csv"], {"fcnsim.io", "fcnsim.events"}, False),
+        (["report", "{trace}"], {"fcnsim.io", "fcnsim.events", "fcnsim.chronology"}, False),
+    ],
+    ids=["validate", "run", "timeline-net", "entropy", "report"],
+)
+def test_each_command_loads_only_its_modules(fixtures_dir, tmp_path, argv, loaded, logging):
+    """Every command starts a process, and each imports only the modules it
+    runs: reading a trace loads no engine and no network code, and only the
+    engine, which keeps a logger, loads ``logging``."""
+    paths = {"net": fixtures_dir / "chain.net.json", "trace": fixtures_dir / "chain.expected-trace.jsonl",
+             "out": tmp_path}
+    proc = run_fresh(*(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.fcnsim_modules == _CLI | loaded
+    assert ("logging" in proc.modules) is logging
+    assert not {"dataclasses", "inspect", "numpy"} & proc.modules
+
+
+def test_validate_defaults_to_the_network_coupling_fraction(chain_net, capsys, monkeypatch):
+    """Without ``--coupling-fraction``, validate classifies with
+    ``network.DEFAULT_COUPLING_FRACTION``, read when the command runs."""
+    assert main(["validate", chain_net, "--coupling-fraction", "1e30"]) == 0
+    wide = capsys.readouterr().out
+    assert "collective group: nodes 1, 2, 3" in wide
+    monkeypatch.setattr("fcnsim.network.DEFAULT_COUPLING_FRACTION", 1e30)
+    assert main(["validate", chain_net]) == 0
+    assert capsys.readouterr().out == wide
 
 
 class TestUsage:

@@ -201,6 +201,9 @@ _NETWORK_DEFECTS = [
     ("injections", 0, {"z": 1, "y": 2}, "injections[0]: unknown field(s): y, z"),
     ("injections", 0, {"z": 1, "at_s": False}, "injections[0]: field 'at_s' must be a number"),
     ("injections", 0, {"node": "n", "at_s": _DROP}, f"injections[0]: field 'node' {_U64_MESSAGE}"),
+    # Later rows go here, so that the case ids above, which count rows, stay as they are.
+    ("nodes", 0, {"position_m": [_raw("1e999"), 2, 3]}, "nodes[0]: field 'position_m' must be finite"),
+    ("nodes", 0, {"position_m": [1, _raw("-1e999"), 3]}, "nodes[0]: field 'position_m' must be finite"),
 ]
 
 
