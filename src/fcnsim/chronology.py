@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter, gt, itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .errors import ClockMismatch
+from .errors import ClockMismatch, ParseError
 from .events import EventId, EventKind, EventTrace, NodeId, PulseId, SimEvent
 
 if TYPE_CHECKING:
@@ -268,8 +268,13 @@ def _label(
     """Pair each absorption with the latest pulse at or before it and label
     it with that pulse's recorded time, bisecting the pulse times once per
     absorption. Absorptions before the first pulse are counted, not labeled.
+    A pulse earlier than the one before it raises ParseError.
     """
     times = [p.engine_time for p in pulses]
+    if any(map(gt, times, times[1:])):
+        back = next(q for p, q in zip(pulses, pulses[1:]) if p.engine_time > q.engine_time)
+        raise ParseError(f"pulse {back.id} at engine_time {back.engine_time} is earlier than the pulse before it",
+                         f"clock {back.clock}")
     labels = []
     for event in absorptions:
         after = bisect_right(times, event.engine_time)
@@ -288,7 +293,8 @@ def label_absorptions(
     Returns the labels plus the count of absorptions skipped because they
     precede the first pulse. Each time number is the paired pulse's
     ``engine_time``. ``pulses`` defaults to the pulses of ``clock`` as
-    recorded in the trace; ``clock`` has no other use.
+    recorded in the trace; ``clock`` has no other use. Raises ParseError
+    if the pulse times ever decrease.
     """
     if pulses is None:
         pulses = pulses_from_trace(trace, clock.id)

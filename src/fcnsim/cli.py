@@ -1,8 +1,7 @@
 """Command-line surface: validate, run, timeline, entropy, report.
 
 Exit codes: 0 success, 1 usage error, 2 validation or parse error or a
-path that is missing or a directory, 3 runtime error. Set
-FCN_LOG=debug|info|warning for diagnostics on stderr. Each command
+path that is missing or a directory, 3 runtime error. Each command
 imports the modules it runs, so reading a trace loads no engine code.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -163,24 +161,20 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     if args.net:
         spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
         if spec is None:
-            print(f"error: no standard clock at node {args.clock} in {args.net}", file=sys.stderr)
-            return 2
+            raise ValidationFailed([f"no standard clock at node {args.clock} in {args.net}"])
     index = TraceIndex(iter_trace(args.trace))
     pulses = index.pulses(args.clock)
     if args.net:
         for k, pulse in enumerate(pulses):
             t, counter = spec.tick_time(k), spec.counter_start + k
             if (pulse.engine_time, pulse.counter) != (t, counter):
-                print(
-                    f"error: clock {args.clock}: pulse {pulse.id} (tick {k}) is at engine_time "
+                raise ValidationFailed([
+                    f"clock {args.clock}: pulse {pulse.id} (tick {k}) is at engine_time "
                     f"{pulse.engine_time} with counter {pulse.counter}; {args.net} declares "
-                    f"{t} with counter {counter}",
-                    file=sys.stderr,
-                )
-                return 2
+                    f"{t} with counter {counter}"
+                ])
     elif not pulses:
-        print(f"error: clock {args.clock}: no pulses in trace", file=sys.stderr)
-        return 2
+        raise ValidationFailed([f"clock {args.clock}: no pulses in trace"])
     labels, skipped = index.label(pulses)
     timeline, violations, _ = index.check(labels, observer=args.clock)
     if args.out:
@@ -258,19 +252,7 @@ _COMMANDS = {
 }
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("FCN_LOG", "").strip().upper()
-    if level_name:
-        import logging
-        logging.basicConfig(
-            level=getattr(logging, level_name, logging.WARNING),
-            format="%(levelname)s %(name)s: %(message)s",
-            stream=sys.stderr,
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = _build_parser()
     collecting = gc.isenabled()
     gc.disable()
@@ -280,14 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValidationFailed) as exc:
-        if isinstance(exc, ValidationFailed):
-            for problem in exc.problems:
-                print(f"error: {problem}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+    except ValidationFailed as exc:
+        for problem in exc.problems:
+            print(f"error: {problem}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FcnError, OSError, ValueError) as exc:

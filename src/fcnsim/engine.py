@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import math
 from collections import namedtuple
 from enum import Enum
@@ -51,8 +50,6 @@ from .errors import UnknownNode
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
 from .network import Network, propagation_delay
 from .quantum import TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
-
-logger = logging.getLogger(__name__)
 
 
 class SamplingMode(Enum):
@@ -223,13 +220,9 @@ class Engine:
             self._build_tables()
         queue, handlers, until = self._queue, self._handlers, self._config.run_until_s
         heappop = heapq.heappop
-        debug = logger.isEnabledFor(logging.DEBUG)
         while queue and queue[0][0] <= until:
             occ = heappop(queue)
-            event = handlers[occ[2]](self, occ)
-            if debug:
-                logger.debug("event %d %s node=%d t=%r", event.id, event.kind.value, event.node, event.engine_time)
-            yield event
+            yield handlers[occ[2]](self, occ)
 
     def run(self) -> EventTrace:
         """The events of the remaining run, as a trace; a second call returns ()."""

@@ -317,7 +317,7 @@ def event_to_record(event: SimEvent) -> dict[str, Any]:
 
 
 def _dumps(value: Any) -> str:
-    return json.dumps(value, separators=(",", ":"))
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -361,22 +361,25 @@ def serialize_event(event: SimEvent) -> str:
     the same ``int.__repr__``, ``float.__repr__`` and ASCII string escapes
     that ``json.dumps`` uses; any other value goes to ``json.dumps``, and
     so does an event whose payload reuses a base field name or has a key
-    that is not a string.
+    that is not a string. Where the line would hold a NaN or an infinity,
+    which no trace reader accepts, it raises ValueError naming the event id.
     """
     event_id, node = event.id, event.node
-    if type(event_id) is not int or type(node) is not int:
-        return _dumps(event_to_record(event))
-    parts = [
-        f'{{"id":{event_id!r}{_KIND_FIELDS[event.kind]}{node!r},"engine_time":'
-        f'{_json_value(event.engine_time)},"parents":{_json_parents(event.parents)}'
-    ]
-    for key, value in event.payload.items():
-        name = _PAYLOAD_KEYS.get(key)
-        if name is None:
-            if type(key) is not str or key in _BASE_KEY_SET:
-                return _dumps(event_to_record(event))
-            name = f",{_encode_str(key)}:"
-        parts.append(name + _json_value(value))
+    try:
+        if type(event_id) is not int or type(node) is not int:
+            return _dumps(event_to_record(event))
+        parts = [""]  # for the base fields, once no payload key has sent the event to json.dumps
+        for key, value in event.payload.items():
+            name = _PAYLOAD_KEYS.get(key)
+            if name is None:
+                if type(key) is not str or key in _BASE_KEY_SET:
+                    return _dumps(event_to_record(event))
+                name = f",{_encode_str(key)}:"
+            parts.append(name + _json_value(value))
+        parts[0] = (f'{{"id":{event_id!r}{_KIND_FIELDS[event.kind]}{node!r},"engine_time":'
+                    f'{_json_value(event.engine_time)},"parents":{_json_parents(event.parents)}')
+    except ValueError as exc:
+        raise ValueError(f"event {event_id}: {exc}") from None
     parts.append("}")
     return "".join(parts)
 
@@ -458,16 +461,16 @@ def _rejection(record: Any) -> str:
     raise AssertionError(f"record passes every check: {record!r}")
 
 
-def _line_event(line: str, where: str | int) -> SimEvent | None:
+def _line_event(line: str, lineno: int) -> SimEvent | None:
     """The checked event on one trace line, or None for a blank line.
 
-    ``where`` is the line number, or the context, that an error names.
-    The C scanner decodes one JSON value trailed by at most JSON whitespace
-    (a CRLF file's ``\r``); any other line (blank, padded or malformed) goes
-    to ``json.loads``, whose message a malformed line reports. Both reject
-    the literals ``NaN``, ``Infinity`` and ``-Infinity``. The message of a
-    failed check, and the context string, are built only on failure.
-    Integers over CPython's digit limit and too deep nesting are invalid.
+    An error names the line number ``lineno``. The C scanner decodes one
+    JSON value trailed by at most JSON whitespace (a CRLF file's ``\r``);
+    any other line (blank, padded or malformed) goes to ``json.loads``,
+    whose message a malformed line reports. Both reject the literals
+    ``NaN``, ``Infinity`` and ``-Infinity``. The message of a failed check
+    is built only on failure. Integers over CPython's digit limit and too
+    deep nesting are invalid.
     """
     try:
         record, end = _scan_once(line, 0)
@@ -479,27 +482,10 @@ def _line_event(line: str, where: str | int) -> SimEvent | None:
         try:
             record = json.loads(line, parse_constant=_reject_line_constant)
         except (ValueError, RecursionError) as exc:
-            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", _context(where)) from exc
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", f"line {lineno}") from exc
     event = _event(record)
     if event is None:
-        raise ParseError(_rejection(json.loads(line)), _context(where))
-    return event
-
-
-def _context(where: str | int) -> str:
-    return where if isinstance(where, str) else f"line {where}"
-
-
-def parse_event_line(line: str, where: str = "line") -> SimEvent:
-    """One event from one trace line; raises ParseError naming ``where``.
-
-    Checks the line as ``parse_trace`` does: a missing or mistyped base
-    field, an unknown kind, or a missing or mistyped payload field that
-    the analysis commands read.
-    """
-    event = _line_event(line, where)
-    if event is None:
-        raise ParseError("invalid JSON: Expecting value", where)
+        raise ParseError(_rejection(json.loads(line)), f"line {lineno}")
     return event
 
 
@@ -539,7 +525,6 @@ def parse_trace(text: str) -> EventTrace:
     before the line feed is JSON whitespace. Raises ParseError naming the
     line for a malformed record, for an event id that an earlier line
     already used, and for a parent id that no earlier line's event has.
-    ``parse_event_line`` reads one record without the last two checks.
     """
     lines = text.split("\n")
     return tuple(_checked(lines, lambda: lines))

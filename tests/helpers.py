@@ -514,10 +514,8 @@ class Fresh(NamedTuple):
 
 def run_fresh(*argv: str, code: str = "") -> Fresh:
     """Run ``fcnsim <argv>``, or ``code`` with ``argv`` as ``sys.argv[1:]``,
-    in a new interpreter that imports fcnsim from ``src/`` and has no
-    ``FCN_LOG`` set."""
+    in a new interpreter that imports fcnsim from ``src/``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    env.pop("FCN_LOG", None)
     fd, out = tempfile.mkstemp(suffix=".modules")
     os.close(fd)
     try:

@@ -9,6 +9,7 @@ from fcnsim import (
     ClockMismatch,
     Engine,
     EventKind,
+    ParseError,
     RunConfig,
     SimEvent,
     StandardClockSpec,
@@ -340,6 +341,31 @@ class TestLabelAbsorptions:
         explicit, _ = label_absorptions(chain_trace, clock, pulses_from_trace(chain_trace, 3))
         implicit, _ = label_absorptions(chain_trace, clock)
         assert explicit == implicit
+
+    @staticmethod
+    def ticks_at(*times: float) -> tuple[SimEvent, ...]:
+        return tuple(
+            SimEvent(id=k, kind=EventKind.CLOCK_TICK, node=3, engine_time=t, parents=frozenset(),
+                     payload={"pulse_id": k, "counter": k})
+            for k, t in enumerate(times)
+        )
+
+    def test_pulses_going_back_in_time_rejected(self):
+        """The floor rule bisects the pulse times, so a pulse earlier than the
+        one before it is an error naming the clock and that pulse, never a
+        label from the wrong pulse."""
+        trace = (*self.ticks_at(0.0, 2.0, 1.0), absorption_at(3, 1.5))
+        message = r"^clock 3: pulse 2 at engine_time 1\.0 is earlier than the pulse before it$"
+        with pytest.raises(ParseError, match=message):
+            label_absorptions(trace, unit_clock(node=3))
+        index = TraceIndex(trace)
+        with pytest.raises(ParseError, match=message):
+            index.label(index.pulses(3))
+
+    def test_pulses_at_one_time_pair_with_the_last(self):
+        trace = (*self.ticks_at(0.0, 1.0, 1.0), absorption_at(3, 1.5))
+        (label,), skipped = label_absorptions(trace, unit_clock(node=3))
+        assert (label.time_number_s, label.triplet.pulse, skipped) == (1.0, 2, 0)
 
 
 class TestPulseHelpers:

@@ -223,6 +223,35 @@ class TestRunStreams:
         assert captured.out == "".join(golden[:first_decay])
 
 
+    @pytest.mark.parametrize("node, event", [
+        ({"gamma_ev": 1e300}, 2),  # a 6.6e-316 s lifetime: an infinite production_rate
+        ({"excited_ev": 5e-324}, 4),  # a 5e-324 eV gap: an infinite wavelength_nm
+    ], ids=["production-rate", "wavelength"])
+    def test_non_finite_value_is_runtime_error(self, fixtures_dir, tmp_path, node, event, capsys):
+        """No trace reader accepts a NaN or an infinity, so ``run`` writes none:
+        it exits 3 naming the event, leaves ``--out`` as it was, and leaves
+        the events before it on stdout."""
+        doc = json.loads((fixtures_dir / "chain.net.json").read_text())
+        doc["nodes"][0].update(node)
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        out = tmp_path / "trace.jsonl"
+        out.write_bytes(b"earlier\nbytes")
+        failure = f"runtime error: event {event}: Out of range float values are not JSON compliant"
+        assert main(["run", str(net), "--until", "5", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(failure)
+        assert out.read_bytes() == b"earlier\nbytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "trace.jsonl"]
+        assert main(["run", str(net), "--until", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(failure) and captured.err.count("\n") == 1
+        written = tmp_path / "written.jsonl"
+        written.write_text(captured.out)
+        assert [e.id for e in read_trace(written)] == list(range(event))
+
+
 class TestTimeline:
     def test_matches_golden(self, chain_trace_file, tmp_path, fixtures_dir):
         out = tmp_path / "timeline.csv"
@@ -232,7 +261,7 @@ class TestTimeline:
 
     def test_unknown_clock_exits_2_and_names_id(self, chain_trace_file, capsys):
         assert main(["timeline", str(chain_trace_file), "--clock", "777"]) == 2
-        assert "777" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: clock 777: no pulses in trace\n")
 
     def test_net_supplied_clock_spec(self, chain_trace_file, chain_net, tmp_path, fixtures_dir):
         out = tmp_path / "timeline.csv"
@@ -430,6 +459,23 @@ class TestMalformedTrace:
         assert captured.err == f"error: line {lines}: invalid UTF-8: invalid start byte\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [["timeline", "--clock", "3"], ["report"]], ids=lambda c: c[0])
+    def test_pulses_going_back_in_time_exit_2(self, tmp_path, command, capsys):
+        """Clock 3 ticks at 0.0, 2.0, then 1.0: floor pairing would label the
+        absorption at 1.5 with the wrong pulse, so the commands refuse it."""
+        ticks = [
+            {"id": k, "kind": "clock_tick", "node": 3, "engine_time": t, "parents": [], "pulse_id": k, "counter": k}
+            for k, t in enumerate((0.0, 2.0, 1.0))
+        ]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in [*ticks, {
+            "id": 3, "kind": "absorption", "node": 1, "engine_time": 1.5, "parents": [], "arc": 1,
+        }]))
+        assert main([command[0], str(trace), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: clock 3: pulse 2 at engine_time 1.0 is earlier than the pulse before it\n"
+        assert "labels" not in captured.out
+
     def test_report_on_tick_without_pulse_id_exits_2(self, chain_trace_file, capsys):
         lineno = _rewrite_first(chain_trace_file, "clock_tick", ("pulse_id",))
         assert main(["report", str(chain_trace_file)]) == 2
@@ -605,29 +651,28 @@ _NETWORK = {"fcnsim.network", "fcnsim.quantum", "fcnsim.constants"}  # what read
 
 
 @pytest.mark.parametrize(
-    "argv, loaded, logging",
+    "argv, loaded",
     [
-        (["validate", "{net}"], {"fcnsim.io", "fcnsim.events", *_NETWORK}, False),
+        (["validate", "{net}"], {"fcnsim.io", "fcnsim.events", *_NETWORK}),
         (["run", "{net}", "--until", "5.0", "--out", "{out}/t.jsonl"],
-         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.engine", "fcnsim.entropy"}, True),
+         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.engine", "fcnsim.entropy"}),
         (["timeline", "{trace}", "--clock", "3", "--net", "{net}", "--out", "{out}/t.csv"],
-         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.chronology"}, False),
-        (["entropy", "{trace}", "--out", "{out}/e.csv"], {"fcnsim.io", "fcnsim.events"}, False),
-        (["report", "{trace}"], {"fcnsim.io", "fcnsim.events", "fcnsim.chronology"}, False),
+         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.chronology"}),
+        (["entropy", "{trace}", "--out", "{out}/e.csv"], {"fcnsim.io", "fcnsim.events"}),
+        (["report", "{trace}"], {"fcnsim.io", "fcnsim.events", "fcnsim.chronology"}),
     ],
     ids=["validate", "run", "timeline-net", "entropy", "report"],
 )
-def test_each_command_loads_only_its_modules(fixtures_dir, tmp_path, argv, loaded, logging):
+def test_each_command_loads_only_its_modules(fixtures_dir, tmp_path, argv, loaded):
     """Every command starts a process, and each imports only the modules it
-    runs: reading a trace loads no engine and no network code, and only the
-    engine, which keeps a logger, loads ``logging``."""
+    runs: reading a trace loads no engine and no network code, and no
+    command loads ``logging``."""
     paths = {"net": fixtures_dir / "chain.net.json", "trace": fixtures_dir / "chain.expected-trace.jsonl",
              "out": tmp_path}
     proc = run_fresh(*(arg.format(**paths) for arg in argv))
     assert proc.returncode == 0, proc.stderr
     assert proc.fcnsim_modules == _CLI | loaded
-    assert ("logging" in proc.modules) is logging
-    assert not {"dataclasses", "inspect", "numpy"} & proc.modules
+    assert not {"logging", "dataclasses", "inspect", "numpy"} & proc.modules
 
 
 def test_validate_defaults_to_the_network_coupling_fraction(chain_net, capsys, monkeypatch):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import random
 
@@ -414,40 +413,3 @@ def test_events_after_steps_continue_the_run(chain):
     first = next(engine.events()), next(engine.events())
     rest = engine.run()
     assert first + rest == Engine(net, det_config(), injections).run()
-
-
-class TestEventLog:
-    def test_debug_level_logs_every_event(self, chain, caplog):
-        net, injections = chain
-        with caplog.at_level(logging.DEBUG, logger="fcnsim.engine"):
-            trace = Engine(net, det_config(), injections).run()
-        logged = {r.args[0] for r in caplog.records if r.msg.startswith("event ")}
-        assert logged == {e.id for e in trace}
-
-    def test_debug_level_logs_streamed_and_stepped_events(self, chain, caplog):
-        net, injections = chain
-        with caplog.at_level(logging.DEBUG, logger="fcnsim.engine"):
-            engine = Engine(net, det_config(), injections)
-            stepped = next(engine.events())
-            streamed = tuple(engine.events())
-        logged = [r.getMessage() for r in caplog.records if r.msg.startswith("event ")]
-        assert logged == [
-            f"event {e.id} {e.kind.value} node={e.node} t={e.engine_time!r}" for e in (stepped, *streamed)
-        ]
-
-    def test_no_event_records_above_debug(self, chain, caplog):
-        net, injections = chain
-        with caplog.at_level(logging.INFO, logger="fcnsim.engine"):
-            Engine(net, det_config(), injections).run()
-        assert caplog.records == []
-
-    def test_no_debug_call_above_debug(self, chain, caplog, monkeypatch):
-        """Above DEBUG no event, decays included, even builds its log call."""
-        calls = []
-        monkeypatch.setattr(engine_module.logger, "debug", lambda *args: calls.append(args))
-        net, injections = chain
-        with caplog.at_level(logging.INFO, logger="fcnsim.engine"):
-            trace = Engine(net, det_config(), injections).run()
-        assert any(e.kind is EventKind.DECAY for e in trace)
-        assert calls == []
-

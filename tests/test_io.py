@@ -28,7 +28,6 @@ from fcnsim.io import (
     ENTROPY_COLUMNS,
     event_to_record,
     iter_trace,
-    parse_event_line,
     read_trace,
     serialize_event,
     write_trace,
@@ -374,8 +373,8 @@ class TestParseNetwork:
         line = json.dumps(
             {"id": 0, "kind": "decay", "node": 1, "engine_time": 0.0, "parents": ["x"]}
         )
-        with pytest.raises(ParseError, match=r"^line: 'parents' must be an array of integers$"):
-            parse_event_line(line)
+        with pytest.raises(ParseError, match=r"^line 1: 'parents' must be an array of integers$"):
+            parse_trace(line + "\n")
 
     def test_document_matches_builder(self, fixtures_dir):
         """The shipped fixture and the in-code builder describe one network."""
@@ -394,10 +393,12 @@ class TestTraceRoundTrip:
         assert parse_trace(serialize_trace(trace)) == trace
 
     def test_single_event_round_trips(self, chain):
+        """Each line, read after the lines before it, gives back its event."""
         net, injections = chain
         trace = Engine(net, RunConfig(run_until_s=5.0), injections).run()
-        for event in trace:
-            assert parse_event_line(serialize_event(event)) == event
+        lines = [serialize_event(event) + "\n" for event in trace]
+        for k, event in enumerate(trace):
+            assert parse_trace("".join(lines[:k + 1]))[-1] == event
 
     @pytest.mark.parametrize("case_seed", range(5))
     def test_random_traces_round_trip(self, case_seed):
@@ -451,22 +452,19 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError) as err:
             parse_trace(_lines(_ROOT) + line + "\n")
         assert str(err.value) == f"line 2: {message}"
-        with pytest.raises(ParseError) as err:
-            parse_event_line(line)
-        assert str(err.value) == f"line: {message}"
 
     def test_unknown_kind_rejected(self):
         line = json.dumps(
             {"id": 0, "kind": "banana", "node": 1, "engine_time": 0.0, "parents": []}
         )
-        with pytest.raises(ParseError, match=r"^line: unknown event kind 'banana'$"):
-            parse_event_line(line)
+        with pytest.raises(ParseError, match=r"^line 1: unknown event kind 'banana'$"):
+            parse_trace(line + "\n")
 
     def test_missing_base_field_rejected(self):
         line = json.dumps({"id": 0, "kind": "decay", "node": 1, "engine_time": 0.0})
         with pytest.raises(ParseError) as err:
-            parse_event_line(line)
-        assert str(err.value) == "line: missing field(s): parents"
+            parse_trace(line + "\n")
+        assert str(err.value) == "line 1: missing field(s): parents"
 
     @pytest.mark.parametrize(
         "record, message",
@@ -534,9 +532,6 @@ class TestTraceRoundTrip:
             with pytest.raises(ParseError) as err:
                 parse_trace("\n" + line + "\n")
             assert str(err.value) == "line 2: 'engine_time' is beyond the float range"
-            with pytest.raises(ParseError) as err:
-                parse_event_line(line)
-            assert str(err.value) == "line: 'engine_time' is beyond the float range"
         # The range is checked last: an earlier failed check keeps its message.
         for record, message in (
             ({**_ABSORPTION, "parents": [1.5]}, "'parents' must be an array of integers"),
@@ -560,12 +555,9 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError) as err:
             parse_trace(_lines(_ROOT) + line + "\n")
         assert str(err.value) == f"line 2: {message}"
-        with pytest.raises(ParseError) as err:
-            parse_event_line(line)
-        assert str(err.value) == f"line: {message}"
-        assert _outcome(reference_record_to_event, json.loads(line), "line") == f"ParseError: line: {message}"
+        assert _outcome(reference_record_to_event, json.loads(line), "line 2") == f"ParseError: line 2: {message}"
         # The largest finite literal still reads.
-        assert parse_event_line(line.replace(literal, literal.replace("1e999", "1.7976931348623157e308")))
+        assert parse_trace(_lines(_ROOT) + line.replace(literal, literal.replace("1e999", "1.7976931348623157e308")))
 
     @pytest.mark.parametrize("record, fields, message", [
         ({**_ABSORPTION, "parents": [1.5]}, ("engine_time",), "'parents' must be an array of integers"),
@@ -580,9 +572,9 @@ class TestTraceRoundTrip:
         the entropy columns in their order."""
         line = json.dumps({**record, **dict.fromkeys(fields, "@")}).replace('"@"', "1e999")
         with pytest.raises(ParseError) as err:
-            parse_event_line(line)
-        assert str(err.value) == f"line: {message}"
-        assert _outcome(reference_record_to_event, json.loads(line), "line") == f"ParseError: line: {message}"
+            parse_trace(line + "\n")
+        assert str(err.value) == f"line 1: {message}"
+        assert _outcome(reference_record_to_event, json.loads(line), "line 1") == f"ParseError: line 1: {message}"
 
     def test_largest_ids_parse(self):
         top = 2**64 - 1
@@ -697,11 +689,10 @@ class TestTraceRoundTrip:
         line = json.dumps({**_ABSORPTION, field: "@"}).replace('"@"', value)
         path = tmp_path / "trace.jsonl"
         path.write_text(_lines(_ROOT) + line + "\n")
-        for read, where in ((read_trace, "line 2"), (lambda p: parse_trace(p.read_text()), "line 2"),
-                            (lambda p: parse_event_line(line), "line")):
+        for read in (read_trace, lambda p: parse_trace(p.read_text())):
             with pytest.raises(ParseError) as err:
                 read(path)
-            assert str(err.value).startswith(f"{where}: invalid JSON: {message}")
+            assert str(err.value).startswith(f"line 2: invalid JSON: {message}")
 
     def test_parents_must_name_earlier_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -721,16 +712,12 @@ class TestTraceRoundTrip:
             with pytest.raises(ParseError) as err:
                 parse_trace(_lines(*records))
             assert str(err.value) == message
-        # One record alone is read without the trace-level checks.
-        assert parse_event_line(json.dumps(_DECAY)).parents == frozenset({1})
 
     def test_padded_and_blank_lines(self):
         *_, event = parse_trace(_lines(_ROOT, _ABSORPTION) + " \t" + json.dumps(_DECAY) + " \r\n\r\n  \n")
         assert event.payload["total"] == 1.0
-        assert parse_event_line(" " + json.dumps(_TICK) + "\r").payload == {"pulse_id": 0, "counter": 0}
-        with pytest.raises(ParseError) as err:
-            parse_event_line("  ")
-        assert str(err.value) == "line: invalid JSON: Expecting value"
+        (tick,) = parse_trace(" " + json.dumps(_TICK) + "\r")
+        assert tick.payload == {"pulse_id": 0, "counter": 0}
         with pytest.raises(ParseError) as err:
             parse_trace(json.dumps(_ABSORPTION) + " x\n")
         assert str(err.value).startswith("line 1: invalid JSON: Extra data")
@@ -774,7 +761,8 @@ _TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
 
 
 def _floats(finite: bool):
-    return st.floats(allow_nan=not finite, allow_infinity=not finite) | st.sampled_from(_FLOAT_EDGES)
+    edges = _FLOAT_EDGES if finite else (*_FLOAT_EDGES, math.nan, math.inf, -math.inf)
+    return st.floats(allow_nan=not finite, allow_infinity=not finite) | st.sampled_from(edges)
 
 
 def _values(finite: bool):
@@ -833,7 +821,8 @@ _WRITER_EXAMPLES = (
     SimEvent(
         id=7, kind=EventKind.DECAY, node=2, engine_time=-0.0, parents=frozenset({2, 2**61, 7, 2**64 - 1}),
         payload={
-            "gamma_ev": math.nan, "total": -math.inf, "ds_vacuum": math.inf, "lifetime_s": 5e-324,
+            "gamma_ev": 2.2250738585072014e-308, "total": -1.7976931348623157e308, "ds_vacuum": -5e-324,
+            "lifetime_s": 5e-324,
             "energy_ev": 1e16, "ds_signal": 9999999999999998.0, "production_rate": 1e-5,
             "ds_internal": 0.0001, "counter": -(2**70), "pulse_id": 2**64 + 1, "reason": "é\u2028\"\\\n\x00",
             "clé": "\U0001f600", "": None, "flag": True, "nested": [None, False, {"é": -0.0, "n": [1.5, "\t"]}],
@@ -849,17 +838,47 @@ _WRITER_EXAMPLES = (
     ),
     SimEvent(id=True, kind=EventKind.EMISSION, node=3, engine_time=1, parents=frozenset(), payload={}),
 )
+_EXAMPLE_IDS = ("values", "base-key", "int-key", "bool-id")
+
+
+def _non_finite(value) -> bool:
+    """Whether a NaN or an infinity is anywhere in a JSON value, keys included."""
+    if type(value) is float:
+        return not math.isfinite(value)
+    if type(value) is dict:
+        return any(map(_non_finite, [*value, *value.values()]))
+    return type(value) is list and any(map(_non_finite, value))
 
 
 class TestWriter:
-    @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=("values", "base-key", "int-key", "bool-id"))
+    @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=_EXAMPLE_IDS)
     def test_examples_match_json_dumps(self, event):
         assert serialize_event(event) == json.dumps(event_to_record(event), separators=(",", ":"))
 
     @settings(max_examples=200)
     @given(event=_events(finite=False))
     def test_matches_json_dumps(self, event):
-        assert serialize_event(event) == json.dumps(event_to_record(event), separators=(",", ":"))
+        """Byte-equal to json.dumps where the line holds only finite numbers;
+        a NaN or an infinity anywhere in it raises ValueError naming the event."""
+        record = event_to_record(event)
+        if _non_finite(record):
+            with pytest.raises(ValueError, match=f"^event {re.escape(str(event.id))}: "):
+                serialize_event(event)
+        else:
+            assert serialize_event(event) == json.dumps(record, separators=(",", ":"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=_EXAMPLE_IDS)
+    def test_non_finite_float_raises(self, event, value):
+        """No trace reader accepts a NaN or an infinity, so the writer refuses
+        one in engine_time, as a payload value, or nested in one."""
+        for bad in (
+            event._replace(engine_time=value),
+            event._replace(payload={**event.payload, "gamma_ev": value}),
+            event._replace(payload={**event.payload, "note": [None, {"x": value}]}),
+        ):
+            with pytest.raises(ValueError, match=f"^event {event.id}: Out of range float values"):
+                serialize_event(bad)
 
     @settings(max_examples=100)
     @given(trace=_finite_traces())
@@ -926,7 +945,6 @@ class TestReaderAgainstReference:
     def test_same_event_or_same_message(self, record, separators, pad):
         line = pad[0] + json.dumps(record, separators=separators) + pad[1]
         expected = _outcome(reference_record_to_event, json.loads(line), "line 1")
-        assert _outcome(parse_event_line, line, "line 1") == expected
         # In a trace, earlier events carry the record's well-formed parents.
         parents = record.get("parents")
         earlier = sorted(
