@@ -92,11 +92,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     fraction = DEFAULT_COUPLING_FRACTION if args.coupling_fraction is None else args.coupling_fraction
     doc = parse_network_file(args.net)
     net = doc.network
+    coupling = classify_coupling(net, fraction)
     print(
         f"ok: {len(net.nodes)} nodes, {len(net.arcs)} arcs, "
         f"{len(net.clocks)} clocks, {len(doc.injections)} injections"
     )
-    coupling = classify_coupling(net, fraction)
     cens = [c for c in coupling.classes if c.kind == CouplingKind.CEN]
     for cen in cens:
         print(f"collective group: nodes {', '.join(map(str, cen.members))}")
@@ -224,22 +224,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # and keeps the events that descend from an absorption; each clock then
     # costs one labeling and one pass over those events.
     index = TraceIndex(tallied(iter_trace(args.trace)))
-    print(f"events: {sum(counts.values())}")
-    for kind in sorted(counts, key=attrgetter("value")):
-        if counts[kind]:
-            print(f"  {kind.value}: {counts[kind]}")
-    print(f"entropy: {counts[EventKind.DECAY]} decays, {negative} second-law violations")
+    # Printed once every clock is labelled, so a failure leaves stdout empty.
+    lines = [f"events: {sum(counts.values())}"]
+    lines += [f"  {kind.value}: {counts[kind]}" for kind in sorted(counts, key=attrgetter("value")) if counts[kind]]
+    lines.append(f"entropy: {counts[EventKind.DECAY]} decays, {negative} second-law violations")
     for clock_id in index.clocks:
         pulses = index.pulses(clock_id)
         labels, skipped = index.label(pulses)
         _, violations, resolution = index.check(labels, observer=clock_id)
         # The spacing of the first two recorded pulses; 1.0 for a clock that ticked once.
         period = pulses[1].engine_time - pulses[0].engine_time if len(pulses) > 1 else 1.0
-        print(
+        lines.append(
             f"clock {clock_id} (period {period}): {len(labels)} labels, "
             f"{skipped} skipped, {len(violations)} causal violations, "
             f"{resolution.indistinguishable_pairs} indistinguishable pairs"
         )
+    print("\n".join(lines))
     return 0
 
 

@@ -48,7 +48,7 @@ from .constants import Checked
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
 from .errors import UnknownNode
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
-from .network import Network, propagation_delay
+from .network import Network, StandardClockSpec, propagation_delay
 from .quantum import TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
 
 
@@ -152,7 +152,7 @@ class _NodeRow(NamedTuple):
 #   decay      node, excitation id, parent
 #   emission   node, arc id, target, delay, energy, wavelength, parent
 #   arrival    arc id, target, energy, parent
-#   tick       node, k, parent (None for the first tick)
+#   tick       clock spec, k, parent (None for the first tick)
 _INJECTION, _DECAY, _EMISSION, _ARRIVAL, _TICK = range(5)
 
 _NO_PARENTS: frozenset[EventId] = frozenset()
@@ -190,24 +190,15 @@ class Engine:
         # Clock first ticks are scheduled before injections: at equal
         # engine_time a tick precedes the excitation it may later label.
         for clock in network.clocks:
-            if clock.tick_time(0) <= config.run_until_s:
-                self._schedule(clock.tick_time(0), _TICK, clock.id, 0, None)
+            self._schedule_tick(clock, 0, None)
+        # An injection becomes an external excitation if the node is in its
+        # ground state when it is processed, or a pass-through if occupied.
         for node, at in injections:
-            self.inject_excitation(node, at)
-
-    def inject_excitation(self, node: NodeId, at: float) -> int:
-        """Schedule an external excitation of ``node`` at engine time ``at``.
-
-        Returns the scheduling sequence number as a handle. The trace event
-        materializes when the occurrence is processed: it becomes an
-        external excitation if the node is then in its ground state, or a
-        pass-through if the node is already occupied.
-        """
-        if node not in self._states:
-            raise UnknownNode(f"no node with id {node}")
-        if not (at >= 0 and math.isfinite(at)):
-            raise ValueError(f"injection time must be finite and >= 0, got {at}")
-        return self._schedule(at, _INJECTION, node)
+            if node not in self._states:
+                raise UnknownNode(f"no node with id {node}")
+            if not (at >= 0 and math.isfinite(at)):
+                raise ValueError(f"injection time must be finite and >= 0, got {at}")
+            heapq.heappush(self._queue, (at, next(self._seq), _INJECTION, node))
 
     def events(self) -> Iterator[SimEvent]:
         """Apply pending occurrences in order until the horizon, yielding each event.
@@ -245,11 +236,6 @@ class Engine:
         self._rows = rows
 
     # -- occurrence processing ------------------------------------------
-
-    def _schedule(self, t: float, *occurrence: Any) -> int:
-        seq = next(self._seq)
-        heapq.heappush(self._queue, (t, seq, *occurrence))
-        return seq
 
     def _emit_event(
         self, kind: EventKind, node: NodeId, t: float, parents: frozenset[EventId], payload: dict[str, Any]
@@ -358,19 +344,21 @@ class Engine:
             EventKind.PASS_THROUGH, target, t, parents, {"reason": reason, "energy_ev": energy, "arc": arc}
         )
 
+    def _schedule_tick(self, clock: StandardClockSpec, k: int, parent: EventId | None) -> None:
+        t = clock.tick_time(k)
+        if t <= self._config.run_until_s:
+            heapq.heappush(self._queue, (t, next(self._seq), _TICK, clock, k, parent))
+
     def _process_tick(self, occ: tuple[Any, ...]) -> SimEvent:
-        t, _, _, node, k, parent = occ
-        clock = self._network.clock_by_node[node]
+        t, _, _, clock, k, parent = occ
         event = self._emit_event(
             EventKind.CLOCK_TICK,
-            node,
+            clock.id,
             t,
             _NO_PARENTS if parent is None else frozenset((parent,)),
             {"pulse_id": next(self._pulse_ids), "counter": clock.counter_start + k},
         )
-        next_t = clock.tick_time(k + 1)
-        if next_t <= self._config.run_until_s:
-            self._schedule(next_t, _TICK, node, k + 1, event.id)
+        self._schedule_tick(clock, k + 1, event.id)
         return event
 
     # Indexed by occurrence tag; events() dispatches through it.

@@ -303,23 +303,6 @@ _KINDS = {kind.value: (kind, _READ_FIELDS.get(kind, ())) for kind in EventKind}
 _scan_once = json.JSONDecoder(parse_constant=_reject_line_constant).scan_once
 
 
-def event_to_record(event: SimEvent) -> dict[str, Any]:
-    """Flatten one event: base fields first, then the payload fields."""
-    record: dict[str, Any] = {
-        "id": event.id,
-        "kind": event.kind.value,
-        "node": event.node,
-        "engine_time": event.engine_time,
-        "parents": sorted(event.parents),
-    }
-    record.update(event.payload)
-    return record
-
-
-def _dumps(value: Any) -> str:
-    return json.dumps(value, separators=(",", ":"), allow_nan=False)
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 # ',"kind":"<kind>","node":' per kind, and ',"<key>":' per payload key the
 # engine writes; other keys are encoded as they come.
@@ -339,46 +322,51 @@ def _json_value(value: Any) -> str:
         return repr(value)
     if kind is str:
         return _encode_str(value)
-    return _dumps(value)
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
 def _json_parents(parents: frozenset[int]) -> str:
     if len(parents) == 1:
         (only,) = parents
-        if type(only) is int:
+        if type(only) is int and 0 <= only <= _MAX_ID:
             return f"[{only!r}]"
-    ordered = sorted(parents)
-    if all(type(p) is int for p in ordered):
-        return f"[{','.join(map(repr, ordered))}]"
-    return _dumps(ordered)
+    if not all(type(p) is int and 0 <= p <= _MAX_ID for p in parents):
+        raise ValueError("parents must be unsigned 64-bit integers")
+    return f"[{','.join(map(repr, sorted(parents)))}]"
 
 
 def serialize_event(event: SimEvent) -> str:
     """One trace line, without its newline.
 
-    Byte-equal to ``json.dumps(event_to_record(event), separators=(",",
-    ":"))``. Exact ints, finite floats and strings are written here, with
-    the same ``int.__repr__``, ``float.__repr__`` and ASCII string escapes
-    that ``json.dumps`` uses; any other value goes to ``json.dumps``, and
-    so does an event whose payload reuses a base field name or has a key
-    that is not a string. Where the line would hold a NaN or an infinity,
-    which no trace reader accepts, it raises ValueError naming the event id.
+    Byte-equal to ``json.dumps`` of the base fields (parents sorted) and
+    then the payload, with ``separators=(",", ":")``. Exact ints, finite
+    floats and strings are written here, with the same ``int.__repr__``,
+    ``float.__repr__`` and ASCII string escapes that ``json.dumps`` uses;
+    any other payload value goes to ``json.dumps``. It raises ValueError
+    naming the event id for these events, which a trace reader would refuse
+    or read back as other events: an id, node or parent that is not an
+    unsigned 64-bit int, an ``engine_time`` that is not an int or a finite
+    float, a payload key that is not a string or names a base field, a NaN
+    or an infinity anywhere, or a payload value ``json.dumps`` cannot write.
     """
-    event_id, node = event.id, event.node
+    event_id, kind, node, t, parents, payload = event
     try:
-        if type(event_id) is not int or type(node) is not int:
-            return _dumps(event_to_record(event))
-        parts = [""]  # for the base fields, once no payload key has sent the event to json.dumps
-        for key, value in event.payload.items():
+        if not (type(event_id) is int and 0 <= event_id <= _MAX_ID and type(node) is int and 0 <= node <= _MAX_ID):
+            raise ValueError(f"id and node must be unsigned 64-bit integers, got node {node!r}")
+        if type(t) is not float and type(t) is not int:
+            raise ValueError(f"engine_time must be an int or a finite float, got {t!r}")
+        parts = [f'{{"id":{event_id!r}{_KIND_FIELDS[kind]}{node!r},"engine_time":'
+                 f'{_json_value(t)},"parents":{_json_parents(parents)}']
+        for key, value in payload.items():
             name = _PAYLOAD_KEYS.get(key)
             if name is None:
                 if type(key) is not str or key in _BASE_KEY_SET:
-                    return _dumps(event_to_record(event))
+                    raise ValueError(f"payload key {key!r} is not a string or names a base field")
                 name = f",{_encode_str(key)}:"
             parts.append(name + _json_value(value))
-        parts[0] = (f'{{"id":{event_id!r}{_KIND_FIELDS[event.kind]}{node!r},"engine_time":'
-                    f'{_json_value(event.engine_time)},"parents":{_json_parents(event.parents)}')
-    except ValueError as exc:
+    except KeyError:
+        raise ValueError(f"event {event_id}: unknown event kind {kind!r}") from None
+    except (TypeError, ValueError) as exc:  # TypeError: a value json.dumps cannot write
         raise ValueError(f"event {event_id}: {exc}") from None
     parts.append("}")
     return "".join(parts)

@@ -61,6 +61,11 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 21] Is a directory") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("fraction", ["0", "-1", "nan"])
+    def test_bad_coupling_fraction_prints_nothing_on_stdout(self, chain_net, fraction, capsys):
+        assert main(["validate", chain_net, f"--coupling-fraction={fraction}"]) == 3
+        assert capsys.readouterr() == ("", f"runtime error: coupling fraction must be > 0, got {float(fraction)}\n")
+
     def test_validation_problems_listed(self, tmp_path, capsys):
         bad = tmp_path / "bad.net.json"
         bad.write_text(json.dumps({
@@ -102,6 +107,12 @@ class TestRun:
         code = main(["run", chain_net, "--until", "5.0",
                      "--seeds", "1..3", "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
+
+    def test_seed_range_requires_out(self, chain_net, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", chain_net, "--until", "5.0", "--mode", "sto", "--seeds", "1..2"]) == 1
+        assert capsys.readouterr() == ("", "usage error: --seeds requires --out\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_horizon_is_runtime_error(self, chain_net):
         assert main(["run", chain_net, "--until", "0"]) == 3
@@ -474,7 +485,7 @@ class TestMalformedTrace:
         assert main([command[0], str(trace), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: clock 3: pulse 2 at engine_time 1.0 is earlier than the pulse before it\n"
-        assert "labels" not in captured.out
+        assert captured.out == ""
 
     def test_report_on_tick_without_pulse_id_exits_2(self, chain_trace_file, capsys):
         lineno = _rewrite_first(chain_trace_file, "clock_tick", ("pulse_id",))

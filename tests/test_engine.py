@@ -162,7 +162,7 @@ class TestChainFixture:
 
 
 class TestStepAndScheduling:
-    def test_step_returns_one_event_at_a_time(self, chain):
+    def test_events_yields_one_event_at_a_time(self, chain):
         net, injections = chain
         engine = Engine(net, det_config(), injections)
         first = next(engine.events())
@@ -183,19 +183,18 @@ class TestStepAndScheduling:
 
     def test_unknown_node_injection(self, chain):
         net, _ = chain
-        engine = Engine(net, det_config())
         with pytest.raises(UnknownNode):
-            engine.inject_excitation(99, 0.0)
+            Engine(net, det_config(), [(99, 0.0)])
 
     def test_negative_injection_time_rejected(self, chain):
         net, _ = chain
         with pytest.raises(ValueError):
-            Engine(net, det_config()).inject_excitation(1, -0.1)
+            Engine(net, det_config(), [(1, -0.1)])
 
     def test_non_finite_injection_time_rejected(self, chain):
         net, _ = chain
         with pytest.raises(ValueError):
-            Engine(net, det_config()).inject_excitation(1, float("nan"))
+            Engine(net, det_config(), [(1, float("nan"))])
 
     def test_injection_on_occupied_node_passes_through(self):
         net = validate_network([make_node(1, tau=2.0)], [])

@@ -26,7 +26,6 @@ from fcnsim import (
 from fcnsim.cli import main
 from fcnsim.io import (
     ENTROPY_COLUMNS,
-    event_to_record,
     iter_trace,
     read_trace,
     serialize_event,
@@ -311,6 +310,22 @@ class TestParseNetwork:
         with pytest.raises(ValidationFailed) as err:
             parse_network(json.dumps(raw))
         assert any("unknown node 42" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("edit, problem", [
+        ({"first_tick_s": -1.0}, "standard_clocks[0]: first_tick_s must be >= 0"),
+        ({"period_s": 0}, "standard_clocks[0]: clock at node 3: period must be finite and > 0 s"),
+    ], ids=["negative-first-tick", "zero-period"])
+    def test_clock_problem_listed(self, tmp_path, capsys, edit, problem):
+        """A clock the reader parses but cannot build is a validation problem."""
+        raw = chain_doc()
+        raw["standard_clocks"][0].update(edit)
+        with pytest.raises(ValidationFailed) as err:
+            parse_network(json.dumps(raw))
+        assert err.value.problems == [problem]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(raw))
+        assert main(["validate", str(net)]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
 
     def test_all_problems_collected(self):
         raw = chain_doc()
@@ -780,14 +795,26 @@ def _values(finite: bool):
     )
 
 
+# Outside the writer's contract: ids that are not unsigned 64-bit ints, and
+# engine_time values that are not an int or a float.
+_BAD_IDS = st.integers(-5, -1) | st.sampled_from([2**64, True, False])
+_BAD_TIMES = st.sampled_from([None, True, "0.5", [1.0]])
+
+
 @st.composite
 def _events(draw, finite: bool) -> SimEvent:
     kind = draw(st.sampled_from(EventKind))
     keys = st.sampled_from(_ENGINE_KEYS) | _TEXT.filter(lambda k: k not in _BASE)
-    if not finite:
-        # Base field names and non-string keys take json.dumps's path.
-        keys = keys | st.sampled_from(_BASE) | st.integers(-3, 3)
-    payload = draw(st.dictionaries(keys, _values(finite), max_size=6))
+    values = _values(finite)
+    ids, times, parents = _U64, _floats(finite), _U64
+    if not finite and draw(st.booleans()):
+        # Base field names, non-string keys, values json.dumps cannot write,
+        # and ids, times and parents the writer refuses.
+        keys = keys | st.sampled_from(_BASE) | st.integers(-3, 3) | st.tuples(st.integers(0, 2))
+        values = values | st.sets(st.integers(0, 2), max_size=2)
+        ids, times = _U64 | _BAD_IDS, times | st.integers(-3, 3) | _BAD_TIMES
+        parents = _U64 | _BAD_IDS | st.sampled_from(["a", "0"])
+    payload = draw(st.dictionaries(keys, values, max_size=6))
     if finite:
         # The fields the reader checks, with the types it requires.
         if kind is EventKind.CLOCK_TICK:
@@ -795,11 +822,11 @@ def _events(draw, finite: bool) -> SimEvent:
         elif kind is EventKind.DECAY:
             payload.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
     return SimEvent(
-        id=draw(_U64 if finite else _U64 | st.integers(-5, -1) | st.booleans()),
+        id=draw(ids),
         kind=kind,
-        node=draw(_U64 if finite else _U64 | st.integers(-5, -1) | st.booleans()),
-        engine_time=draw(_floats(finite)),
-        parents=draw(st.frozensets(_U64, max_size=4)),
+        node=draw(ids),
+        engine_time=draw(times),
+        parents=draw(st.frozensets(parents, max_size=4)),
         payload=payload,
     )
 
@@ -814,9 +841,10 @@ def _finite_traces(draw) -> tuple[SimEvent, ...]:
     return tuple(trace)
 
 
-# One event per writer path: every kind of payload value, a payload that
-# reuses a base field name, one with a non-string key, and ids that are not
-# unsigned ints. 2**61 hashes to 1, so the parents do not iterate sorted.
+# One event with every kind of payload value, then three the writer refuses:
+# a payload that reuses a base field name, one with a non-string key, and an
+# id that is not an unsigned int. 2**61 hashes to 1, so the parents do not
+# iterate sorted.
 _WRITER_EXAMPLES = (
     SimEvent(
         id=7, kind=EventKind.DECAY, node=2, engine_time=-0.0, parents=frozenset({2, 2**61, 7, 2**64 - 1}),
@@ -841,44 +869,107 @@ _WRITER_EXAMPLES = (
 _EXAMPLE_IDS = ("values", "base-key", "int-key", "bool-id")
 
 
-def _non_finite(value) -> bool:
-    """Whether a NaN or an infinity is anywhere in a JSON value, keys included."""
-    if type(value) is float:
-        return not math.isfinite(value)
-    if type(value) is dict:
-        return any(map(_non_finite, [*value, *value.values()]))
-    return type(value) is list and any(map(_non_finite, value))
+def _record(event: SimEvent) -> dict:
+    """The json.dumps oracle of a trace line: the base fields, parents sorted, then the payload."""
+    base = {"id": event.id, "kind": event.kind.value, "node": event.node, "engine_time": event.engine_time}
+    return {**base, "parents": sorted(event.parents), **event.payload}
+
+
+def _u64(value) -> bool:
+    return type(value) is int and 0 <= value < 2**64
+
+
+def _written(event: SimEvent) -> bool:
+    """Whether the writer's contract has it write ``event`` rather than refuse it."""
+    if not (_u64(event.id) and _u64(event.node) and all(map(_u64, event.parents))):
+        return False
+    if type(event.engine_time) not in (int, float) or any(type(k) is not str or k in _BASE for k in event.payload):
+        return False
+    try:  # a NaN or an infinity anywhere, or a value json.dumps cannot write
+        json.dumps(_record(event), allow_nan=False)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _refusal(event: SimEvent) -> str:
+    """The start of every refusal message: the event id."""
+    return f"^event {re.escape(str(event.id))}: "
 
 
 class TestWriter:
     @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=_EXAMPLE_IDS)
     def test_examples_match_json_dumps(self, event):
-        assert serialize_event(event) == json.dumps(event_to_record(event), separators=(",", ":"))
+        """The first example is written as json.dumps writes its record; the
+        writer refuses the others, which no reader would read back as they are."""
+        if event is _WRITER_EXAMPLES[0]:
+            assert serialize_event(event) == json.dumps(_record(event), separators=(",", ":"))
+        else:
+            assert not _written(event)
+            with pytest.raises(ValueError, match=_refusal(event)):
+                serialize_event(event)
 
     @settings(max_examples=200)
     @given(event=_events(finite=False))
     def test_matches_json_dumps(self, event):
-        """Byte-equal to json.dumps where the line holds only finite numbers;
-        a NaN or an infinity anywhere in it raises ValueError naming the event."""
-        record = event_to_record(event)
-        if _non_finite(record):
-            with pytest.raises(ValueError, match=f"^event {re.escape(str(event.id))}: "):
-                serialize_event(event)
+        """Byte-equal to json.dumps for every event inside the writer's
+        contract; any other event raises ValueError naming the event."""
+        if _written(event):
+            assert serialize_event(event) == json.dumps(_record(event), separators=(",", ":"))
         else:
-            assert serialize_event(event) == json.dumps(record, separators=(",", ":"))
+            with pytest.raises(ValueError, match=_refusal(event)):
+                serialize_event(event)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=_EXAMPLE_IDS)
     def test_non_finite_float_raises(self, event, value):
         """No trace reader accepts a NaN or an infinity, so the writer refuses
-        one in engine_time, as a payload value, or nested in one."""
+        one in engine_time, as a payload value, or nested in one. An example
+        refused anyway may name another reason."""
+        message = _refusal(event) + ("Out of range float values" if _written(event) else "")
         for bad in (
             event._replace(engine_time=value),
             event._replace(payload={**event.payload, "gamma_ev": value}),
             event._replace(payload={**event.payload, "note": [None, {"x": value}]}),
         ):
-            with pytest.raises(ValueError, match=f"^event {event.id}: Out of range float values"):
+            with pytest.raises(ValueError, match=message):
                 serialize_event(bad)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"id": -1}, "event -1: id and node must be unsigned 64-bit integers, got node 4"),
+        ({"node": 2**64}, "event 1: id and node must be unsigned 64-bit integers, got node 18446744073709551616"),
+        ({"id": True}, "event True: id and node must be unsigned 64-bit integers, got node 4"),
+        ({"parents": frozenset({0, "a"})}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"parents": frozenset({-1})}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"parents": frozenset({0, 2**64})}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"engine_time": "0.5"}, "event 1: engine_time must be an int or a finite float, got '0.5'"),
+        ({"engine_time": None}, "event 1: engine_time must be an int or a finite float, got None"),
+        ({"kind": "banana"}, "event 1: unknown event kind 'banana'"),
+        ({"payload": {3: "three"}}, "event 1: payload key 3 is not a string or names a base field"),
+        ({"payload": {(0, 1): 1}}, "event 1: payload key (0, 1) is not a string or names a base field"),
+        ({"payload": {"parents": [1]}}, "event 1: payload key 'parents' is not a string or names a base field"),
+        ({"payload": {"note": {0, 1}}}, "event 1: Object of type set is not JSON serializable"),
+    ], ids=[
+        "negative-id", "node-2**64", "bool-id", "str-parent", "negative-parent", "parent-2**64",
+        "str-time", "null-time", "kind", "int-key", "tuple-key", "base-key", "set-value",
+    ])
+    def test_refusal_names_the_event(self, change, message):
+        """Each refused event raises ValueError, never a bare TypeError."""
+        event = SimEvent(id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=frozenset({0}),
+                         payload={"arc": 2})._replace(**change)
+        with pytest.raises(ValueError) as err:
+            serialize_event(event)
+        assert str(err.value) == message
+
+    def test_payload_naming_a_base_field_is_refused(self):
+        """json.dumps of this event's record reads back as event 7 at 0.25;
+        the writer refuses the event instead of writing another one."""
+        event = SimEvent(1, EventKind.EMISSION, 1, 1.0, frozenset({0}), {"arc": 2, "id": 7, "engine_time": 0.25})
+        _, misread = parse_trace(_lines(_ROOT) + json.dumps(_record(event)) + "\n")
+        assert (misread.id, misread.engine_time) == (7, 0.25)
+        with pytest.raises(ValueError) as err:
+            serialize_event(event)
+        assert str(err.value) == "event 1: payload key 'id' is not a string or names a base field"
 
     @settings(max_examples=100)
     @given(trace=_finite_traces())
