@@ -93,12 +93,9 @@ class ResolutionReport(NamedTuple):
 
 
 def _pulse(tick: SimEvent) -> ClockPulse:
-    return ClockPulse(
-        id=tick.payload["pulse_id"],
-        clock=tick.node,
-        counter=tick.payload["counter"],
-        engine_time=tick.engine_time,
-    )
+    payload = tick.payload
+    # Built positionally, as the engine and the reader build their tuples.
+    return tuple.__new__(ClockPulse, (payload["pulse_id"], tick.node, payload["counter"], tick.engine_time))
 
 
 def pulses_from_trace(trace: EventTrace, clock: NodeId) -> tuple[ClockPulse, ...]:
@@ -306,8 +303,10 @@ class TraceIndex:
     """One trace, indexed once for labeling and checking against many clocks.
 
     Building it takes one pass over ``trace``, any iterable of events: it
-    keeps ``absorptions`` (in trace order) and the clock ticks whole, and of
-    every event what the ancestry pass reads. It sorts those records
+    keeps ``absorptions`` (in trace order), each clock's pulses (a tick is
+    kept only as its ``ClockPulse``), and of every event what the ancestry
+    pass reads. A tick without a ``pulse_id`` or ``counter`` in its payload
+    raises KeyError here. It sorts the ancestry records
     by event id once and keeps the events with an absorption among their
     ancestors: only absorptions get labels, so only those events can carry
     a labeled ancestor. Then labeling costs one bisection per absorption
@@ -318,7 +317,7 @@ class TraceIndex:
 
     def __init__(self, trace: Iterable[SimEvent]):
         self.absorptions: list[SimEvent] = []
-        self._ticks: dict[NodeId, list[SimEvent]] = {}
+        ticks: dict[NodeId, list[ClockPulse]] = {}
         self._records: list[_Step] = []
         absorb, record = self.absorptions.append, self._records.append
         absorption, tick = EventKind.ABSORPTION, EventKind.CLOCK_TICK  # one enum lookup, not one per event
@@ -327,19 +326,21 @@ class TraceIndex:
             if kind is absorption:
                 absorb(event)
             elif kind is tick:
-                self._ticks.setdefault(node, []).append(event)
+                ticks.setdefault(node, []).append(_pulse(event))
             record((eid, kind, tuple(parents)))
+        # ClockPulse is immutable, so ``pulses`` hands out these tuples as they are.
+        self._pulses = {clock: tuple(pulses) for clock, pulses in ticks.items()}
         self._absorption_ids = {e.id for e in self.absorptions}
         self._steps, self._last_reader = _skeleton(self._records, self._absorption_ids)
 
     @property
     def clocks(self) -> list[NodeId]:
         """The hosts of the clocks that tick in the trace, ascending."""
-        return sorted(self._ticks)
+        return sorted(self._pulses)
 
     def pulses(self, clock: NodeId) -> tuple[ClockPulse, ...]:
-        """The pulse history of the clock at ``clock``."""
-        return tuple(map(_pulse, self._ticks.get(clock, ())))
+        """The pulse history of the clock at ``clock``, built as the index read the trace."""
+        return self._pulses.get(clock, ())
 
     def label(self, pulses: tuple[ClockPulse, ...]) -> tuple[tuple[TimeLabel, ...], int]:
         """Label every absorption with ``pulses``, as ``label_absorptions`` does."""

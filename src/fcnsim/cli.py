@@ -10,6 +10,11 @@ thousands of events and decoded records, none of them in a reference
 cycle, and each generation-2 pass would rescan all of them as the trace
 grows; the cyclic garbage a command leaves is a few hundred objects,
 whatever the trace length, and is collected once the collector resumes.
+
+While ``run`` runs in the main thread, a SIGTERM that would kill the
+process raises ``_Terminated`` instead, so the writer removes its
+temporary file; ``main`` then restores the default handler and raises the
+signal again, and the process still ends killed by SIGTERM.
 """
 
 from __future__ import annotations
@@ -29,6 +34,14 @@ if TYPE_CHECKING:
 
 class _UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """A SIGTERM while ``run`` writes; a BaseException, so no command catches it."""
+
+
+def _terminated(signum: int, frame: object) -> None:
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,9 +269,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     collecting = gc.isenabled()
     gc.disable()
+    previous = None  # the SIGTERM handler to restore
     try:
         args = parser.parse_args(argv)
+        if args.command == "run":
+            import signal
+            # Only where SIGTERM would kill the process, and only in the main
+            # thread: signal.signal raises ValueError in any other.
+            if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+                try:
+                    previous = signal.signal(signal.SIGTERM, _terminated)
+                except ValueError:
+                    pass
         return _COMMANDS[args.command](args)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, previous)
+        previous = None
+        signal.raise_signal(signal.SIGTERM)
+        raise  # not reached: the default action ends the process
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -273,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
         if collecting:
             gc.enable()
 

@@ -304,9 +304,11 @@ _scan_once = json.JSONDecoder(parse_constant=_reject_line_constant).scan_once
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# ',"kind":"<kind>","node":' per kind, and ',"<key>":' per payload key the
-# engine writes; other keys are encoded as they come.
-_KIND_FIELDS = {kind: f',"kind":{_encode_str(kind.value)},"node":' for kind in EventKind}
+# Per kind, ',"kind":"<kind>","node":' and the read fields the writer checks;
+# ',"<key>":' per payload key the engine writes, other keys encoded as they come.
+_KIND_FIELDS = {
+    kind: (f',"kind":{_encode_str(kind.value)},"node":', fields) for kind, fields in _KINDS.values()
+}
 _PAYLOAD_KEYS = {
     key: f",{_encode_str(key)}:"
     for key in (
@@ -335,6 +337,17 @@ def _json_parents(parents: frozenset[int]) -> str:
     return f"[{','.join(map(repr, sorted(parents)))}]"
 
 
+def _fields_problem(record: dict, fields: tuple[tuple[str, tuple[type, ...]], ...]) -> str | None:
+    """Why ``record`` fails its kind's read fields, or None: a missing field, then a mistyped one."""
+    missing = [name for name, _ in fields if name not in record]
+    if missing:
+        return f"missing field(s): {', '.join(missing)}"
+    for name, types in fields:
+        if type(record[name]) not in types:
+            return f"{name!r} must be {'an integer' if types is _INT else 'a number'}"
+    return None
+
+
 def serialize_event(event: SimEvent) -> str:
     """One trace line, without its newline.
 
@@ -345,17 +358,29 @@ def serialize_event(event: SimEvent) -> str:
     any other payload value goes to ``json.dumps``. It raises ValueError
     naming the event id for these events, which a trace reader would refuse
     or read back as other events: an id, node or parent that is not an
-    unsigned 64-bit int, an ``engine_time`` that is not an int or a finite
-    float, a payload key that is not a string or names a base field, a NaN
-    or an infinity anywhere, or a payload value ``json.dumps`` cannot write.
+    unsigned 64-bit int, an ``engine_time`` that is not an int within the
+    float range or a finite float, a payload key that is not a string or
+    names a base field, a payload field that the reader requires of the
+    kind (``_READ_FIELDS``) missing or of another type, a NaN or an
+    infinity anywhere, or a payload value ``json.dumps`` cannot write.
     """
     event_id, kind, node, t, parents, payload = event
     try:
         if not (type(event_id) is int and 0 <= event_id <= _MAX_ID and type(node) is int and 0 <= node <= _MAX_ID):
             raise ValueError(f"id and node must be unsigned 64-bit integers, got node {node!r}")
-        if type(t) is not float and type(t) is not int:
-            raise ValueError(f"engine_time must be an int or a finite float, got {t!r}")
-        parts = [f'{{"id":{event_id!r}{_KIND_FIELDS[kind]}{node!r},"engine_time":'
+        if type(t) is not float:
+            if type(t) is not int:
+                raise ValueError(f"engine_time must be an int or a finite float, got {t!r}")
+            try:
+                float(t)
+            except OverflowError:
+                raise ValueError("'engine_time' is beyond the float range") from None
+        head, fields = _KIND_FIELDS[kind]
+        if fields:  # a tick or a decay
+            for name, types in fields:
+                if type(payload.get(name)) not in types:
+                    raise ValueError(_fields_problem(payload, fields))
+        parts = [f'{{"id":{event_id!r}{head}{node!r},"engine_time":'
                  f'{_json_value(t)},"parents":{_json_parents(parents)}']
         for key, value in payload.items():
             name = _PAYLOAD_KEYS.get(key)
@@ -433,12 +458,9 @@ def _rejection(record: Any) -> str:
     if any(not 0 <= p <= _MAX_ID for p in parents):
         return "'parents' must be an array of unsigned 64-bit integers"
     fields = _KINDS[kind][1]
-    missing = [name for name, _ in fields if name not in record]
-    if missing:
-        return f"missing field(s): {', '.join(missing)}"
-    for name, types in fields:
-        if type(record[name]) not in types:
-            return f"{name!r} must be {'an integer' if types is _INT else 'a number'}"
+    problem = _fields_problem(record, fields)
+    if problem:
+        return problem
     try:
         float(record["engine_time"])
     except OverflowError:

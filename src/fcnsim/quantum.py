@@ -13,6 +13,7 @@ that ``absorb`` takes the next id from the iterator it is given.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Iterator
 
@@ -31,12 +32,20 @@ class EnergyLevel(Checked, namedtuple("EnergyLevel", "label energy_ev")):
         return tuple.__new__(cls, (label, energy_ev))
 
 
+# A positive float in this range is finite and normal: no infinity, no subnormal.
+_NORMAL_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
+
+
 class TwoLevelSpec(Checked, namedtuple("TwoLevelSpec", "ground excited gamma_ev")):
     """Ground/excited level pair plus the decay rate of the excited state.
 
     ``gamma_ev`` is the energy-valued rate whose Planck division gives the
     excited state's lifetime. ``None`` marks a permanently stable node that
-    can hold an excitation forever and never schedules a decay.
+    can hold an excitation forever and never schedules a decay. The
+    lifetime and the wavelength of the signal the gap carries must be
+    finite normal floats: a run writes both into its trace, where no
+    reader accepts an infinity, and a subnormal lifetime makes the decay's
+    production rate infinite.
     """
 
     __slots__ = ()
@@ -51,6 +60,13 @@ class TwoLevelSpec(Checked, namedtuple("TwoLevelSpec", "ground excited gamma_ev"
             raise StableConfiguration(
                 f"gamma must be finite and > 0 when present, got {gamma_ev}; "
                 f"use None for a stable node"
+            )
+        if gamma_ev is not None and not _NORMAL_MIN <= (tau := CONSTANTS.hbar_ev_s / gamma_ev) <= _FLOAT_MAX:
+            raise ValueError(f"gamma_ev {gamma_ev} gives a lifetime of {tau} s, not a finite normal float")
+        gap = excited.energy_ev - ground.energy_ev
+        if not _NORMAL_MIN <= (wavelength := CONSTANTS.hc_ev_nm / gap) <= _FLOAT_MAX:
+            raise ValueError(
+                f"excited_ev - ground_ev = {gap} eV gives a wavelength of {wavelength} nm, not a finite normal float"
             )
         return tuple.__new__(cls, (ground, excited, gamma_ev))
 

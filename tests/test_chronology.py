@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -23,6 +25,7 @@ from fcnsim import (
     pulses_from_trace,
     resolution_report,
 )
+from fcnsim.io import iter_trace, parse_network, write_trace
 from helpers import chain_network, reference_resolution, reference_violations
 
 
@@ -386,3 +389,37 @@ class TestPulseHelpers:
         recorded = pulses_from_trace(chain_trace, 3)
         assert [p.engine_time for p in synthetic] == [p.engine_time for p in recorded]
         assert [p.counter for p in synthetic] == [p.counter for p in recorded]
+
+
+class TestIndexPulses:
+    def test_tick_without_counter_raises_when_the_index_is_built(self):
+        """The index turns each tick into its pulse as it reads the trace, so
+        a tick missing a field the pulse needs fails the build itself."""
+        tick = SimEvent(id=0, kind=EventKind.CLOCK_TICK, node=3, engine_time=0.0,
+                        parents=frozenset(), payload={"pulse_id": 0})
+        with pytest.raises(KeyError, match="counter"):
+            TraceIndex([tick])
+
+    def test_pulses_are_built_once(self, chain_trace):
+        index = TraceIndex(chain_trace)
+        assert index.pulses(3) is index.pulses(3)
+        assert index.pulses(3) == pulses_from_trace(chain_trace, 3)
+
+    def test_index_keeps_pulses_not_tick_events(self, tmp_path):
+        """On an engine-written trace of one clock's 10,001 ticks, the index
+        retains under 450 bytes per tick: a pulse and what the ancestry pass
+        reads, where a whole tick event with its payload dict takes about 960."""
+        doc = parse_network('{"schema_version": "1", "nodes": [{"id": 1, "ground_ev": 0.0, "excited_ev": 1.5}], '
+                            '"standard_clocks": [{"id": 1, "period_s": 0.001}]}')
+        path = tmp_path / "clock.jsonl"
+        write_trace(Engine(doc.network, RunConfig(run_until_s=10.0), doc.injections).events(), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = TraceIndex(iter_trace(path))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        ticks = len(index.pulses(1))
+        assert ticks == 10_001
+        assert retained / ticks < 450

@@ -6,9 +6,13 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
+import signal
+import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +22,7 @@ import fcnsim
 from fcnsim.cli import main
 from fcnsim.engine import Engine, RunConfig, SamplingMode
 from fcnsim.io import parse_network_file, read_trace, serialize_trace
-from helpers import mixed_network, network_document, random_network, run_fresh
+from helpers import SRC, mixed_network, network_document, random_network, run_fresh
 
 # sha256 of ``run --until 5.0 --mode sto --seed 5`` on helpers.mixed_network,
 # recorded from the engine that drew one scalar uniform per decay.
@@ -235,13 +239,13 @@ class TestRunStreams:
 
 
     @pytest.mark.parametrize("node, event", [
-        ({"gamma_ev": 1e300}, 2),  # a 6.6e-316 s lifetime: an infinite production_rate
-        ({"excited_ev": 5e-324}, 4),  # a 5e-324 eV gap: an infinite wavelength_nm
-    ], ids=["production-rate", "wavelength"])
+        ({"gamma_ev": 6.582119569e289}, 2),  # a 1e-305 s lifetime: an infinite production_rate
+    ], ids=["production-rate"])
     def test_non_finite_value_is_runtime_error(self, fixtures_dir, tmp_path, node, event, capsys):
         """No trace reader accepts a NaN or an infinity, so ``run`` writes none:
         it exits 3 naming the event, leaves ``--out`` as it was, and leaves
-        the events before it on stdout."""
+        the events before it on stdout. (A lifetime or wavelength that is not
+        a finite normal float is refused with the network, before any event.)"""
         doc = json.loads((fixtures_dir / "chain.net.json").read_text())
         doc["nodes"][0].update(node)
         net = tmp_path / "net.json"
@@ -499,6 +503,35 @@ class TestMalformedTrace:
         assert capsys.readouterr().err == (
             f"error: line {lineno}: missing field(s): {', '.join(columns)}\n"
         )
+
+
+def test_run_killed_by_sigterm_leaves_no_temporary_file(tmp_path):
+    """A run killed by SIGTERM while it writes removes its temporary file,
+    leaves the prior ``--out`` as it was, and still ends killed by SIGTERM."""
+    net, out = tmp_path / "fast.net.json", tmp_path / "out.jsonl"
+    net.write_text(json.dumps({
+        "schema_version": "1",
+        "nodes": [{"id": 1, "ground_ev": 0.0, "excited_ev": 1.5}],
+        "standard_clocks": [{"id": 1, "period_s": 1e-6}],
+    }))
+    out.write_bytes(b"prior\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fcnsim.cli", "run", str(net), "--until", "1000", "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+    )
+    try:
+        deadline = time.monotonic() + 10
+        while not list(tmp_path.glob(".*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline, "no temporary file"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp_path.glob(".*.tmp")) == []
+    assert out.read_bytes() == b"prior\n"
 
 
 def test_run_memory_does_not_grow_with_horizon(tmp_path):

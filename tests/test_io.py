@@ -327,6 +327,35 @@ class TestParseNetwork:
         assert main(["validate", str(net)]) == 2
         assert capsys.readouterr() == ("", f"error: {problem}\n")
 
+    @pytest.mark.parametrize("node, edit, problems", [
+        (0, {"gamma_ev": 1e300}, [
+            "nodes[0]: gamma_ev 1e+300 gives a lifetime of 6.58211956e-316 s, not a finite normal float",
+            "injections[0]: unknown node 1",
+            "arc 1: unknown source node 1",
+        ]),
+        (1, {"excited_ev": 5e-324}, [
+            "nodes[1]: excited_ev - ground_ev = 5e-324 eV gives a wavelength of inf nm, not a finite normal float",
+            "arc 1: unknown target node 2",
+            "arc 2: unknown source node 2",
+        ]),
+    ], ids=["subnormal-lifetime", "infinite-wavelength"])
+    def test_node_that_run_cannot_write_is_refused(self, tmp_path, capsys, node, edit, problems):
+        """A lifetime or wavelength that is not a finite normal float would make
+        ``run`` fail mid-trace (exit 3); the reader refuses the node instead."""
+        raw = chain_doc()
+        raw["nodes"][node].update(edit)
+        with pytest.raises(ValidationFailed) as err:
+            parse_network(json.dumps(raw))
+        assert err.value.problems == problems
+        net, out = tmp_path / "net.json", tmp_path / "trace.jsonl"
+        net.write_text(json.dumps(raw))
+        stderr = "".join(f"error: {problem}\n" for problem in problems)
+        assert main(["validate", str(net)]) == 2
+        assert capsys.readouterr() == ("", stderr)
+        assert main(["run", str(net), "--until", "5.0", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", stderr)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
     def test_all_problems_collected(self):
         raw = chain_doc()
         raw["arcs"][0]["distance_m"] = -1
@@ -799,6 +828,11 @@ def _values(finite: bool):
 # engine_time values that are not an int or a float.
 _BAD_IDS = st.integers(-5, -1) | st.sampled_from([2**64, True, False])
 _BAD_TIMES = st.sampled_from([None, True, "0.5", [1.0]])
+# Int engine_time values up to 10**400, with both sides of the float range's
+# end (2**1024 - 2**970 is the least int that float() overflows on).
+_INT_TIMES = st.integers(-(10**400), 10**400) | st.sampled_from(
+    [10**400, -(10**400), 2**1024 - 2**970 - 1, 2**1024 - 2**970, 2**53 + 1]
+)
 
 
 @st.composite
@@ -812,15 +846,22 @@ def _events(draw, finite: bool) -> SimEvent:
         # and ids, times and parents the writer refuses.
         keys = keys | st.sampled_from(_BASE) | st.integers(-3, 3) | st.tuples(st.integers(0, 2))
         values = values | st.sets(st.integers(0, 2), max_size=2)
-        ids, times = _U64 | _BAD_IDS, times | st.integers(-3, 3) | _BAD_TIMES
+        ids, times = _U64 | _BAD_IDS, times | st.integers(-3, 3) | _INT_TIMES | _BAD_TIMES
         parents = _U64 | _BAD_IDS | st.sampled_from(["a", "0"])
     payload = draw(st.dictionaries(keys, values, max_size=6))
-    if finite:
-        # The fields the reader checks, with the types it requires.
-        if kind is EventKind.CLOCK_TICK:
-            payload.update(pulse_id=draw(_U64), counter=draw(st.integers()))
-        elif kind is EventKind.DECAY:
-            payload.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
+    # The fields the reader checks, with the types it requires.
+    if kind is EventKind.CLOCK_TICK:
+        payload.update(pulse_id=draw(_U64), counter=draw(st.integers()))
+    elif kind is EventKind.DECAY:
+        payload.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
+    if not finite and kind in (EventKind.CLOCK_TICK, EventKind.DECAY) and draw(st.booleans()):
+        # Some of them dropped, or given a value of another type.
+        read = [k for k in ("pulse_id", "counter", *ENTROPY_COLUMNS[1:]) if k in payload]
+        for name in draw(st.lists(st.sampled_from(read), min_size=1, max_size=2, unique=True)):
+            if draw(st.booleans()):
+                del payload[name]
+            else:
+                payload[name] = draw(st.sampled_from([None, True, "1", 1.5, [0]]))
     return SimEvent(
         id=draw(ids),
         kind=kind,
@@ -875,21 +916,16 @@ def _record(event: SimEvent) -> dict:
     return {**base, "parents": sorted(event.parents), **event.payload}
 
 
-def _u64(value) -> bool:
-    return type(value) is int and 0 <= value < 2**64
-
-
 def _written(event: SimEvent) -> bool:
-    """Whether the writer's contract has it write ``event`` rather than refuse it."""
-    if not (_u64(event.id) and _u64(event.node) and all(map(_u64, event.parents))):
+    """Whether the writer's contract has it write ``event`` rather than refuse
+    it: the ``json.dumps`` line of its record reads back, by the reference
+    reader, as the same event, its ``engine_time`` made a float."""
+    try:  # json.dumps refuses a NaN or an infinity anywhere, and a value it cannot write
+        line = json.dumps(_record(event), allow_nan=False)
+        read = reference_record_to_event(json.loads(line))
+        return read == event._replace(engine_time=float(event.engine_time))
+    except (TypeError, ValueError, ParseError):
         return False
-    if type(event.engine_time) not in (int, float) or any(type(k) is not str or k in _BASE for k in event.payload):
-        return False
-    try:  # a NaN or an infinity anywhere, or a value json.dumps cannot write
-        json.dumps(_record(event), allow_nan=False)
-    except (TypeError, ValueError):
-        return False
-    return True
 
 
 def _refusal(event: SimEvent) -> str:
@@ -912,8 +948,9 @@ class TestWriter:
     @settings(max_examples=200)
     @given(event=_events(finite=False))
     def test_matches_json_dumps(self, event):
-        """Byte-equal to json.dumps for every event inside the writer's
-        contract; any other event raises ValueError naming the event."""
+        """An event is written if and only if its line reads back as the same
+        event, and then byte-equal to json.dumps; any other event raises
+        ValueError naming the event."""
         if _written(event):
             assert serialize_event(event) == json.dumps(_record(event), separators=(",", ":"))
         else:
@@ -949,9 +986,16 @@ class TestWriter:
         ({"payload": {(0, 1): 1}}, "event 1: payload key (0, 1) is not a string or names a base field"),
         ({"payload": {"parents": [1]}}, "event 1: payload key 'parents' is not a string or names a base field"),
         ({"payload": {"note": {0, 1}}}, "event 1: Object of type set is not JSON serializable"),
+        ({"kind": EventKind.DECAY, "payload": {}},
+         "event 1: missing field(s): ds_internal, ds_signal, ds_vacuum, total, production_rate, lifetime_s"),
+        ({"kind": EventKind.CLOCK_TICK, "payload": {"pulse_id": 0}}, "event 1: missing field(s): counter"),
+        ({"kind": EventKind.CLOCK_TICK, "payload": {"pulse_id": True, "counter": 0}},
+         "event 1: 'pulse_id' must be an integer"),
+        ({"engine_time": 10**400}, "event 1: 'engine_time' is beyond the float range"),
     ], ids=[
         "negative-id", "node-2**64", "bool-id", "str-parent", "negative-parent", "parent-2**64",
         "str-time", "null-time", "kind", "int-key", "tuple-key", "base-key", "set-value",
+        "decay-without-fields", "tick-without-counter", "bool-pulse-id", "int-time-10**400",
     ])
     def test_refusal_names_the_event(self, change, message):
         """Each refused event raises ValueError, never a bare TypeError."""

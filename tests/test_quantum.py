@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,19 @@ class TestWavelength:
     def test_non_positive_energy(self, bad):
         with pytest.raises(NonPositiveEnergy):
             wavelength_of(bad)
+
+
+class TestDerivedValues:
+    """A spec's lifetime must be a finite normal float (the network reader's
+    tests cover a 1e300 gamma and an infinite wavelength)."""
+
+    def test_largest_gamma_gives_a_subnormal_lifetime(self):
+        with pytest.raises(ValueError, match=r"^gamma_ev 1\.7976931348623157e\+308 gives a lifetime of 5e-324 s"):
+            two_level(1.5, sys.float_info.max)
+
+    def test_smallest_normal_lifetime_accepted(self):
+        gamma = HBAR / sys.float_info.min
+        assert lifetime(two_level(1.5, gamma).gamma_ev) >= sys.float_info.min
 
 
 class TestLifetime:
