@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import groupby
-from operator import attrgetter, gt, itemgetter
+from operator import attrgetter, gt
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import ClockMismatch, ParseError
@@ -134,31 +134,6 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
 _Step = tuple[EventId, EventKind, tuple[EventId, ...]]
 
 
-def _skeleton(
-    records: Iterable[_Step], candidates: Iterable[EventId]
-) -> tuple[list[_Step], dict[EventId, int]]:
-    """The steps of a trace, in id order, that can carry a labeled ancestor.
-
-    Only ids in ``candidates`` may be labeled, so an event can have a
-    labeled ancestor only if one of its parents is a candidate or a kept
-    step; every other event is dropped. A later record of a kept id is kept
-    as well, so that the last record of a repeated id still counts.
-    Returns the steps and ``last_reader``, which maps each parent id to the
-    last step that names it.
-    """
-    reach = set(candidates)  # candidates and the ids of kept steps
-    steps: list[_Step] = []
-    kept: EventId | None = None  # the id of the last kept step
-    isdisjoint, keep, add = reach.isdisjoint, steps.append, reach.add
-    for step in sorted(records, key=itemgetter(0)):
-        eid, _, parents = step
-        if isdisjoint(parents) and eid != kept:
-            continue
-        keep(step)
-        add(kept := eid)
-    return steps, {p: k for k, (_, _, parents) in enumerate(steps) for p in parents}
-
-
 def _check_ancestry(
     entries: tuple[TimeLabel, ...], steps: list[_Step], last_reader: dict[EventId, int]
 ) -> tuple[list[CausalViolation], ResolutionReport]:
@@ -166,9 +141,8 @@ def _check_ancestry(
 
     Returns the inversions (unsorted) and the resolution report: the
     causally ordered entry pairs and those among them that share a label.
-    ``entries`` must ascend by (time number, event id), and ``steps`` and
-    ``last_reader`` must come from ``_skeleton`` with every entry's event
-    among its candidates.
+    ``entries`` must ascend by (time number, event id) and name
+    absorptions of the index that built ``steps`` and ``last_reader``.
 
     One forward pass over ``steps``. Each step carries a
     Python-int bitset of its labeled ancestors, bit ``i`` standing for
@@ -179,10 +153,7 @@ def _check_ancestry(
     set bits of ``bits >> hi``, ordered pairs the popcount of ``bits``,
     and indistinguishable pairs the popcount of its ``[lo, hi)`` slice.
 
-    A parent absent from the trace, or with an id not smaller than its
-    child's, contributes only its own bit (when labeled). When an event id
-    repeats in the trace or in the entries, the last record in sort order
-    counts.
+    When an event id repeats in the entries, the last in sort order counts.
     """
     bit = {lb.event: i for i, lb in enumerate(entries)}
     label_range: dict[float, tuple[int, int]] = {}
@@ -195,7 +166,6 @@ def _check_ancestry(
     live: dict[EventId, int] = {}
     violations: list[CausalViolation] = []
     ordered = indistinguishable = 0
-    n = len(steps)
     for k, (eid, _, parents) in enumerate(steps):
         bits = 0
         for p in parents:
@@ -203,10 +173,10 @@ def _check_ancestry(
             i = bit.get(p)
             if i is not None:
                 bits |= 1 << i
-        if last_reader.get(eid, k) > k:
+        if eid in last_reader:  # a later step reads it
             live[eid] = bits
         i = bit.get(eid)
-        if i is None or not bits or (k + 1 < n and steps[k + 1][0] == eid):
+        if i is None or not bits:
             continue
         t = entries[i].time_number_s
         lo, hi = label_range[t]
@@ -244,7 +214,8 @@ def build_timeline(
     ancestor's time number must not exceed the descendant's; inversions
     are reported, not raised, because a coarse clock legitimately gives
     equal labels to causally ordered events and only inversions are
-    defects. All labels must come from one clock. Cost: as
+    defects. All labels must come from one clock and name absorptions of
+    ``trace``, a stream as ``TraceIndex`` takes it. Cost: as
     ``TraceIndex`` plus one ``TraceIndex.check``.
     """
     return TraceIndex(trace).check(labels, observer)[:2]
@@ -253,8 +224,9 @@ def build_timeline(
 def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport:
     """Count causally ordered entry pairs the clock cannot tell apart.
 
-    Cost: as ``build_timeline``; pairs are counted by popcount, not
-    enumerated.
+    The entries must name absorptions of ``trace``, as for
+    ``build_timeline``. Cost: as ``build_timeline``; pairs are counted by
+    popcount, not enumerated.
     """
     return TraceIndex(trace).check(timeline.entries)[2]
 
@@ -302,36 +274,47 @@ def label_absorptions(
 class TraceIndex:
     """One trace, indexed once for labeling and checking against many clocks.
 
-    Building it takes one pass over ``trace``, any iterable of events: it
-    keeps ``absorptions`` (in trace order), each clock's pulses (a tick is
-    kept only as its ``ClockPulse``), and of every event what the ancestry
-    pass reads. A tick without a ``pulse_id`` or ``counter`` in its payload
-    raises KeyError here. It sorts the ancestry records
-    by event id once and keeps the events with an absorption among their
-    ancestors: only absorptions get labels, so only those events can carry
-    a labeled ancestor. Then labeling costs one bisection per absorption
-    and checking one pass over the kept events; labels that name another
-    event get a scan of the records. ``build_timeline`` and
-    ``resolution_report`` are ``check`` on a fresh index.
+    ``trace`` is any iterable of events in stream order with strictly
+    ascending ids, as ``Engine.events``, ``iter_trace`` and ``parse_trace``
+    give them; an id that does not ascend raises ParseError. One pass keeps
+    ``absorptions`` (in trace order), each clock's pulses (a tick missing
+    ``pulse_id`` or ``counter`` raises KeyError here) and, since only
+    absorptions get labels, the events with a parent that is an absorption
+    or a kept event before it. A parent that is absent, or not earlier in
+    the stream, contributes nothing. Labeling costs one bisection per
+    absorption and checking one pass over the kept events.
     """
 
     def __init__(self, trace: Iterable[SimEvent]):
         self.absorptions: list[SimEvent] = []
         ticks: dict[NodeId, list[ClockPulse]] = {}
-        self._records: list[_Step] = []
-        absorb, record = self.absorptions.append, self._records.append
+        # The kept events, and for each parent they name the last step that names it.
+        self._steps: list[_Step] = []
+        self._last_reader: dict[EventId, int] = {}
+        reach: set[EventId] = set()  # the ids of the absorptions and kept events so far
+        absorb, keep, disjoint, add = self.absorptions.append, self._steps.append, reach.isdisjoint, reach.add
         absorption, tick = EventKind.ABSORPTION, EventKind.CLOCK_TICK  # one enum lookup, not one per event
+        previous = -1
         for event in trace:
             eid, kind, node, _, parents, _ = event
+            if eid <= previous:
+                raise ParseError(f"event id {eid} is not greater than id {previous} before it")
+            previous = eid
+            if not disjoint(parents):
+                read = tuple(reach.intersection(parents))
+                k = len(self._steps)
+                for p in read:
+                    self._last_reader[p] = k
+                keep((eid, kind, read))
+                add(eid)
             if kind is absorption:
                 absorb(event)
+                add(eid)
             elif kind is tick:
                 ticks.setdefault(node, []).append(_pulse(event))
-            record((eid, kind, tuple(parents)))
         # ClockPulse is immutable, so ``pulses`` hands out these tuples as they are.
         self._pulses = {clock: tuple(pulses) for clock, pulses in ticks.items()}
         self._absorption_ids = {e.id for e in self.absorptions}
-        self._steps, self._last_reader = _skeleton(self._records, self._absorption_ids)
 
     @property
     def clocks(self) -> list[NodeId]:
@@ -353,7 +336,8 @@ class TraceIndex:
         ancestor), and its resolution report, from one ancestry pass.
 
         ``observer`` defaults to the labels' clock. Raises ClockMismatch
-        when the labels come from more than one clock.
+        when the labels come from more than one clock, and ValueError when
+        a label names an event that is not one of ``absorptions``.
         """
         labels = tuple(labels)
         clocks = {lb.triplet.clock for lb in labels}
@@ -361,10 +345,10 @@ class TraceIndex:
             raise ClockMismatch(f"labels span several clocks: {sorted(clocks)}")
         if observer is None and clocks:
             observer = next(iter(clocks))
-        steps, last_reader = self._steps, self._last_reader
         if not self._absorption_ids.issuperset(lb.event for lb in labels):
-            steps, last_reader = _skeleton(self._records, [lb.event for lb in labels])
+            other = next(lb.event for lb in labels if lb.event not in self._absorption_ids)
+            raise ValueError(f"label on event {other}, which is not an absorption of the trace")
         entries = tuple(sorted(labels, key=_by_time_then_event))
-        violations, resolution = _check_ancestry(entries, steps, last_reader)
+        violations, resolution = _check_ancestry(entries, self._steps, self._last_reader)
         violations.sort(key=lambda v: (v.descendant, v.ancestor))
         return Timeline(observer=observer, entries=entries), tuple(violations), resolution

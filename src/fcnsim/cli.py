@@ -147,7 +147,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     def events(seed: int) -> Iterator[SimEvent]:
         model = EntropyModel(args.t_source, args.t_env, args.vacuum_term)
-        return Engine(doc.network, RunConfig(args.until, mode, seed, model), doc.injections).events()
+        config = RunConfig(args.until, mode, seed, model)
+        for clock in doc.network.clocks:
+            if (config.run_until_s - clock.first_tick_s) / clock.period_s >= 2**64:
+                raise ValidationFailed([f"clock {clock.id}: 2**64 or more ticks from {clock.first_tick_s} s every "
+                                        f"{clock.period_s} s by --until {args.until}, beyond a trace's 64-bit event ids"])
+        return Engine(doc.network, config, doc.injections).events()
 
     if args.seeds:
         if mode is not SamplingMode.STOCHASTIC:

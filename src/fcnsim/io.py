@@ -16,7 +16,7 @@ import math
 import os
 from pathlib import Path
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, IO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, IO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationFailed
 from .events import EventKind, EventTrace, NodeId, SimEvent
@@ -499,32 +499,28 @@ def _line_event(line: str, lineno: int) -> SimEvent | None:
     return event
 
 
-def _checked(lines: Iterable[str], again: Callable[[], Iterable[str]]) -> Iterator[SimEvent]:
+def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
     """The checked events on the lines of a trace, each line without its line feed.
 
-    Keeps the set of ids read so far; ``again`` gives the lines from the
-    start once more, read only to name the first line of a repeated id.
+    Event ids ascend strictly from line to line; the set of ids read so far
+    is the parent check.
     """
     seen: set[int] = set()
     add = seen.add
+    previous, previous_line = -1, 0  # the id on the last non-blank line, and its number
     for lineno, line in enumerate(lines, start=1):
         event = _line_event(line, lineno)
         if event is None:
             continue
+        if event.id <= previous:
+            raise ParseError(f"event id {event.id} is not greater than id {previous} on line {previous_line}",
+                             f"line {lineno}")
         if not seen.issuperset(event.parents):
             parent = min(event.parents - seen)
             raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
-        if event.id in seen:
-            first = _first_line(again(), event.id)
-            raise ParseError(f"repeated event id {event.id} (first on line {first})", f"line {lineno}")
-        add(event.id)
+        add(previous := event.id)
+        previous_line = lineno
         yield event
-
-
-def _first_line(lines: Iterable[str], event_id: int) -> int | str:
-    """The number of the first line with ``event_id``; "?" if the input changed and none has it."""
-    events = (_line_event(line, lineno) for lineno, line in enumerate(lines, start=1))
-    return next((lineno for lineno, e in enumerate(events, start=1) if e is not None and e.id == event_id), "?")
 
 
 def parse_trace(text: str) -> EventTrace:
@@ -533,11 +529,10 @@ def parse_trace(text: str) -> EventTrace:
     Lines end at line feeds only, as in JSON Lines: a raw U+2028, U+2029
     or U+0085 inside a string is part of its line, and a carriage return
     before the line feed is JSON whitespace. Raises ParseError naming the
-    line for a malformed record, for an event id that an earlier line
-    already used, and for a parent id that no earlier line's event has.
+    line for a malformed record, for an id not above the last line's id,
+    and for a parent id that no earlier line's event has.
     """
-    lines = text.split("\n")
-    return tuple(_checked(lines, lambda: lines))
+    return tuple(_checked(text.split("\n")))
 
 
 def write_events(events: Iterable[SimEvent], fp: IO[str]) -> int:
@@ -584,7 +579,7 @@ def iter_trace(path: str | Path) -> Iterator[SimEvent]:
     """
     lines = _decoded(path)
     try:
-        yield from _checked(lines, lambda: _decoded(path))
+        yield from _checked(lines)
     except ParseError:
         for _ in lines:  # raises at the first bad byte after the failed line
             pass

@@ -5,7 +5,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from fcnsim import (
     ClockMismatch,
@@ -151,7 +151,7 @@ class TestBuildTimeline:
         assert timeline.observer == 3
 
     def test_entries_sorted_by_time_then_event(self):
-        trace = (absorption_at(5, 1.0), absorption_at(3, 1.0))
+        trace = (absorption_at(3, 1.0), absorption_at(5, 1.0))
         labels = [
             TimeLabel(event=5, time_number_s=1.0, triplet=TripletState(5, 1, 1, clock=9)),
             TimeLabel(event=3, time_number_s=1.0, triplet=TripletState(3, 1, 1, clock=9)),
@@ -232,86 +232,65 @@ def label(event_id: int, t: float) -> TimeLabel:
     return TimeLabel(event=event_id, time_number_s=t, triplet=TripletState(event_id, 0, 0, clock=9))
 
 
-# Ids and parents range past each other, so traces hold parents missing
-# from the trace, parents with larger ids than their child, self-parents
-# and repeated ids; few distinct times make ties common.
-_ids = st.integers(min_value=0, max_value=24)
-_traces = st.lists(
-    st.builds(absorption_at, _ids, st.just(0.0), parents=st.frozensets(_ids, max_size=3)),
-    max_size=24,
-)
-_labels = st.lists(
-    st.builds(label, _ids, st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])), max_size=24
-)
-
-
 def event_of(kind: EventKind, event_id: int, parents=frozenset()) -> SimEvent:
     return SimEvent(
         id=event_id, kind=kind, node=1, engine_time=0.0, parents=frozenset(parents), payload={}
     )
 
 
+@st.composite
+def _traces(draw, kinds=st.just(EventKind.ABSORPTION)) -> list[SimEvent]:
+    """Events with unique ascending ids and gaps between them; each names up
+    to three smaller ids as parents, some of them absent from the trace."""
+    trace = []
+    for eid in sorted(draw(st.sets(st.integers(min_value=0, max_value=24), max_size=24))):
+        parents = draw(st.frozensets(st.integers(min_value=0, max_value=eid - 1), max_size=3)) if eid else ()
+        trace.append(event_of(draw(kinds), eid, parents))
+    return trace
+
+
+@st.composite
+def _labeled(draw, kinds=st.just(EventKind.ABSORPTION)) -> tuple[list[SimEvent], list[TimeLabel]]:
+    """A trace and labels on its absorptions, with repeats; few distinct
+    times make ties common."""
+    trace = draw(_traces(kinds))
+    absorbed = [e.id for e in trace if e.kind is EventKind.ABSORPTION]
+    times = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])
+    labels = draw(st.lists(st.builds(label, st.sampled_from(absorbed), times), max_size=24)) if absorbed else []
+    return trace, labels
+
+
 # Absorptions among kinds that never get a label from the index.
-_mixed_traces = st.lists(
-    st.builds(
-        event_of,
-        st.sampled_from([EventKind.ABSORPTION, EventKind.EMISSION, EventKind.DECAY, EventKind.PASS_THROUGH]),
-        _ids,
-        parents=st.frozensets(_ids, max_size=3),
-    ),
-    max_size=24,
-)
+_KINDS = st.sampled_from([EventKind.ABSORPTION, EventKind.EMISSION, EventKind.DECAY, EventKind.PASS_THROUGH])
 
 
 class TestAgainstReference:
     """The bitset ancestry pass agrees with the set-based reference."""
 
-    @given(_traces, _labels)
-    # Event 1 is recorded twice; its second record, with no ancestors, is
-    # the one its child must read.
-    @example(
-        [
-            absorption_at(1, 0.0, parents={0}),
-            absorption_at(1, 0.0),
-            absorption_at(2, 0.0, parents={1}),
-        ],
-        [label(0, 0.0), label(2, 0.0)],
-    )
-    def test_random_dag_traces(self, trace, labels):
+    @given(_labeled())
+    def test_random_dag_traces(self, labeled):
+        trace, labels = labeled
         timeline, violations = build_timeline(labels, trace)
         assert violations == reference_violations(timeline, trace)
         assert resolution_report(timeline, trace) == reference_resolution(timeline, trace)
 
-    @given(_traces, _labels)
-    def test_unsorted_timeline_entries(self, trace, labels):
+    @given(_labeled())
+    def test_unsorted_timeline_entries(self, labeled):
+        trace, labels = labeled
         unique = list({lb.event: lb for lb in labels}.values())
         timeline = Timeline(observer=9, entries=tuple(reversed(unique)))
         assert resolution_report(timeline, trace) == reference_resolution(timeline, trace)
 
-    @given(_mixed_traces, _labels)
-    # Event 1 is recorded twice, after the absorption it descends from; its
-    # second record has no parent that can carry a label, and it is the one
-    # its child must read.
-    @example(
-        [
-            event_of(EventKind.ABSORPTION, 0),
-            event_of(EventKind.EMISSION, 1, parents={0}),
-            event_of(EventKind.EMISSION, 1),
-            event_of(EventKind.ABSORPTION, 2, parents={1}),
-        ],
-        [label(0, 0.0), label(2, 0.0)],
-    )
-    def test_trace_index_check(self, trace, labels):
+    @given(_labeled(_KINDS))
+    def test_trace_index_check(self, labeled):
         """``TraceIndex.check`` agrees with the reference for labels on the
-        absorptions alone, and for labels that also name other events."""
-        index, streamed = TraceIndex(trace), TraceIndex(iter(trace))
-        absorptions = {e.id for e in trace if e.kind is EventKind.ABSORPTION}
-        for chosen in ([lb for lb in labels if lb.event in absorptions], labels):
-            timeline, violations, resolution = index.check(chosen)
-            assert violations == reference_violations(timeline, trace)
-            assert resolution == reference_resolution(timeline, trace)
-            # An index built from a one-pass iterator gives the same result.
-            assert streamed.check(chosen) == (timeline, violations, resolution)
+        absorptions of a trace that holds other kinds as well."""
+        trace, labels = labeled
+        timeline, violations, resolution = TraceIndex(trace).check(labels)
+        assert violations == reference_violations(timeline, trace)
+        assert resolution == reference_resolution(timeline, trace)
+        # An index built from a one-pass iterator gives the same result.
+        assert TraceIndex(iter(trace)).check(labels) == (timeline, violations, resolution)
 
     def test_closed_form_counts_on_a_long_chain(self):
         """n chained absorptions in label groups of sizes k: every pair is
@@ -330,6 +309,43 @@ class TestAgainstReference:
         assert report.causally_ordered_pairs == n * (n - 1) // 2
         assert report.indistinguishable_pairs == sum(k * (k - 1) // 2 for k in sizes)
         assert report.distinct_labels == len(sizes)
+
+
+class TestIndexContract:
+    """Events come in stream order with strictly ascending ids, and labels
+    name absorptions of the trace."""
+
+    @pytest.mark.parametrize("second", [1, 0], ids=["repeated", "descending"])
+    @pytest.mark.parametrize("build", [
+        TraceIndex,
+        lambda trace: build_timeline([], trace),
+        lambda trace: resolution_report(Timeline(observer=None, entries=()), trace),
+    ], ids=["TraceIndex", "build_timeline", "resolution_report"])
+    def test_id_that_does_not_ascend_raises(self, build, second):
+        trace = (absorption_at(1, 0.0), absorption_at(second, 0.0))
+        with pytest.raises(ParseError, match=f"^event id {second} is not greater than id 1 before it$"):
+            build(trace)
+        with pytest.raises(ParseError):
+            build(iter(trace))
+
+    @pytest.mark.parametrize("event, message", [
+        (2, "label on event 2, which is not an absorption of the trace"),
+        (7, "label on event 7, which is not an absorption of the trace"),
+    ], ids=["emission", "absent"])
+    def test_label_off_the_absorptions_raises(self, event, message):
+        trace = (absorption_at(1, 0.0), event_of(EventKind.EMISSION, 2, parents={1}), absorption_at(3, 1.0, parents={2}))
+        index = TraceIndex(trace)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            index.check([label(1, 0.0), label(event, 1.0)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_timeline([label(event, 1.0)], trace)
+
+    def test_parent_absent_or_not_earlier_contributes_nothing(self):
+        """Event 3 names an absent parent, itself and the later absorption 4:
+        none of them is an ancestor, so only 1 -> 3 is ordered."""
+        trace = (absorption_at(1, 0.0), absorption_at(3, 0.0, parents={1, 2, 3, 4}), absorption_at(4, 0.0))
+        _, _, resolution = TraceIndex(trace).check([label(e, 0.0) for e in (1, 3, 4)])
+        assert resolution.causally_ordered_pairs == 1
 
 
 class TestLabelAbsorptions:
@@ -407,8 +423,9 @@ class TestIndexPulses:
 
     def test_index_keeps_pulses_not_tick_events(self, tmp_path):
         """On an engine-written trace of one clock's 10,001 ticks, the index
-        retains under 450 bytes per tick: a pulse and what the ancestry pass
-        reads, where a whole tick event with its payload dict takes about 960."""
+        retains under 250 bytes per tick, about 170 for its pulse; no tick
+        descends from an absorption, so the ancestry skeleton keeps none of
+        them. A whole tick event with its payload dict takes about 960."""
         doc = parse_network('{"schema_version": "1", "nodes": [{"id": 1, "ground_ev": 0.0, "excited_ev": 1.5}], '
                             '"standard_clocks": [{"id": 1, "period_s": 0.001}]}')
         path = tmp_path / "clock.jsonl"
@@ -422,4 +439,4 @@ class TestIndexPulses:
             tracemalloc.stop()
         ticks = len(index.pulses(1))
         assert ticks == 10_001
-        assert retained / ticks < 450
+        assert retained / ticks < 250

@@ -126,6 +126,29 @@ class TestRun:
         assert main(["run", chain_net, f"--until={until}"]) == 3
         assert capsys.readouterr().err.startswith("runtime error: run_until must be ")
 
+    @pytest.mark.parametrize("clock, shown", [
+        ({"period_s": 1e-20, "first_tick_s": 1.0}, "from 1.0 s every 1e-20 s"),
+        ({"period_s": 5e-324}, "from 0.0 s every 5e-324 s"),
+    ], ids=["1e-20-from-1", "5e-324"])
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+    def test_clock_beyond_the_event_id_space_exits_2_before_any_event(
+        self, fixtures_dir, tmp_path, clock, shown, out, capsys
+    ):
+        """Such a clock validates, but its ticks before the horizon alone
+        would outnumber the unsigned 64-bit event ids a trace may hold."""
+        doc = json.loads((fixtures_dir / "chain.net.json").read_text())
+        doc["standard_clocks"] = [{"id": 3, **clock}]
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert main(["validate", str(net)]) == 0
+        capsys.readouterr()
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", str(net), "--until", "3", *(["--out", str(trace)] if out else [])]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: clock 3: 2**64 or more ticks {shown} by --until 3.0, beyond a trace's 64-bit event ids\n"
+        ))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
     @pytest.mark.parametrize(
         "flag, term",
         [("--t-env", "ds_signal must be finite, got inf"), ("--t-source", "ds_internal must be finite, got -inf")],
@@ -405,7 +428,16 @@ class TestMalformedTrace:
         chain_trace_file.write_text("\n".join([*lines, lines[-1]]) + "\n")
         assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: line 14: repeated event id 12 (first on line 13)\n"
+        assert captured.err == "error: line 14: event id 12 is not greater than id 12 on line 13\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    def test_descending_event_id_exits_2(self, chain_trace_file, command, capsys):
+        lines = chain_trace_file.read_text().splitlines()
+        chain_trace_file.write_text("\n".join([*lines, lines[-2]]) + "\n")
+        assert main([command[0], str(chain_trace_file), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 14: event id 11 is not greater than id 12 on line 13\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])

@@ -622,8 +622,9 @@ class TestTraceRoundTrip:
 
     def test_largest_ids_parse(self):
         top = 2**64 - 1
-        root, event = parse_trace(_lines({**_ROOT, "id": top, "node": top}, {**_ABSORPTION, "parents": [top]}))
-        assert (root.id, root.node, event.parents) == (top, top, frozenset({top}))
+        root, event = parse_trace(_lines({**_ROOT, "id": top - 1, "node": top},
+                                         {**_ABSORPTION, "id": top, "parents": [top - 1]}))
+        assert (root.id, root.node, event.id, event.parents) == (top - 1, top, top, frozenset({top - 1}))
 
     def test_well_formed_records_parse(self):
         _, *events = parse_trace(_lines(_ROOT, _ABSORPTION, _TICK, _DECAY))
@@ -636,14 +637,16 @@ class TestTraceRoundTrip:
         assert len(lines) == 13
         with pytest.raises(ParseError) as err:
             parse_trace("\n".join([*lines, "", lines[-1]]) + "\n")
-        assert str(err.value) == "line 15: repeated event id 12 (first on line 13)"
+        assert str(err.value) == "line 15: event id 12 is not greater than id 12 on line 13"
 
     @pytest.mark.parametrize("repeat", [0, 5, 12])
-    def test_repeated_event_id_names_its_first_line_in_text_and_files(self, chain, tmp_path, repeat):
+    def test_event_id_not_ascending_names_the_line_before_in_text_and_files(self, chain, tmp_path, repeat):
+        """A repeated id is one case of an id that does not ascend; the
+        message names the last non-blank line before it."""
         net, injections = chain
         lines = serialize_trace(Engine(net, RunConfig(run_until_s=5.0), injections).run()).splitlines()
         text = "\n".join(["", *lines, "", lines[repeat], lines[-1]]) + "\n"
-        message = f"line 16: repeated event id {repeat} (first on line {repeat + 2})"
+        message = f"line 16: event id {repeat} is not greater than id 12 on line 14"
         with pytest.raises(ParseError) as err:
             parse_trace(text)
         assert str(err.value) == message
@@ -740,18 +743,21 @@ class TestTraceRoundTrip:
 
     def test_parents_must_name_earlier_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        excerpt = _lines(_TICK, _ABSORPTION, _DECAY)
+        excerpt = _lines({**_TICK, "id": 1}, {**_ABSORPTION, "id": 2}, {**_DECAY, "parents": [2]})
         path.write_text(excerpt)
         for read in (lambda: read_trace(path), lambda: parse_trace(excerpt)):
             with pytest.raises(ParseError) as err:
                 read()
             assert str(err.value) == "line 2: parent 0 is not the id of an earlier event"
         path.write_text(_lines(_ROOT) + excerpt)
-        assert [e.id for e in read_trace(path)] == [0, 2, 1, 3]
-        # A parent on a later line, or the event itself, is not earlier.
+        assert [e.id for e in read_trace(path)] == [0, 1, 2, 3]
+        # A parent on a later line, or the event itself, is not earlier; an
+        # id that does not ascend is reported before its parents.
         for records, message in (
-            ((_ROOT, _DECAY, _ABSORPTION), "line 2: parent 1 is not the id of an earlier event"),
+            ((_ROOT, {**_ABSORPTION, "parents": [2]}, _TICK), "line 2: parent 2 is not the id of an earlier event"),
             ((_ROOT, {**_ABSORPTION, "parents": [0, 1]}), "line 2: parent 1 is not the id of an earlier event"),
+            ((_ROOT, _ABSORPTION, {**_ABSORPTION, "parents": [7]}),
+             "line 3: event id 1 is not greater than id 1 on line 2"),
         ):
             with pytest.raises(ParseError) as err:
                 parse_trace(_lines(*records))
@@ -874,9 +880,10 @@ def _events(draw, finite: bool) -> SimEvent:
 
 @st.composite
 def _finite_traces(draw) -> tuple[SimEvent, ...]:
-    """Up to six finite events, each naming only earlier events as parents."""
+    """Up to six finite events with ascending ids, each naming only earlier events as parents."""
     trace: list[SimEvent] = []
-    for event in draw(st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id)):
+    events = draw(st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id))
+    for event in sorted(events, key=lambda e: e.id):
         parents = draw(st.frozensets(st.sampled_from([e.id for e in trace]), max_size=4)) if trace else frozenset()
         trace.append(event._replace(parents=parents))
     return tuple(trace)
@@ -1080,18 +1087,21 @@ class TestReaderAgainstReference:
     def test_same_event_or_same_message(self, record, separators, pad):
         line = pad[0] + json.dumps(record, separators=separators) + pad[1]
         expected = _outcome(reference_record_to_event, json.loads(line), "line 1")
-        # In a trace, earlier events carry the record's well-formed parents.
-        parents = record.get("parents")
+        # In a trace, earlier events carry the record's well-formed parents
+        # below its id, so the ids ascend.
+        parents, event_id = record.get("parents"), record.get("id")
+        below = event_id if type(event_id) is int else 2**64
         earlier = sorted(
-            {p for p in parents if type(p) is int and 0 <= p < 2**64 and p != record.get("id")}
+            {p for p in parents if type(p) is int and 0 <= p < min(below, 2**64)}
             if type(parents) is list else ()
         )
         lineno = len(earlier) + 2
         from_trace = _outcome(parse_trace, "\n" + _lines(*({**_ROOT, "id": p} for p in earlier)) + line + "\n")
         if isinstance(expected, str):
             assert from_trace == expected.replace("line 1", f"line {lineno}", 1)
-        elif expected.id in expected.parents:
-            assert from_trace == f"ParseError: line {lineno}: parent {expected.id} is not the id of an earlier event"
+        elif max(expected.parents, default=-1) >= expected.id:
+            later = min(p for p in expected.parents if p >= expected.id)
+            assert from_trace == f"ParseError: line {lineno}: parent {later} is not the id of an earlier event"
         else:
             assert [e.id for e in from_trace[:-1]] == earlier
             assert from_trace[-1] == expected
