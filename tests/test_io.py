@@ -640,6 +640,23 @@ class TestTraceRoundTrip:
         assert str(err.value) == "line 15: event id 12 is not greater than id 12 on line 13"
 
     @pytest.mark.parametrize("repeat", [0, 5, 12])
+    def test_repeated_event_id_names_its_first_line_in_text_and_files(self, chain, tmp_path, repeat):
+        """An id repeated after a blank line names its first line, which is
+        the last non-blank line before it."""
+        net, injections = chain
+        lines = serialize_trace(Engine(net, RunConfig(run_until_s=5.0), injections).run()).splitlines()
+        text = "\n".join(["", *lines[:repeat + 1], "", lines[repeat], *lines[repeat + 1:]]) + "\n"
+        message = f"line {repeat + 4}: event id {repeat} is not greater than id {repeat} on line {repeat + 2}"
+        with pytest.raises(ParseError) as err:
+            parse_trace(text)
+        assert str(err.value) == message
+        path = tmp_path / "trace.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            list(iter_trace(path))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("repeat", [0, 5, 12])
     def test_event_id_not_ascending_names_the_line_before_in_text_and_files(self, chain, tmp_path, repeat):
         """A repeated id is one case of an id that does not ascend; the
         message names the last non-blank line before it."""
