@@ -9,7 +9,8 @@ ids are assigned in emission order, so the trace is totally ordered by
 
 ``Engine.events`` is the loop: it yields each event as it is produced
 and keeps none, so ``fcnsim run``, which writes each one out as it comes,
-holds no trace whatever the horizon. ``run`` is ``tuple(events())``.
+holds no trace whatever the horizon; its writer keeps only a bounded
+table of float texts. ``run`` is ``tuple(events())``.
 
 Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
 unique, so no later field is ever compared. The int tag indexes the

@@ -16,7 +16,7 @@ import math
 import os
 from pathlib import Path
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, IO, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, IO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationFailed
 from .events import EventKind, EventTrace, NodeId, SimEvent
@@ -316,6 +316,7 @@ _PAYLOAD_KEYS = {
         "reason", "arc", "wavelength_nm", "pulse_id", "counter",
     )
 }
+_FLOAT_TEXTS = 2**16  # the most payload float texts one stream keeps
 
 
 def _json_value(value: Any) -> str:
@@ -348,6 +349,54 @@ def _fields_problem(record: dict, fields: tuple[tuple[str, tuple[type, ...]], ..
     return None
 
 
+def _serializer() -> Callable[[SimEvent], str]:
+    """``serialize_event`` for one stream. Most payload floats are per-node
+    constants: it keeps the text of each finite, nonzero one of exact type
+    float by value (0.0 and -0.0 are one key), up to ``_FLOAT_TEXTS``."""
+    texts: dict[float, str] = {}
+
+    def serialize(event: SimEvent) -> str:
+        event_id, kind, node, t, parents, payload = event
+        try:
+            if not (type(event_id) is int and 0 <= event_id <= _MAX_ID and type(node) is int and 0 <= node <= _MAX_ID):
+                raise ValueError(f"id and node must be unsigned 64-bit integers, got node {node!r}")
+            if type(t) is not float:
+                if type(t) is not int:
+                    raise ValueError(f"engine_time must be an int or a finite float, got {t!r}")
+                try:
+                    float(t)
+                except OverflowError:
+                    raise ValueError("'engine_time' is beyond the float range") from None
+            head, fields = _KIND_FIELDS[kind]
+            if fields:  # a tick or a decay
+                for name, types in fields:
+                    if type(payload.get(name)) not in types:
+                        raise ValueError(_fields_problem(payload, fields))
+            parts = [f'{{"id":{event_id!r}{head}{node!r},"engine_time":'
+                     f'{_json_value(t)},"parents":{_json_parents(parents)}']
+            for key, value in payload.items():
+                name = _PAYLOAD_KEYS.get(key)
+                if name is None:
+                    if type(key) is not str or key in _BASE_KEY_SET:
+                        raise ValueError(f"payload key {key!r} is not a string or names a base field")
+                    name = f",{_encode_str(key)}:"
+                if type(value) is not float:
+                    text = _json_value(value)
+                elif (text := texts.get(value)) is None:
+                    text = _json_value(value)  # refuses a NaN or an infinity
+                    if value and len(texts) < _FLOAT_TEXTS:
+                        texts[value] = text
+                parts.append(name + text)
+        except KeyError:
+            raise ValueError(f"event {event_id}: unknown event kind {kind!r}") from None
+        except (TypeError, ValueError) as exc:  # TypeError: a value json.dumps cannot write
+            raise ValueError(f"event {event_id}: {exc}") from None
+        parts.append("}")
+        return "".join(parts)
+
+    return serialize
+
+
 def serialize_event(event: SimEvent) -> str:
     """One trace line, without its newline.
 
@@ -363,42 +412,13 @@ def serialize_event(event: SimEvent) -> str:
     names a base field, a payload field that the reader requires of the
     kind (``_READ_FIELDS``) missing or of another type, a NaN or an
     infinity anywhere, or a payload value ``json.dumps`` cannot write.
+    ``serialize_trace`` and ``write_events`` write each line the same way.
     """
-    event_id, kind, node, t, parents, payload = event
-    try:
-        if not (type(event_id) is int and 0 <= event_id <= _MAX_ID and type(node) is int and 0 <= node <= _MAX_ID):
-            raise ValueError(f"id and node must be unsigned 64-bit integers, got node {node!r}")
-        if type(t) is not float:
-            if type(t) is not int:
-                raise ValueError(f"engine_time must be an int or a finite float, got {t!r}")
-            try:
-                float(t)
-            except OverflowError:
-                raise ValueError("'engine_time' is beyond the float range") from None
-        head, fields = _KIND_FIELDS[kind]
-        if fields:  # a tick or a decay
-            for name, types in fields:
-                if type(payload.get(name)) not in types:
-                    raise ValueError(_fields_problem(payload, fields))
-        parts = [f'{{"id":{event_id!r}{head}{node!r},"engine_time":'
-                 f'{_json_value(t)},"parents":{_json_parents(parents)}']
-        for key, value in payload.items():
-            name = _PAYLOAD_KEYS.get(key)
-            if name is None:
-                if type(key) is not str or key in _BASE_KEY_SET:
-                    raise ValueError(f"payload key {key!r} is not a string or names a base field")
-                name = f",{_encode_str(key)}:"
-            parts.append(name + _json_value(value))
-    except KeyError:
-        raise ValueError(f"event {event_id}: unknown event kind {kind!r}") from None
-    except (TypeError, ValueError) as exc:  # TypeError: a value json.dumps cannot write
-        raise ValueError(f"event {event_id}: {exc}") from None
-    parts.append("}")
-    return "".join(parts)
+    return _serializer()(event)
 
 
 def serialize_trace(trace: Iterable[SimEvent]) -> str:
-    return "".join([serialize_event(e) + "\n" for e in trace])
+    return "".join([line + "\n" for line in map(_serializer(), trace)])
 
 
 def _event(record: Any) -> SimEvent | None:
@@ -538,8 +558,8 @@ def parse_trace(text: str) -> EventTrace:
 def write_events(events: Iterable[SimEvent], fp: IO[str]) -> int:
     """Write each event as one whole JSONL line as it comes; returns the line count."""
     lines = 0
-    for lines, event in enumerate(events, 1):
-        fp.write(serialize_event(event) + "\n")
+    for lines, line in enumerate(map(_serializer(), events), 1):
+        fp.write(line + "\n")
     return lines
 
 

@@ -21,6 +21,7 @@ import pytest
 import fcnsim
 from fcnsim.cli import main
 from fcnsim.engine import Engine, RunConfig, SamplingMode
+from fcnsim.events import EventKind
 from fcnsim.io import parse_network_file, read_trace, serialize_trace
 from helpers import SRC, mixed_network, network_document, random_network, run_fresh
 
@@ -136,18 +137,53 @@ class TestRun:
     ):
         """Such a clock validates, but its ticks before the horizon alone
         would outnumber the unsigned 64-bit event ids a trace may hold."""
+        net = self.clock_network(fixtures_dir, tmp_path, clock)
+        capsys.readouterr()
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", net, "--until", "3", *(["--out", str(trace)] if out else [])]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: clock 3: 2**64 or more ticks {shown} by --until 3.0, beyond a trace's 64-bit event ids\n"
+        ))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
+    @staticmethod
+    def clock_network(fixtures_dir, tmp_path, clock) -> str:
+        """The chain fixture with one clock at node 3, which validates."""
         doc = json.loads((fixtures_dir / "chain.net.json").read_text())
         doc["standard_clocks"] = [{"id": 3, **clock}]
         net = tmp_path / "net.json"
         net.write_text(json.dumps(doc))
         assert main(["validate", str(net)]) == 0
+        return str(net)
+
+    @pytest.mark.parametrize("clock, until, shown", [
+        # About 10**14 ticks, the first 10**4 or so of them all at engine_time 1.0.
+        ({"period_s": 1e-20, "first_tick_s": 1.0}, "1.000001", "1e-20 s could share an engine_time: "
+         "the period is within 2 ulps of --until 1.000001"),
+        # Exactly 2 ulps of the horizon, with a first tick 3 periods before it.
+        ({"period_s": 2 * math.ulp(1.0), "first_tick_s": 1.0 - 6 * math.ulp(1.0)}, "1", "4.440892098500626e-16 s "
+         "could share an engine_time: the period is within 2 ulps of --until 1.0"),
+    ], ids=["1e-20-from-1", "2-ulps"])
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+    def test_clock_whose_ticks_could_share_an_engine_time_exits_2_before_any_event(
+        self, fixtures_dir, tmp_path, clock, until, shown, out, capsys
+    ):
+        """Two ticks at one engine_time could not be counted apart. Above 2
+        ulps of the horizon no two consecutive ticks round to one time."""
+        net = self.clock_network(fixtures_dir, tmp_path, clock)
         capsys.readouterr()
         trace = tmp_path / "trace.jsonl"
-        assert main(["run", str(net), "--until", "3", *(["--out", str(trace)] if out else [])]) == 2
-        assert capsys.readouterr() == ("", (
-            f"error: clock 3: 2**64 or more ticks {shown} by --until 3.0, beyond a trace's 64-bit event ids\n"
-        ))
+        assert main(["run", net, "--until", until, *(["--out", str(trace)] if out else [])]) == 2
+        assert capsys.readouterr() == ("", f"error: clock 3: ticks every {shown}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
+
+    def test_clock_just_above_two_ulps_of_the_horizon_runs(self, fixtures_dir, tmp_path, capsys):
+        period = math.nextafter(2 * math.ulp(1.0), 1.0)
+        net = self.clock_network(fixtures_dir, tmp_path, {"period_s": period, "first_tick_s": 1.0 - 3 * period})
+        out = tmp_path / "trace.jsonl"
+        assert main(["run", net, "--until", "1", "--out", str(out)]) == 0
+        ticks = [e.engine_time for e in read_trace(out) if e.kind is EventKind.CLOCK_TICK]
+        assert len(ticks) == 4 and ticks == sorted(set(ticks)) and ticks[-1] <= 1.0
 
     @pytest.mark.parametrize(
         "flag, term",
@@ -587,6 +623,35 @@ def test_run_memory_does_not_grow_with_horizon(tmp_path):
 
     peak("1")  # warm-up: first-use caches are not the run's memory
     once, four_times = peak("1"), peak("4")
+    assert four_times <= 1.1 * once + 64 * 1024, (once, four_times)
+
+
+def test_run_memory_does_not_grow_with_horizon_when_payload_floats_repeat(tmp_path):
+    """Two relays pass one excitation back and forth, a decay about every
+    3 ms, so every decay and emission repeats its node's payload floats:
+    the writer keeps one text per distinct value, and the traced peak at
+    4 s (about 4000 events) stays within 10% of the peak at 1 s."""
+    net = tmp_path / "relays.net.json"
+    net.write_text(json.dumps({
+        "schema_version": "1",
+        "nodes": [{"id": i, "ground_ev": 0.0, "excited_ev": 1.5, "gamma_ev": 2.2e-13} for i in (1, 2)],
+        "arcs": [{"id": 1, "source": 1, "target": 2, "distance_m": 3.0},
+                 {"id": 2, "source": 2, "target": 1, "distance_m": 3.0}],
+        "injections": [{"node": 1, "at_s": 0.0}],
+    }))
+    out = tmp_path / "t.jsonl"
+
+    def peak(until: str) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["run", str(net), "--until", until, "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("1")  # warm-up: first-use caches are not the run's memory
+    once, four_times = peak("1"), peak("4")
+    assert out.read_text().count('"kind":"decay"') > 1000
     assert four_times <= 1.1 * once + 64 * 1024, (once, four_times)
 
 

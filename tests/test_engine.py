@@ -62,7 +62,7 @@ class TestPcg64Stream:
             Engine(validate_network([]), RunConfig(run_until_s=1.0, mode=SamplingMode.STOCHASTIC, seed=-1))
 
 
-class TestSampleDecayDelay:
+class TestDecayDelay:
     """The engine's decay delay: the lifetime in deterministic mode, else
     ``_exponential_delay(lifetime(gamma), u)`` of one uniform ``u``. The
     draws here take ``u`` from numpy's ``Generator(PCG64(seed))``, the

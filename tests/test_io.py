@@ -6,6 +6,9 @@ import json
 import math
 import re
 import sys
+import tracemalloc
+from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,9 @@ from fcnsim.io import (
     ENTROPY_COLUMNS,
     iter_trace,
     read_trace,
+    _FLOAT_TEXTS,
     serialize_event,
+    write_events,
     write_trace,
 )
 from helpers import chain_network, random_run, reference_record_to_event
@@ -957,6 +962,99 @@ def _refusal(event: SimEvent) -> str:
     return f"^event {re.escape(str(event.id))}: "
 
 
+class _Float(float):
+    """A float subclass, which the writer formats apart from exact floats."""
+
+
+# Values that events of one stream share: zeros of both signs, values equal
+# to 1.0 of other types, and a float and an equal float subclass. The times
+# hold an int and an equal float.
+_SHARED_VALUES = (0.0, -0.0, 1.0, 1, True, _Float(1.0), 2.5, _Float(2.5), -2.5, 1e16, 5e-324, "2.5")
+_SHARED_TIMES = (0.5, 1, 1.0, 2**53 + 1, float(2**53 + 1), -0.0, 0.0)
+_NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _streams(draw) -> list[SimEvent]:
+    """Up to eight events whose payload values and engine_time objects come
+    from pools they share, and maybe one the writer refuses among them: a
+    NaN or an infinity in its payload or time, or a None time."""
+    floats = draw(st.lists(_floats(True), max_size=3))
+    values, times = st.sampled_from([*floats, *_SHARED_VALUES]), st.sampled_from([*floats, *_SHARED_TIMES])
+    keys = st.lists(st.sampled_from(("energy_ev", "gamma_ev", "wavelength_nm", "note")), unique=True, max_size=3)
+    events = []
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from((EventKind.EMISSION, EventKind.ABSORPTION, EventKind.DECAY)))
+        payload = {key: draw(values) for key in draw(keys)}
+        if kind is EventKind.DECAY:
+            numbers = values.filter(lambda v: type(v) in (int, float))
+            payload.update({name: draw(numbers) for name in ENTROPY_COLUMNS[1:]})
+        events.append(SimEvent(i, kind, 1, draw(times), frozenset(), payload))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(events) - 1))
+        bad = draw(st.sampled_from(_NOT_FINITE))
+        if draw(st.booleans()):
+            events[i] = events[i]._replace(payload={**events[i].payload, "gamma_ev": bad})
+        else:
+            events[i] = events[i]._replace(engine_time=draw(st.sampled_from((bad, None))))
+    return events
+
+
+_T = 1.0
+_STREAM_EXAMPLES = (
+    # Zeros, 1.0, 1, True and a subclass; two events sharing one time
+    # object; an int time, then an equal float, then the first again.
+    [
+        SimEvent(0, EventKind.EMISSION, 1, _T, frozenset(), {"energy_ev": 1.0, "gamma_ev": 0.0, "note": -0.0}),
+        SimEvent(1, EventKind.EMISSION, 1, _T, frozenset({0}), {"energy_ev": -0.0, "gamma_ev": 1, "note": True}),
+        SimEvent(2, EventKind.ABSORPTION, 1, 1, frozenset({1}), {"energy_ev": _Float(1.0), "note": 0.0}),
+        SimEvent(3, EventKind.ABSORPTION, 1, float(1), frozenset({2}), {"energy_ev": True}),
+        SimEvent(4, EventKind.ABSORPTION, 1, _T, frozenset({3}), {"energy_ev": 1}),
+    ],
+    # A NaN, an infinity and a None time after finite values were written,
+    # with an event after them; and a None time first.
+    *(
+        [
+            SimEvent(0, EventKind.EMISSION, 1, _T, frozenset(), {"gamma_ev": 2.5, "energy_ev": 1e308}),
+            SimEvent(1, EventKind.EMISSION, 1, _T, frozenset(), {"gamma_ev": 2.5, "energy_ev": -1e308}),
+            SimEvent(2, EventKind.EMISSION, 1, time, frozenset(), {"gamma_ev": 2.5, "energy_ev": bad}),
+            SimEvent(3, EventKind.EMISSION, 1, _T, frozenset(), {"gamma_ev": 2.5}),
+        ]
+        for time, bad in ((_T, math.nan), (_T, math.inf), (_T, -math.inf), (None, 1e308))
+    ),
+    [SimEvent(0, EventKind.EMISSION, 1, None, frozenset(), {"gamma_ev": 2.5})],
+)
+_STREAM_IDS = ("shared", "nan-after", "inf-after", "-inf-after", "null-time-after", "null-time-first")
+
+
+def _check_stream(events: list[SimEvent]) -> None:
+    """One stream reuses float texts across events, and still writes each
+    line as serialize_event writes the event alone and as json.dumps writes
+    its record; the first event it refuses stops it, with serialize_event's
+    message, after the lines before it."""
+    lines, refusal = [], None
+    for event in events:
+        try:
+            line = serialize_event(event)
+        except ValueError as exc:
+            assert not _written(event)
+            refusal = str(exc)
+            break
+        assert _written(event) and line == json.dumps(_record(event), separators=(",", ":"))
+        lines.append(line + "\n")
+    written: list[str] = []
+    sink = SimpleNamespace(write=written.append)
+    if refusal is None:
+        assert serialize_trace(events) == "".join(lines)
+        assert write_events(events, sink) == len(events)
+    else:
+        for write in (serialize_trace, lambda events: write_events(events, sink)):
+            with pytest.raises(ValueError) as err:
+                write(events)
+            assert str(err.value) == refusal
+    assert written == lines
+
+
 class TestWriter:
     @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=_EXAMPLE_IDS)
     def test_examples_match_json_dumps(self, event):
@@ -1047,6 +1145,32 @@ class TestWriter:
     def test_parsed_events_reserialize_byte_for_byte(self, fixtures_dir):
         text = (fixtures_dir / "chain.expected-trace.jsonl").read_text()
         assert serialize_trace(parse_trace(text)) == text
+
+    @pytest.mark.parametrize("events", _STREAM_EXAMPLES, ids=_STREAM_IDS)
+    def test_stream_examples(self, events):
+        _check_stream(events)
+
+    @settings(max_examples=200)
+    @given(events=_streams())
+    def test_stream_writes_each_event_as_it_is_written_alone(self, events):
+        _check_stream(events)
+
+    def test_float_texts_stop_at_the_cap(self):
+        """Once a stream holds ``_FLOAT_TEXTS`` float texts it keeps no more:
+        20,000 more events whose floats are all new leave the traced peak
+        under 64 KiB, where their texts would take over 2 MB."""
+        def events() -> Iterator[SimEvent]:
+            for i in range(_FLOAT_TEXTS + 20_000):
+                if i == _FLOAT_TEXTS:  # the table is full; trace the rest
+                    tracemalloc.start()
+                yield SimEvent(i, EventKind.EMISSION, 1, 0.5, frozenset(), {"energy_ev": i + 0.5})
+
+        try:
+            assert write_events(events(), SimpleNamespace(write=len)) == _FLOAT_TEXTS + 20_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
 
 # -- the reader against the reference record check -----------------------
