@@ -16,7 +16,7 @@ Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
 unique, so no later field is ever compared. The int tag indexes the
 handler table that the loop dispatches through. Per-node and per-arc
 tables (spec, gap, tolerance, lifetime, wavelength, outgoing arcs) are
-built when the run starts, on the first call of ``events``.
+built by the constructor.
 
 engine_time is internal scheduler plumbing, not an observable: it never
 leaves the engine except inside trace files, where it is named
@@ -47,7 +47,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from .constants import Checked
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
-from .errors import UnknownNode
+from .errors import UnknownNode, ValidationFailed
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
 from .network import Network, StandardClockSpec, propagation_delay
 from .quantum import TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
@@ -164,7 +164,8 @@ class Engine:
 
     All mutable state (node states, queue, RNG) is owned by the instance;
     separate instances share nothing and may run in parallel. Identical
-    (network, config, injections) give bit-identical traces.
+    (network, config, injections) give bit-identical traces. The
+    constructor refuses a clock whose ticks could share an engine_time.
     """
 
     def __init__(
@@ -173,7 +174,16 @@ class Engine:
         config: RunConfig,
         injections: Iterable[tuple[NodeId, float]] = (),
     ):
-        self._network = network
+        # Tick k is at first + k * period (tick_time), first >= 0. Up to the horizon u, k * period <= u, so it
+        # and (k + 1) * period round to floats more than period - ulp(u) apart. When period > 2 * ulp(u), first
+        # plus each are reals more than ulp(u) apart: too far apart to round to one float <= u, one engine_time.
+        # Such a clock ticks fewer than 2**52 + 1 times up to u, far fewer than a trace's 64-bit event ids.
+        until = config.run_until_s
+        problems = [f"clock {c.id}: ticks every {c.period_s} s could share an engine_time: "
+                    f"the period is within 2 ulps of the horizon {until}"
+                    for c in network.clocks if c.first_tick_s <= until and c.period_s <= 2 * math.ulp(until)]
+        if problems:
+            raise ValidationFailed(problems)
         self._config = config
         self._queue: list[tuple[Any, ...]] = []
         self._seq = itertools.count()
@@ -182,7 +192,17 @@ class Engine:
         self._excitations = itertools.count()
         # Per node, the id of the excitation it holds; None in the ground state.
         self._states: dict[NodeId, int | None] = dict.fromkeys(n.id for n in network.nodes)
-        self._rows: dict[NodeId, _NodeRow] | None = None
+        # Outgoing arcs in arc id order, so fan-out order is reproducible.
+        arcs: dict[NodeId, list[tuple[ArcId, NodeId, float]]] = {n.id: [] for n in network.nodes}
+        for arc in sorted(network.arcs, key=lambda a: a.id):
+            arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc)))
+        self._rows: dict[NodeId, _NodeRow] = {}
+        for node_id, spec, _, tolerance, can_emit, can_detect in network.nodes:
+            gap = signal_energy(spec)
+            tau = lifetime(spec.gamma_ev) if spec.can_decay else None
+            self._rows[node_id] = _NodeRow(
+                spec, gap, tolerance, can_detect, can_emit, tau, wavelength_of(gap), tuple(arcs[node_id])
+            )
         # Per node, the decay payload fields that depend only on the node.
         self._decay_fields: dict[NodeId, dict[str, float]] = {}
         self._draws: Iterator[float] | None = None
@@ -208,8 +228,6 @@ class Engine:
         none. An occurrence that fails, such as a decay with a non-finite
         entropy term, raises after the last yield.
         """
-        if self._rows is None:
-            self._build_tables()
         queue, handlers, until = self._queue, self._handlers, self._config.run_until_s
         heappop = heapq.heappop
         while queue and queue[0][0] <= until:
@@ -219,22 +237,6 @@ class Engine:
     def run(self) -> EventTrace:
         """The events of the remaining run, as a trace; a second call returns ()."""
         return tuple(self.events())
-
-    # -- set-up -----------------------------------------------------------
-
-    def _build_tables(self) -> None:
-        # Outgoing arcs in arc id order, so fan-out order is reproducible.
-        arcs: dict[NodeId, list[tuple[ArcId, NodeId, float]]] = {n.id: [] for n in self._network.nodes}
-        for arc in sorted(self._network.arcs, key=lambda a: a.id):
-            arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc)))
-        rows = {}
-        for node_id, spec, _, tolerance, can_emit, can_detect in self._network.nodes:
-            gap = signal_energy(spec)
-            tau = lifetime(spec.gamma_ev) if spec.can_decay else None
-            rows[node_id] = _NodeRow(
-                spec, gap, tolerance, can_detect, can_emit, tau, wavelength_of(gap), tuple(arcs[node_id])
-            )
-        self._rows = rows
 
     # -- occurrence processing ------------------------------------------
 

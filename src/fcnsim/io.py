@@ -11,6 +11,7 @@ representation, so emitted files re-parse to identical values.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -248,9 +249,6 @@ def parse_network(data: bytes | str) -> NetworkDocument:
             raise _bad_field(obj, "counter_start", "must be an integer", "standard_clocks", i)
         if not obj.keys() <= _CLOCK_KEYS:
             raise _unknown(obj, _CLOCK_KEYS, "standard_clocks", i)
-        if first_tick < 0:
-            problems.append(f"standard_clocks[{i}]: first_tick_s must be >= 0")
-            continue
         try:
             clocks.append(StandardClockSpec(clock_id, period, first_tick, counter_start))
         except Exception as exc:
@@ -304,19 +302,12 @@ _scan_once = json.JSONDecoder(parse_constant=_reject_line_constant).scan_once
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# Per kind, ',"kind":"<kind>","node":' and the read fields the writer checks;
-# ',"<key>":' per payload key the engine writes, other keys encoded as they come.
+# Per kind, ',"kind":"<kind>","node":' and the read fields the writer checks.
 _KIND_FIELDS = {
     kind: (f',"kind":{_encode_str(kind.value)},"node":', fields) for kind, fields in _KINDS.values()
 }
-_PAYLOAD_KEYS = {
-    key: f",{_encode_str(key)}:"
-    for key in (
-        "excitation_id", "energy_ev", "gamma_ev", *ENTROPY_COLUMNS[1:],
-        "reason", "arc", "wavelength_nm", "pulse_id", "counter",
-    )
-}
 _FLOAT_TEXTS = 2**16  # the most payload float texts one stream keeps
+_KEY_TEXTS = 2**10  # the most payload key texts one stream keeps
 
 
 def _json_value(value: Any) -> str:
@@ -352,8 +343,10 @@ def _fields_problem(record: dict, fields: tuple[tuple[str, tuple[type, ...]], ..
 def _serializer() -> Callable[[SimEvent], str]:
     """``serialize_event`` for one stream. Most payload floats are per-node
     constants: it keeps the text of each finite, nonzero one of exact type
-    float by value (0.0 and -0.0 are one key), up to ``_FLOAT_TEXTS``."""
+    float by value (0.0 and -0.0 are one key), up to ``_FLOAT_TEXTS``, and
+    the text of each payload key it has checked, up to ``_KEY_TEXTS``."""
     texts: dict[float, str] = {}
+    names: dict[str, str] = {}
 
     def serialize(event: SimEvent) -> str:
         event_id, kind, node, t, parents, payload = event
@@ -375,11 +368,13 @@ def _serializer() -> Callable[[SimEvent], str]:
             parts = [f'{{"id":{event_id!r}{head}{node!r},"engine_time":'
                      f'{_json_value(t)},"parents":{_json_parents(parents)}']
             for key, value in payload.items():
-                name = _PAYLOAD_KEYS.get(key)
+                name = names.get(key)
                 if name is None:
-                    if type(key) is not str or key in _BASE_KEY_SET:
+                    if not isinstance(key, str) or key in _BASE_KEY_SET:
                         raise ValueError(f"payload key {key!r} is not a string or names a base field")
                     name = f",{_encode_str(key)}:"
+                    if len(names) < _KEY_TEXTS:
+                        names[key] = name
                 if type(value) is not float:
                     text = _json_value(value)
                 elif (text := texts.get(value)) is None:
@@ -567,12 +562,21 @@ def write_trace(trace: Iterable[SimEvent], path: str | Path) -> int:
     """Write the trace as JSONL, one line at a time; returns the line count.
 
     They go to a temporary file beside ``path`` that replaces it once the
-    last is written; if ``trace`` raises, ``path`` is left as it was.
+    last is written; if ``trace`` raises, ``path`` is left as it was. A
+    directory, or a temporary file it cannot make, raises OSError naming
+    ``path`` before the first event is drawn.
     """
+    shown = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), shown)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
+        try:
+            fp = open(tmp, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, shown) from None
+        with fp:
             lines = write_events(trace, fp)
         os.replace(tmp, path)
     except BaseException:

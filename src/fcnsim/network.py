@@ -71,8 +71,8 @@ class StandardClockSpec(Checked, namedtuple("StandardClockSpec", "id period_s fi
     ) -> StandardClockSpec:
         if not (period_s > 0 and math.isfinite(period_s)):
             raise ValueError(f"clock at node {id}: period must be finite and > 0 s")
-        if not math.isfinite(first_tick_s):
-            raise ValueError(f"clock at node {id}: first tick must be finite")
+        if not (first_tick_s >= 0 and math.isfinite(first_tick_s)):
+            raise ValueError(f"clock at node {id}: first tick must be finite and >= 0 s")
         return tuple.__new__(cls, (id, period_s, first_tick_s, counter_start))
 
     def tick_time(self, k: int) -> float:

@@ -128,21 +128,23 @@ class TestRun:
         assert capsys.readouterr().err.startswith("runtime error: run_until must be ")
 
     @pytest.mark.parametrize("clock, shown", [
-        ({"period_s": 1e-20, "first_tick_s": 1.0}, "from 1.0 s every 1e-20 s"),
-        ({"period_s": 5e-324}, "from 0.0 s every 5e-324 s"),
+        ({"period_s": 1e-20, "first_tick_s": 1.0}, "1e-20"),
+        ({"period_s": 5e-324}, "5e-324"),
     ], ids=["1e-20-from-1", "5e-324"])
     @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
     def test_clock_beyond_the_event_id_space_exits_2_before_any_event(
         self, fixtures_dir, tmp_path, clock, shown, out, capsys
     ):
         """Such a clock validates, but its ticks before the horizon alone
-        would outnumber the unsigned 64-bit event ids a trace may hold."""
+        would outnumber the unsigned 64-bit event ids a trace may hold. Its
+        period is far within 2 ulps of the horizon, and that rule refuses it."""
         net = self.clock_network(fixtures_dir, tmp_path, clock)
         capsys.readouterr()
         trace = tmp_path / "trace.jsonl"
         assert main(["run", net, "--until", "3", *(["--out", str(trace)] if out else [])]) == 2
         assert capsys.readouterr() == ("", (
-            f"error: clock 3: 2**64 or more ticks {shown} by --until 3.0, beyond a trace's 64-bit event ids\n"
+            f"error: clock 3: ticks every {shown} s could share an engine_time: "
+            "the period is within 2 ulps of the horizon 3.0\n"
         ))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json"]
 
@@ -159,10 +161,10 @@ class TestRun:
     @pytest.mark.parametrize("clock, until, shown", [
         # About 10**14 ticks, the first 10**4 or so of them all at engine_time 1.0.
         ({"period_s": 1e-20, "first_tick_s": 1.0}, "1.000001", "1e-20 s could share an engine_time: "
-         "the period is within 2 ulps of --until 1.000001"),
+         "the period is within 2 ulps of the horizon 1.000001"),
         # Exactly 2 ulps of the horizon, with a first tick 3 periods before it.
         ({"period_s": 2 * math.ulp(1.0), "first_tick_s": 1.0 - 6 * math.ulp(1.0)}, "1", "4.440892098500626e-16 s "
-         "could share an engine_time: the period is within 2 ulps of --until 1.0"),
+         "could share an engine_time: the period is within 2 ulps of the horizon 1.0"),
     ], ids=["1e-20-from-1", "2-ulps"])
     @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
     def test_clock_whose_ticks_could_share_an_engine_time_exits_2_before_any_event(
@@ -295,6 +297,24 @@ class TestRunStreams:
         first_decay = next(i for i, line in enumerate(golden) if '"kind":"decay"' in line)
         assert first_decay > 0
         assert captured.out == "".join(golden[:first_decay])
+
+    @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "slash"])
+    @pytest.mark.parametrize("seeds", [[], ["--mode", "sto", "--seeds", "1..2"]], ids=["one", "seeds"])
+    def test_out_naming_a_directory_exits_2_before_any_engine_runs(self, chain_net, tmp_path, slash, seeds, capsys):
+        """Nothing is written beside the directory or in it, not even a
+        temporary file or a per-seed trace."""
+        out = tmp_path / "traces"
+        out.mkdir()
+        assert main(["run", chain_net, "--until", "5", *seeds, "--out", f"{out}{slash}"]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}{slash}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["traces"]
+        assert list(out.iterdir()) == []
+
+    def test_out_in_a_missing_directory_names_that_path(self, chain_net, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.jsonl"
+        assert main(["run", chain_net, "--until", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize("node, event", [

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fcnsim import engine as engine_module
@@ -23,6 +23,7 @@ from fcnsim import (
     StableConfiguration,
     StandardClockSpec,
     UnknownNode,
+    ValidationFailed,
     lifetime,
     validate_network,
     wavelength_of,
@@ -312,6 +313,66 @@ class TestClockTicks:
         assert ticks[0].parents == frozenset()
         for prev, cur in zip(ticks, ticks[1:]):
             assert cur.parents == {prev.id}
+
+    def test_clock_whose_ticks_could_share_an_engine_time_is_refused(self, chain):
+        """About 10**14 ticks to the horizon, the first 10**4 or so of them
+        at engine_time 1.0: the constructor refuses the clock, so no event
+        is ever produced."""
+        net, injections = chain
+        net = validate_network(net.nodes, net.arcs, [StandardClockSpec(3, 1e-20, 1.0)])
+        with pytest.raises(ValidationFailed) as err:
+            Engine(net, RunConfig(1.000001), injections)
+        assert err.value.problems == ["clock 3: ticks every 1e-20 s could share an engine_time: "
+                                      "the period is within 2 ulps of the horizon 1.000001"]
+
+    def test_each_refused_clock_is_named(self):
+        clocks = [StandardClockSpec(1, 1e-20), StandardClockSpec(2, 0.5), StandardClockSpec(3, 5e-324)]
+        net = validate_network([make_node(i) for i in (1, 2, 3)], [], clocks)
+        with pytest.raises(ValidationFailed) as err:
+            Engine(net, det_config(until=3.0))
+        assert [p.split(":")[0] for p in err.value.problems] == ["clock 1", "clock 3"]
+
+    def test_clock_after_the_horizon_is_not_checked(self):
+        """A clock whose first tick is past the horizon never ticks."""
+        net = validate_network([make_node(1)], [], [StandardClockSpec(1, 1e-20, 4.0)])
+        assert Engine(net, det_config(until=3.0)).run() == ()
+
+    def test_negative_first_tick_is_refused(self):
+        """Its ticks would all sit at engine_time -1e20, and ticks before 0
+        fall outside the argument that keeps ticks apart."""
+        message = "clock at node 3: first tick must be finite and >= 0 s"
+        with pytest.raises(ValueError, match=message):
+            StandardClockSpec(3, 1.0, -1e20)
+        with pytest.raises(ValueError, match=message):
+            StandardClockSpec(3, 1.0, -1.0)
+        with pytest.raises(ValueError, match=message):
+            StandardClockSpec(3, 1.0)._replace(first_tick_s=-1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        until=st.floats(min_value=5e-324, max_value=1e300),
+        k=st.integers(1, 8),
+        steps=st.integers(-3, 3),
+    )
+    @example(until=1.0, k=3, steps=0)
+    @example(until=1.0, k=3, steps=1)
+    @example(until=1e-310, k=2, steps=1)
+    def test_ticks_are_refused_exactly_when_they_could_share_a_time(self, until, k, steps):
+        """A clock with a tick ``k`` periods before the horizon and a period
+        within a few floats of 2 ulps of it: refused at or below 2 ulps;
+        above, its ticks have strictly increasing engine_times."""
+        period = 2 * math.ulp(until)
+        for _ in range(abs(steps)):
+            period = math.nextafter(period, math.inf if steps > 0 else 0.0)
+        first = until - k * period
+        assume(period > 0 and first >= 0)
+        net = validate_network([make_node(1)], [], [StandardClockSpec(1, period, first)])
+        if period <= 2 * math.ulp(until):
+            with pytest.raises(ValidationFailed):
+                Engine(net, RunConfig(until))
+            return
+        times = [e.engine_time for e in Engine(net, RunConfig(until)).events()]
+        assert times and times == sorted(set(times)) and times[-1] <= until
 
 
 class TestDeterminism:

@@ -32,6 +32,7 @@ from fcnsim.io import (
     iter_trace,
     read_trace,
     _FLOAT_TEXTS,
+    _KEY_TEXTS,
     serialize_event,
     write_events,
     write_trace,
@@ -317,7 +318,7 @@ class TestParseNetwork:
         assert any("unknown node 42" in p for p in err.value.problems)
 
     @pytest.mark.parametrize("edit, problem", [
-        ({"first_tick_s": -1.0}, "standard_clocks[0]: first_tick_s must be >= 0"),
+        ({"first_tick_s": -1.0}, "standard_clocks[0]: clock at node 3: first tick must be finite and >= 0 s"),
         ({"period_s": 0}, "standard_clocks[0]: clock at node 3: period must be finite and > 0 s"),
     ], ids=["negative-first-tick", "zero-period"])
     def test_clock_problem_listed(self, tmp_path, capsys, edit, problem):
@@ -479,6 +480,28 @@ class TestTraceRoundTrip:
         assert write_trace(iter(trace), path) == len(trace)
         assert path.read_text() == serialize_trace(trace)
         assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+    @staticmethod
+    def undrawn():
+        raise AssertionError("an event was drawn")
+        yield
+
+    @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "slash"])
+    def test_write_trace_refuses_a_directory_before_drawing(self, tmp_path, slash):
+        (tmp_path / "d").mkdir()
+        path = f"{tmp_path / 'd'}{slash}"
+        with pytest.raises(IsADirectoryError) as err:
+            write_trace(self.undrawn(), path)
+        assert err.value.filename == path
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_write_trace_names_the_path_it_cannot_create(self, tmp_path):
+        path = tmp_path / "missing" / "t.jsonl"
+        with pytest.raises(FileNotFoundError) as err:
+            write_trace(self.undrawn(), path)
+        assert err.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ParseError, match=r"^line 1: invalid JSON: Expecting ',' delimiter$"):
@@ -966,6 +989,10 @@ class _Float(float):
     """A float subclass, which the writer formats apart from exact floats."""
 
 
+class _Str(str):
+    """A str subclass, which the writer takes as a payload key."""
+
+
 # Values that events of one stream share: zeros of both signs, values equal
 # to 1.0 of other types, and a float and an equal float subclass. The times
 # hold an int and an equal float.
@@ -1023,8 +1050,17 @@ _STREAM_EXAMPLES = (
         for time, bad in ((_T, math.nan), (_T, math.inf), (_T, -math.inf), (None, 1e308))
     ),
     [SimEvent(0, EventKind.EMISSION, 1, None, frozenset(), {"gamma_ev": 2.5})],
+    # Keys of a str subclass, equal to a key written before and not: json.dumps
+    # writes them as strings, and they read back as keys equal to them.
+    [
+        SimEvent(0, EventKind.EMISSION, 1, _T, frozenset(), {"note": 1}),
+        SimEvent(1, EventKind.EMISSION, 1, _T, frozenset(), {_Str("note"): 2, _Str("energy_ev"): 2.5}),
+        SimEvent(2, EventKind.EMISSION, 1, _T, frozenset(), {_Str("é"): 3}),
+    ],
 )
-_STREAM_IDS = ("shared", "nan-after", "inf-after", "-inf-after", "null-time-after", "null-time-first")
+_STREAM_IDS = (
+    "shared", "nan-after", "inf-after", "-inf-after", "null-time-after", "null-time-first", "str-subclass-keys",
+)
 
 
 def _check_stream(events: list[SimEvent]) -> None:
@@ -1167,6 +1203,38 @@ class TestWriter:
 
         try:
             assert write_events(events(), SimpleNamespace(write=len)) == _FLOAT_TEXTS + 20_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize("key", [3, (0, 1), "id", "engine_time", "parents"])
+    def test_refused_key_after_the_key_texts_fill(self, key):
+        """A stream keeps the text of each key it has checked, up to
+        ``_KEY_TEXTS``; a key that is not a string or names a base field is
+        still refused after the table has filled, and the stream goes on."""
+        sink: list[str] = []
+        events = [SimEvent(i, EventKind.EMISSION, 1, 0.5, frozenset(), {f"k{i}": 1, "arc": 2})
+                  for i in range(_KEY_TEXTS + 10)]
+        bad = SimEvent(len(events), EventKind.EMISSION, 1, 0.5, frozenset(), {"arc": 2, key: 1})
+        message = f"event {bad.id}: payload key {key!r} is not a string or names a base field"
+        with pytest.raises(ValueError) as err:
+            write_events([*events, bad], SimpleNamespace(write=sink.append))
+        assert str(err.value) == message
+        assert "".join(sink) == serialize_trace(events)
+
+    def test_key_texts_stop_at_the_cap(self):
+        """Once a stream holds ``_KEY_TEXTS`` key texts it keeps no more:
+        20,000 more events whose keys are all new leave the traced peak
+        under 64 KiB, where their texts would take over 1 MB."""
+        def events() -> Iterator[SimEvent]:
+            for i in range(_KEY_TEXTS + 20_000):
+                if i == _KEY_TEXTS:  # the table is full; trace the rest
+                    tracemalloc.start()
+                yield SimEvent(i, EventKind.EMISSION, 1, 0.5, frozenset(), {f"key number {i}": 1})
+
+        try:
+            assert write_events(events(), SimpleNamespace(write=len)) == _KEY_TEXTS + 20_000
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

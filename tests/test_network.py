@@ -112,7 +112,8 @@ _CHECKED_CASES = [
     (Arc(1, 1, 2, 1.0), {"target": 1}, ValueError, "arc 1: source and target must differ"),
     (Arc(1, 1, 2, 1.0), {"distance_m": -1.0}, ValueError, "arc 1: distance must be finite and >= 0 m"),
     (StandardClockSpec(3, 1.0), {"period_s": 0.0}, ValueError, "clock at node 3: period must be finite and > 0 s"),
-    (StandardClockSpec(3, 1.0), {"first_tick_s": math.nan}, ValueError, "clock at node 3: first tick must be finite"),
+    (StandardClockSpec(3, 1.0), {"first_tick_s": math.nan}, ValueError,
+     "clock at node 3: first tick must be finite and >= 0 s"),
     (RunConfig(1.0), {"run_until_s": math.inf}, ValueError, "run_until must be > 0 s and finite, got inf"),
     (EntropyModel(), {"environment_temperature_k": 0.0}, ValueError,
      "environment temperature must be > 0 K, got 0.0"),
