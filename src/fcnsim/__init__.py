@@ -30,6 +30,7 @@ if TYPE_CHECKING:
     from .network import (Arc, ClockNode, CouplingClass, CouplingClassification, CouplingKind, Network,
                           StandardClockSpec, classify_coupling, propagation_delay, validate_network)
     from .quantum import EnergyLevel, TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
+    from .verify import verify_trace
 
 __version__ = "0.1.0"
 
@@ -49,6 +50,7 @@ _EXPORTS = {
     "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Network StandardClockSpec "
     "classify_coupling propagation_delay validate_network",
     "quantum": "EnergyLevel TwoLevelSpec absorb decay lifetime signal_energy wavelength_of",
+    "verify": "verify_trace",
 }
 # Name -> home module; a module's own name, such as ``engine``, maps to itself.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names.split())}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import groupby
 from operator import attrgetter, gt
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import ClockMismatch, ParseError
 from .events import EventId, EventKind, EventTrace, NodeId, PulseId, SimEvent
@@ -33,6 +33,20 @@ class ClockPulse(NamedTuple):
     clock: NodeId
     counter: int
     engine_time: float
+
+
+def _undeclared_pulses(
+    pulses: Iterable[ClockPulse], spec: StandardClockSpec, declared_by: str
+) -> Iterator[tuple[int, str]]:
+    """Each of one clock's pulses, in order, that is not the tick ``spec``
+    declares: pulse k is at ``spec.tick_time(k)`` with counter
+    ``spec.counter_start + k``. Yields k and a message that names
+    ``declared_by`` as where the spec comes from."""
+    for k, pulse in enumerate(pulses):
+        t, counter = spec.tick_time(k), spec.counter_start + k
+        if (pulse.engine_time, pulse.counter) != (t, counter):
+            yield k, (f"clock {spec.id}: pulse {pulse.id} (tick {k}) is at engine_time {pulse.engine_time} "
+                      f"with counter {pulse.counter}; {declared_by} declares {t} with counter {counter}")
 
 
 class TripletState(NamedTuple):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -60,6 +61,21 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _finite(text: str, positive: bool = False) -> float:
+    """A flag's finite number; with ``positive``, a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or positive and not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a finite number{' > 0' * positive}, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    return _finite(text, positive=True)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fcnsim", description="Causal clock network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,20 +84,21 @@ def _build_parser() -> _Parser:
     p_validate.add_argument("net", help="network document (JSON)")
     p_validate.add_argument(
         "--coupling-fraction",
-        type=float,
+        type=_positive,
         help="transit/lifetime ratio below which nodes couple collectively",
     )
 
     p_run = sub.add_parser("run", help="run a network and emit the event trace")
     p_run.add_argument("net", help="network document (JSON)")
-    p_run.add_argument("--until", type=float, required=True, metavar="S", help="run horizon in seconds")
+    p_run.add_argument("--until", type=_positive, required=True, metavar="S", help="run horizon in seconds")
     p_run.add_argument("--mode", choices=("det", "sto"), default="det", help="decay-delay mode")
     p_run.add_argument("--seed", type=_seed, default=0, help="RNG seed for stochastic mode")
     p_run.add_argument("--seeds", metavar="A..B", help="inclusive seed range; one run per seed")
     p_run.add_argument("--out", help="trace file (JSONL); stdout when omitted")
-    p_run.add_argument("--t-source", type=float, default=300.0, help="source temperature (K)")
-    p_run.add_argument("--t-env", type=float, default=3.0, help="environment temperature (K)")
-    p_run.add_argument("--vacuum-term", type=float, default=0.0, help="vacuum entropy term (k_B)")
+    p_run.add_argument("--t-source", type=_positive, default=300.0, help="source temperature (K)")
+    p_run.add_argument("--t-env", type=_positive, default=3.0, help="environment temperature (K)")
+    p_run.add_argument("--vacuum-term", type=_finite, default=0.0,
+                       help="vacuum entropy term (k_B); write a negative exponent form with =, as --vacuum-term=-1e308")
 
     p_timeline = sub.add_parser("timeline", help="label a trace's absorptions with one clock")
     p_timeline.add_argument("trace", help="trace file (JSONL)")
@@ -139,13 +156,11 @@ def _seed_out_path(out: str, seed: int) -> Path:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import errno
-    import os
     from .engine import Engine, RunConfig, SamplingMode
     from .entropy import EntropyModel
-    from .io import parse_network_file, write_events, write_trace
-    if args.out and os.path.isdir(args.out):  # refused before any engine runs, --seeds or not
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    from .io import _refuse_directory, parse_network_file, write_events, write_trace
+    if args.out:  # refused before any engine runs, --seeds or not
+        _refuse_directory(args.out)
     doc = parse_network_file(args.net)
     mode = SamplingMode.STOCHASTIC if args.mode == "sto" else SamplingMode.DETERMINISTIC
 
@@ -173,7 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from .chronology import TraceIndex
+    from .chronology import TraceIndex, _undeclared_pulses
     from .io import iter_trace, parse_network_file, write_timeline_csv
     if args.net:
         spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
@@ -182,14 +197,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     index = TraceIndex(iter_trace(args.trace))
     pulses = index.pulses(args.clock)
     if args.net:
-        for k, pulse in enumerate(pulses):
-            t, counter = spec.tick_time(k), spec.counter_start + k
-            if (pulse.engine_time, pulse.counter) != (t, counter):
-                raise ValidationFailed([
-                    f"clock {args.clock}: pulse {pulse.id} (tick {k}) is at engine_time "
-                    f"{pulse.engine_time} with counter {pulse.counter}; {args.net} declares "
-                    f"{t} with counter {counter}"
-                ])
+        first = next(_undeclared_pulses(pulses, spec, args.net), None)
+        if first:
+            raise ValidationFailed([first[1]])
     elif not pulses:
         raise ValidationFailed([f"clock {args.clock}: no pulses in trace"])
     labels, skipped = index.label(pulses)

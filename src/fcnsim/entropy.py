@@ -62,6 +62,8 @@ class EntropyModel(
             raise ValueError(f"source temperature must be > 0 K, got {source_temperature_k}")
         if not environment_temperature_k > 0:
             raise ValueError(f"environment temperature must be > 0 K, got {environment_temperature_k}")
+        if not math.isfinite(vacuum_term_kb):
+            raise ValueError(f"vacuum term must be finite, got {vacuum_term_kb}")
         return tuple.__new__(cls, (source_temperature_k, environment_temperature_k, vacuum_term_kb))
 
 

@@ -558,17 +558,25 @@ def write_events(events: Iterable[SimEvent], fp: IO[str]) -> int:
     return lines
 
 
+def _refuse_directory(path: str | Path) -> None:
+    """Raise IsADirectoryError naming ``path`` if it is a directory or ends
+    in a separator, which ``Path`` would drop to write a file of that name."""
+    shown = os.fspath(path)
+    if os.path.isdir(shown) or not os.path.basename(shown):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), shown)
+
+
 def write_trace(trace: Iterable[SimEvent], path: str | Path) -> int:
     """Write the trace as JSONL, one line at a time; returns the line count.
 
     They go to a temporary file beside ``path`` that replaces it once the
     last is written; if ``trace`` raises, ``path`` is left as it was. A
-    directory, or a temporary file it cannot make, raises OSError naming
-    ``path`` before the first event is drawn.
+    directory, a path that ends in a separator, or a temporary file it
+    cannot make, raises OSError naming ``path`` before the first event is
+    drawn.
     """
+    _refuse_directory(path)
     shown = os.fspath(path)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), shown)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -226,107 +226,6 @@ def random_run(case_seed: int) -> tuple[Network, list[tuple[int, float]], RunCon
     return network, injections, config, trace
 
 
-# -- trace checkers shared by the property and acceptance suites --------
-#
-# Each returns a list of problem strings; an empty list means the trace
-# satisfies the invariant.
-
-from fcnsim import EventKind  # noqa: E402  (import after builders for readability)
-
-
-def check_decay_once(trace) -> list[str]:
-    """No excitation id may appear in two decay events."""
-    problems = []
-    seen: dict[int, int] = {}
-    for event in trace:
-        if event.kind is not EventKind.DECAY:
-            continue
-        exc = event.payload["excitation_id"]
-        if exc in seen:
-            problems.append(f"excitation {exc} decayed in events {seen[exc]} and {event.id}")
-        seen[exc] = event.id
-    return problems
-
-
-def check_decay_provenance(trace) -> list[str]:
-    """Every decay chain must reach an injection through real excitations.
-
-    The direct parent must be an absorption or external excitation
-    carrying the same excitation id, and walking parents must terminate
-    at an external excitation: nothing gets excited spontaneously.
-    """
-    problems = []
-    by_id = {e.id: e for e in trace}
-    exciting = (EventKind.ABSORPTION, EventKind.EXTERNAL_EXCITATION)
-    for event in trace:
-        if event.kind is not EventKind.DECAY:
-            continue
-        if len(event.parents) != 1:
-            problems.append(f"decay {event.id} has {len(event.parents)} parents")
-            continue
-        parent = by_id[next(iter(event.parents))]
-        if parent.kind not in exciting:
-            problems.append(f"decay {event.id} parent {parent.id} is {parent.kind.value}")
-        elif parent.payload["excitation_id"] != event.payload["excitation_id"]:
-            problems.append(f"decay {event.id} excitation id differs from parent {parent.id}")
-        cursor = event
-        while cursor.kind is not EventKind.EXTERNAL_EXCITATION:
-            if not cursor.parents:
-                problems.append(f"decay {event.id} chain dead-ends at event {cursor.id}")
-                break
-            cursor = by_id[min(cursor.parents)]
-    return problems
-
-
-def check_causality(trace, network) -> list[str]:
-    """Absorptions happen exactly one arc delay after their emission.
-
-    The comparison recomputes distance / c and the addition, so it is
-    bitwise, not approximate.
-    """
-    problems = []
-    by_id = {e.id: e for e in trace}
-    for event in trace:
-        if event.kind is not EventKind.ABSORPTION:
-            continue
-        emission = by_id[next(iter(event.parents))]
-        if emission.kind is not EventKind.EMISSION:
-            problems.append(f"absorption {event.id} parent is {emission.kind.value}")
-            continue
-        arc = network.arc_by_id[event.payload["arc"]]
-        expected = emission.engine_time + arc.distance_m / C
-        if event.engine_time != expected:
-            problems.append(
-                f"absorption {event.id} at {event.engine_time!r}, expected {expected!r}"
-            )
-    return problems
-
-
-def check_conservation(trace) -> list[str]:
-    """Absorbed energy equals the provenance emission's energy exactly."""
-    problems = []
-    by_id = {e.id: e for e in trace}
-    for event in trace:
-        if event.kind is not EventKind.ABSORPTION:
-            continue
-        emission = by_id[next(iter(event.parents))]
-        if event.payload["energy_ev"] != emission.payload["energy_ev"]:
-            problems.append(f"absorption {event.id} energy differs from emission {emission.id}")
-    return problems
-
-
-def check_parent_order(trace) -> list[str]:
-    """Parents precede children in (engine_time, event id) order."""
-    problems = []
-    by_id = {e.id: e for e in trace}
-    for event in trace:
-        for pid in event.parents:
-            parent = by_id[pid]
-            if (parent.engine_time, parent.id) >= (event.engine_time, event.id):
-                problems.append(f"event {event.id} precedes its parent {pid}")
-    return problems
-
-
 # -- reference chronology: the set-based ancestry check -----------------
 #
 # The library counts ancestry with one bitset per live event; these copy
@@ -388,7 +287,7 @@ def reference_resolution(timeline, trace):
 
 from typing import Any  # noqa: E402
 
-from fcnsim import ParseError, SimEvent  # noqa: E402
+from fcnsim import EventKind, ParseError, SimEvent  # noqa: E402
 from fcnsim.io import ENTROPY_COLUMNS  # noqa: E402
 
 _MAX_ID = 2**64 - 1

@@ -27,16 +27,13 @@ from fcnsim import (
     label_absorptions,
     lifetime,
     resolution_report,
+    verify_trace,
 )
 from fcnsim.cli import main
 from fcnsim.engine import _exponential_delay
 from fcnsim.io import parse_network_file, serialize_trace
 from helpers import (
     HBAR,
-    check_causality,
-    check_conservation,
-    check_decay_once,
-    check_decay_provenance,
     random_config,
     random_network,
 )
@@ -131,10 +128,7 @@ def test_criterion_4_and_5_qat_and_causality():
     for network, trace in _random_suite(200):
         cases += 1
         events += len(trace)
-        problems += check_decay_once(trace)
-        problems += check_decay_provenance(trace)
-        problems += check_causality(trace, network)
-        problems += check_conservation(trace)
+        problems += verify_trace(trace, network)
     elapsed = time.perf_counter() - start
     report(4, "irreversibility over 200 random networks",
            cases == 200 and not problems and elapsed < 30.0,

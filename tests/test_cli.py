@@ -68,8 +68,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("fraction", ["0", "-1", "nan"])
     def test_bad_coupling_fraction_prints_nothing_on_stdout(self, chain_net, fraction, capsys):
-        assert main(["validate", chain_net, f"--coupling-fraction={fraction}"]) == 3
-        assert capsys.readouterr() == ("", f"runtime error: coupling fraction must be > 0, got {float(fraction)}\n")
+        assert main(["validate", chain_net, f"--coupling-fraction={fraction}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: argument --coupling-fraction: expected a finite number > 0, got '{fraction}'\n"
+        )
 
     def test_validation_problems_listed(self, tmp_path, capsys):
         bad = tmp_path / "bad.net.json"
@@ -119,13 +121,27 @@ class TestRun:
         assert capsys.readouterr() == ("", "usage error: --seeds requires --out\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_zero_horizon_is_runtime_error(self, chain_net):
-        assert main(["run", chain_net, "--until", "0"]) == 3
+    def test_zero_horizon_is_runtime_error(self, chain_net, capsys):
+        """Refused as a usage error (exit 1) where the flag is parsed; the name is kept."""
+        assert main(["run", chain_net, "--until", "0"]) == 1
+        assert capsys.readouterr() == ("", "usage error: argument --until: expected a finite number > 0, got '0'\n")
 
     @pytest.mark.parametrize("until", ["inf", "-inf", "nan"])
     def test_non_finite_horizon_is_runtime_error(self, chain_net, until, capsys):
-        assert main(["run", chain_net, f"--until={until}"]) == 3
-        assert capsys.readouterr().err.startswith("runtime error: run_until must be ")
+        """Refused as a usage error (exit 1) where the flag is parsed; the name is kept."""
+        assert main(["run", chain_net, f"--until={until}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: argument --until: expected a finite number > 0, got '{until}'\n"
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--until", "-1"), ("--t-source", "inf"), ("--t-env", "0"), ("--vacuum-term", "nan"), ("--vacuum-term", "-inf"),
+    ])
+    def test_bad_flag_value_is_usage_error_before_any_event(self, chain_net, flag, value, capsys):
+        """Each run flag value is checked where it is parsed: exit 1, nothing on stdout."""
+        assert main(["run", chain_net, "--until", "5", f"{flag}={value}"]) == 1
+        must = "a finite number" if flag == "--vacuum-term" else "a finite number > 0"
+        assert capsys.readouterr() == ("", f"usage error: argument {flag}: expected {must}, got '{value}'\n")
 
     @pytest.mark.parametrize("clock, shown", [
         ({"period_s": 1e-20, "first_tick_s": 1.0}, "1e-20"),
@@ -298,17 +314,21 @@ class TestRunStreams:
         assert first_decay > 0
         assert captured.out == "".join(golden[:first_decay])
 
-    @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "slash"])
+    @pytest.mark.parametrize("slash, exists", [("", True), ("/", True), ("/", False)],
+                             ids=["bare", "slash", "missing-slash"])
     @pytest.mark.parametrize("seeds", [[], ["--mode", "sto", "--seeds", "1..2"]], ids=["one", "seeds"])
-    def test_out_naming_a_directory_exits_2_before_any_engine_runs(self, chain_net, tmp_path, slash, seeds, capsys):
+    def test_out_naming_a_directory_exits_2_before_any_engine_runs(
+        self, chain_net, tmp_path, slash, exists, seeds, capsys
+    ):
         """Nothing is written beside the directory or in it, not even a
-        temporary file or a per-seed trace."""
+        temporary file or a per-seed trace. A trailing separator names a
+        directory whether or not it exists, so no file of that name is made."""
         out = tmp_path / "traces"
-        out.mkdir()
+        if exists:
+            out.mkdir()
         assert main(["run", chain_net, "--until", "5", *seeds, "--out", f"{out}{slash}"]) == 2
         assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}{slash}'\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["traces"]
-        assert list(out.iterdir()) == []
+        assert [p.name for p in tmp_path.rglob("*")] == (["traces"] if exists else [])
 
     def test_out_in_a_missing_directory_names_that_path(self, chain_net, tmp_path, capsys):
         out = tmp_path / "missing" / "t.jsonl"

@@ -162,7 +162,7 @@ class TestChainFixture:
             assert emission.payload["wavelength_nm"] == expected
 
 
-class TestStepAndScheduling:
+class TestEventsLoop:
     def test_events_yields_one_event_at_a_time(self, chain):
         net, injections = chain
         engine = Engine(net, det_config(), injections)

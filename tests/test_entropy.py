@@ -59,6 +59,8 @@ class TestBreakdown:
             EntropyBreakdown(ds_internal=float("-inf"), ds_signal=0.0, ds_vacuum=0.0)
         with pytest.raises(ValueError):
             breakdown_for_decay(float("inf"), EntropyModel())
+        with pytest.raises(ValueError, match="vacuum term must be finite, got nan"):
+            EntropyModel(vacuum_term_kb=float("nan"))
 
     @pytest.mark.parametrize("t_src,t_env", [(0.0, 1.0), (1.0, -3.0)])
     def test_temperatures_must_be_positive(self, t_src, t_env):

@@ -486,15 +486,16 @@ class TestTraceRoundTrip:
         raise AssertionError("an event was drawn")
         yield
 
-    @pytest.mark.parametrize("slash", ["", "/"], ids=["bare", "slash"])
-    def test_write_trace_refuses_a_directory_before_drawing(self, tmp_path, slash):
-        (tmp_path / "d").mkdir()
+    @pytest.mark.parametrize("slash, exists", [("", True), ("/", True), ("/", False)],
+                             ids=["bare", "slash", "missing-slash"])
+    def test_write_trace_refuses_a_directory_before_drawing(self, tmp_path, slash, exists):
+        if exists:
+            (tmp_path / "d").mkdir()
         path = f"{tmp_path / 'd'}{slash}"
         with pytest.raises(IsADirectoryError) as err:
             write_trace(self.undrawn(), path)
         assert err.value.filename == path
-        assert [p.name for p in tmp_path.iterdir()] == ["d"]
-        assert list((tmp_path / "d").iterdir()) == []
+        assert [p.name for p in tmp_path.rglob("*")] == (["d"] if exists else [])
 
     def test_write_trace_names_the_path_it_cannot_create(self, tmp_path):
         path = tmp_path / "missing" / "t.jsonl"

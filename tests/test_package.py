@@ -28,6 +28,7 @@ _EXPORTED = {
     "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Network StandardClockSpec "
     "classify_coupling propagation_delay validate_network",
     "quantum": "EnergyLevel TwoLevelSpec absorb decay lifetime signal_energy wavelength_of",
+    "verify": "verify_trace",
 }
 _NAMES = [(module, name) for module, names in _EXPORTED.items() for name in names.split()]
 

@@ -15,3 +15,4 @@ def test_library_example_runs():
     exec(compile(code, f"{README}:## Library", "exec"), namespace)
     assert len(namespace["labels"]) == 2
     assert namespace["violations"] == ()
+    assert namespace["problems"] == []
