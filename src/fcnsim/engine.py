@@ -15,8 +15,8 @@ table of float texts. ``run`` is ``tuple(events())``.
 Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
 unique, so no later field is ever compared. The int tag indexes the
 handler table that the loop dispatches through. Per-node and per-arc
-tables (spec, gap, tolerance, lifetime, wavelength, outgoing arcs) are
-built by the constructor.
+tables (spec, gap, tolerance, decay payload, wavelength, outgoing arcs)
+are built by the constructor, which refuses a payload that is not finite.
 
 engine_time is internal scheduler plumbing, not an observable: it never
 leaves the engine except inside trace files, where it is named
@@ -50,7 +50,7 @@ from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
 from .errors import UnknownNode, ValidationFailed
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
 from .network import Network, StandardClockSpec, propagation_delay
-from .quantum import TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
+from .quantum import TwoLevelSpec, absorb, signal_energy, wavelength_of
 
 
 class SamplingMode(Enum):
@@ -134,6 +134,18 @@ def _uniforms(state: int, inc: int) -> Iterator[float]:
         yield from block
 
 
+def _decay_payload(gap_ev: float, gamma_ev: float, model: EntropyModel) -> dict[str, float]:
+    """A decay's payload after its excitation id; raises ValueError naming its first value that is not finite."""
+    breakdown, tau, rate = decay_entropy(gap_ev, gamma_ev, model)  # refuses a term that is not finite
+    total = breakdown.total()  # the total and the rate are all that decay_entropy and TwoLevelSpec leave unchecked
+    for name, value in (("total", total), ("production_rate", rate)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return {"energy_ev": gap_ev, "gamma_ev": gamma_ev, "ds_internal": breakdown.ds_internal,
+            "ds_signal": breakdown.ds_signal, "ds_vacuum": breakdown.ds_vacuum, "total": total,
+            "production_rate": rate, "lifetime_s": tau}
+
+
 class _NodeRow(NamedTuple):
     """What the loop reads about one node, looked up once per run."""
 
@@ -142,7 +154,7 @@ class _NodeRow(NamedTuple):
     tolerance_ev: float
     can_detect: bool
     can_emit: bool
-    lifetime_s: float | None  # None: the node never decays
+    decay: dict[str, float] | None  # a decay's payload after its excitation id; None: the node never decays
     wavelength_nm: float  # of a signal carrying the gap
     arcs: tuple[tuple[ArcId, NodeId, float], ...]  # (arc id, target, delay), by arc id
 
@@ -165,7 +177,8 @@ class Engine:
     All mutable state (node states, queue, RNG) is owned by the instance;
     separate instances share nothing and may run in parallel. Identical
     (network, config, injections) give bit-identical traces. The
-    constructor refuses a clock whose ticks could share an engine_time.
+    constructor refuses a clock whose ticks could share an engine_time
+    and a decaying node whose payload would hold a value that is not finite.
     """
 
     def __init__(
@@ -182,8 +195,6 @@ class Engine:
         problems = [f"clock {c.id}: ticks every {c.period_s} s could share an engine_time: "
                     f"the period is within 2 ulps of the horizon {until}"
                     for c in network.clocks if c.first_tick_s <= until and c.period_s <= 2 * math.ulp(until)]
-        if problems:
-            raise ValidationFailed(problems)
         self._config = config
         self._queue: list[tuple[Any, ...]] = []
         self._seq = itertools.count()
@@ -197,14 +208,20 @@ class Engine:
         for arc in sorted(network.arcs, key=lambda a: a.id):
             arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc)))
         self._rows: dict[NodeId, _NodeRow] = {}
+        payloads: dict[tuple[float, float], dict[str, float]] = {}  # one per (gap, gamma_ev), shared
         for node_id, spec, _, tolerance, can_emit, can_detect in network.nodes:
             gap = signal_energy(spec)
-            tau = lifetime(spec.gamma_ev) if spec.can_decay else None
+            payload = payloads.get((gap, spec.gamma_ev))
+            if payload is None and spec.can_decay:
+                try:
+                    payload = payloads[gap, spec.gamma_ev] = _decay_payload(gap, spec.gamma_ev, config.entropy_model)
+                except ValueError as exc:
+                    problems.append(f"node {node_id}: {exc}")
             self._rows[node_id] = _NodeRow(
-                spec, gap, tolerance, can_detect, can_emit, tau, wavelength_of(gap), tuple(arcs[node_id])
+                spec, gap, tolerance, can_detect, can_emit, payload, wavelength_of(gap), tuple(arcs[node_id])
             )
-        # Per node, the decay payload fields that depend only on the node.
-        self._decay_fields: dict[NodeId, dict[str, float]] = {}
+        if problems:
+            raise ValidationFailed(problems)
         self._draws: Iterator[float] | None = None
         if config.mode is SamplingMode.STOCHASTIC:
             self._draws = _uniforms(*_pcg64_seed(config.seed))
@@ -224,9 +241,7 @@ class Engine:
     def events(self) -> Iterator[SimEvent]:
         """Apply pending occurrences in order until the horizon, yielding each event.
 
-        Keeps no event, so a consumer that writes each one as it comes holds
-        none. An occurrence that fails, such as a decay with a non-finite
-        entropy term, raises after the last yield.
+        Keeps no event, so a consumer that writes each one as it comes holds none.
         """
         queue, handlers, until = self._queue, self._handlers, self._config.run_until_s
         heappop = heapq.heappop
@@ -246,9 +261,9 @@ class Engine:
         return tuple.__new__(SimEvent, (next(self._event_ids), kind, node, t, parents, payload))
 
     def _schedule_decay(self, row: _NodeRow, node: NodeId, excitation_id: int, t: float, parent: EventId) -> None:
-        tau = row.lifetime_s
-        if tau is None:
+        if row.decay is None:
             return
+        tau = row.decay["lifetime_s"]
         delay = tau if self._draws is None else _exponential_delay(tau, next(self._draws))
         heapq.heappush(self._queue, (t + delay, next(self._seq), _DECAY, node, excitation_id, parent))
 
@@ -277,37 +292,16 @@ class Engine:
     def _process_decay(self, occ: tuple[Any, ...]) -> SimEvent:
         t, _, _, node, excitation_id, parent = occ
         row = self._rows[node]
-        held = self._states[node]
         # Exactly one decay is scheduled per excitation and nothing else
         # de-excites a node, so the node must still hold this id.
-        assert held == excitation_id
-        emitted = decay(held, row.spec)
+        assert self._states[node] == excitation_id
         self._states[node] = None
-        fields = self._decay_fields.get(node)
-        if fields is None:
-            breakdown, tau, rate = decay_entropy(emitted, row.spec.gamma_ev, self._config.entropy_model)
-            fields = self._decay_fields[node] = {
-                "gamma_ev": row.spec.gamma_ev,
-                "ds_internal": breakdown.ds_internal,
-                "ds_signal": breakdown.ds_signal,
-                "ds_vacuum": breakdown.ds_vacuum,
-                "total": breakdown.total(),
-                "production_rate": rate,
-                "lifetime_s": tau,
-            }
-        event = self._emit_event(
-            EventKind.DECAY,
-            node,
-            t,
-            frozenset((parent,)),
-            {"excitation_id": excitation_id, "energy_ev": emitted, **fields},
-        )
+        payload = {"excitation_id": excitation_id, **row.decay}
+        event = self._emit_event(EventKind.DECAY, node, t, frozenset((parent,)), payload)
         if row.can_emit:
-            queue, seq, wavelength, event_id = self._queue, self._seq, row.wavelength_nm, event.id
+            queue, seq, gap, wavelength, event_id = self._queue, self._seq, row.gap_ev, row.wavelength_nm, event.id
             for arc, target, delay in row.arcs:
-                heapq.heappush(
-                    queue, (t, next(seq), _EMISSION, node, arc, target, delay, emitted, wavelength, event_id)
-                )
+                heapq.heappush(queue, (t, next(seq), _EMISSION, node, arc, target, delay, gap, wavelength, event_id))
         return event
 
     def _process_emission(self, occ: tuple[Any, ...]) -> SimEvent:

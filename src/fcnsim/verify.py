@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 
 
 def _row_problem(row: dict[str, Any]) -> str | None:
-    """Why a decay row breaks the lifetime or the entropy-lifetime identity, or None."""
+    """Why a decay row is not what ``decay_entropy`` computes or breaks the entropy-lifetime identity, or None."""
     gamma, terms = row.get("gamma_ev"), (row.get("ds_internal"), row.get("ds_signal"), row.get("ds_vacuum"))
     try:
         tau = lifetime(gamma)
@@ -27,9 +27,13 @@ def _row_problem(row: dict[str, Any]) -> str | None:
     if row.get("lifetime_s") != tau:
         return f"lifetime_s {row.get('lifetime_s')!r} is not lifetime(gamma_ev) = {tau!r}"
     try:
-        seconds = entropy_lifetime(EntropyBreakdown(*terms), gamma).seconds
+        seconds = entropy_lifetime(breakdown := EntropyBreakdown(*terms), gamma).seconds
     except (TypeError, ValueError, ArithmeticError):
         return f"entropy terms {terms!r} are not three finite numbers"
+    if row.get("total") != (total := breakdown.total()):
+        return f"total {row.get('total')!r} is not ds_internal + ds_signal + ds_vacuum = {total!r}"
+    if row.get("production_rate") != total / tau:
+        return f"production_rate {row.get('production_rate')!r} is not total / lifetime_s = {total / tau!r}"
     return None if abs(seconds - tau) <= 1e-9 * tau else f"entropy lifetime {seconds!r} is not {tau!r} to 1e-9"
 
 
@@ -41,12 +45,13 @@ def verify_trace(events: Iterable[SimEvent], network: Network | None = None) -> 
     decays twice; an emission's one parent is a decay at its node; an
     arrival (an absorption, or a pass-through with an ``arc``) has one
     parent, an emission whose signal is in flight, on the same arc with the
-    same energy; ``lifetime_s`` is ``lifetime(gamma_ev)`` and
-    ``entropy_lifetime`` agrees to 1e-9 relative. With ``network``, nodes
-    and arcs are its own, an arrival is at its arc's target at exactly
-    ``emission.engine_time + propagation_delay(arc)``, and each clock's
-    pulses are its declared ticks. Raises nothing for a trace that
-    ``iter_trace`` reads: a missing or mistyped payload field is a problem.
+    same energy; a decay's ``lifetime_s``, ``total`` and ``production_rate``
+    are exactly what ``decay_entropy`` computes from its ``gamma_ev`` and
+    terms, and ``entropy_lifetime`` agrees to 1e-9 relative. With
+    ``network``, nodes and arcs are its own, an arrival is at its arc's
+    target at exactly ``emission.engine_time + propagation_delay(arc)``, and
+    each clock's pulses are its declared ticks. Raises nothing for a trace
+    that ``iter_trace`` reads: a missing or mistyped payload field is a problem.
     """
     problems: list[str] = []
     nodes, arcs = (None, None) if network is None else (network.node_by_id, network.arc_by_id)

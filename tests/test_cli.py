@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,12 +19,15 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcnsim
 from fcnsim.cli import main
-from fcnsim.engine import Engine, RunConfig, SamplingMode
+from fcnsim.engine import _DECAY, Engine, RunConfig, SamplingMode
 from fcnsim.events import EventKind
-from fcnsim.io import parse_network_file, read_trace, serialize_trace
+from fcnsim.io import parse_network_file, parse_trace, read_trace, serialize_trace
+from fcnsim.verify import verify_trace
 from helpers import SRC, mixed_network, network_document, random_network, run_fresh
 
 # sha256 of ``run --until 5.0 --mode sto --seed 5`` on helpers.mixed_network,
@@ -208,9 +213,10 @@ class TestRun:
         [("--t-env", "ds_signal must be finite, got inf"), ("--t-source", "ds_internal must be finite, got -inf")],
     )
     def test_temperature_too_small_for_k_b_t_is_runtime_error(self, chain_net, flag, term, capsys):
-        # k_B * 1e-320 K underflows to 0: the term it divides is infinite.
-        assert main(["run", chain_net, "--until", "5", flag, "1e-320"]) == 3
-        assert capsys.readouterr().err == f"runtime error: {term}\n"
+        """k_B * 1e-320 K underflows to 0: the term it divides is infinite, so
+        the engine refuses both decaying nodes before the first event."""
+        assert main(["run", chain_net, "--until", "5", flag, "1e-320"]) == 2
+        assert capsys.readouterr() == ("", f"error: node 1: {term}\nerror: node 2: {term}\n")
 
     @pytest.mark.parametrize(
         "flag, value", [(["--seed", "-1"], "-1"), (["--seed=-3"], "-3")], ids=["-1", "--seed=-3"]
@@ -282,16 +288,16 @@ class TestRunStreams:
         assert capsys.readouterr().err == "".join(err)
         assert len(list(tmp_path.iterdir())) == 4
 
-    # With k_B * T underflowing to 0 the first decay fails (exit 3).
+    # With k_B * T underflowing to 0 the engine refuses both decaying nodes (exit 2).
     FAILING = ["--until", "5", "--t-env", "1e-320"]
-    FAILURE = "runtime error: ds_signal must be finite, got inf\n"
+    FAILURE = "error: node 1: ds_signal must be finite, got inf\nerror: node 2: ds_signal must be finite, got inf\n"
 
     @pytest.mark.parametrize("existing", [None, b"earlier\nbytes"], ids=["new", "existing"])
     def test_failed_run_leaves_out_as_it_was(self, chain_net, tmp_path, existing, capsys):
         out = tmp_path / "trace.jsonl"
         if existing is not None:
             out.write_bytes(existing)
-        assert main(["run", chain_net, *self.FAILING, "--out", str(out)]) == 3
+        assert main(["run", chain_net, *self.FAILING, "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", self.FAILURE)
         assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["trace.jsonl"])
         if existing is not None:
@@ -299,16 +305,24 @@ class TestRunStreams:
 
     def test_failed_seed_run_writes_no_seed_file(self, chain_net, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        assert main(["run", chain_net, *self.FAILING, "--mode", "sto", "--seeds", "1..3", "--out", str(out)]) == 3
+        assert main(["run", chain_net, *self.FAILING, "--mode", "sto", "--seeds", "1..3", "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", self.FAILURE)
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_run_on_stdout_leaves_whole_lines(self, chain_net, fixtures_dir, capsys):
+    def test_failed_run_on_stdout_leaves_whole_lines(self, chain_net, fixtures_dir, monkeypatch, capsys):
         """The events before the failing decay stay on stdout, each a whole
-        line; stderr holds the error alone, as when nothing was written."""
-        assert main(["run", chain_net, *self.FAILING]) == 3
+        line; stderr holds the error alone, as when nothing was written. No
+        input makes a started run fail, so the decay handler is made to."""
+
+        def fail(engine, occ):
+            raise ValueError("the decay failed")
+
+        handlers = list(Engine._handlers)
+        handlers[_DECAY] = fail
+        monkeypatch.setattr(Engine, "_handlers", tuple(handlers))
+        assert main(["run", chain_net, "--until", "5"]) == 3
         captured = capsys.readouterr()
-        assert captured.err == self.FAILURE
+        assert captured.err == "runtime error: the decay failed\n"
         golden = (fixtures_dir / "chain.expected-trace.jsonl").read_text().splitlines(keepends=True)
         first_decay = next(i for i, line in enumerate(golden) if '"kind":"decay"' in line)
         assert first_decay > 0
@@ -337,33 +351,77 @@ class TestRunStreams:
         assert list(tmp_path.iterdir()) == []
 
 
-    @pytest.mark.parametrize("node, event", [
-        ({"gamma_ev": 6.582119569e289}, 2),  # a 1e-305 s lifetime: an infinite production_rate
+    @pytest.mark.parametrize("node, problem", [
+        # a 1e-305 s lifetime: an infinite production_rate
+        ({"gamma_ev": 6.582119569e289}, "node 1: production_rate must be finite, got inf"),
     ], ids=["production-rate"])
-    def test_non_finite_value_is_runtime_error(self, fixtures_dir, tmp_path, node, event, capsys):
+    def test_non_finite_value_is_runtime_error(self, fixtures_dir, tmp_path, node, problem, capsys):
         """No trace reader accepts a NaN or an infinity, so ``run`` writes none:
-        it exits 3 naming the event, leaves ``--out`` as it was, and leaves
-        the events before it on stdout. (A lifetime or wavelength that is not
-        a finite normal float is refused with the network, before any event.)"""
+        the engine refuses the node before the first event, and ``run`` exits
+        2 naming it, leaves ``--out`` as it was and writes nothing to stdout.
+        (A lifetime or wavelength that is not a finite normal float is
+        refused with the network.)"""
         doc = json.loads((fixtures_dir / "chain.net.json").read_text())
         doc["nodes"][0].update(node)
         net = tmp_path / "net.json"
         net.write_text(json.dumps(doc))
         out = tmp_path / "trace.jsonl"
         out.write_bytes(b"earlier\nbytes")
-        failure = f"runtime error: event {event}: Out of range float values are not JSON compliant"
-        assert main(["run", str(net), "--until", "5", "--out", str(out)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(failure)
+        assert main(["run", str(net), "--until", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
         assert out.read_bytes() == b"earlier\nbytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "trace.jsonl"]
-        assert main(["run", str(net), "--until", "5"]) == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith(failure) and captured.err.count("\n") == 1
-        written = tmp_path / "written.jsonl"
-        written.write_text(captured.out)
-        assert [e.id for e in read_trace(written)] == list(range(event))
+        assert main(["run", str(net), "--until", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+
+
+_CHAIN_DOC = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "chain.net.json").read_text())
+_NODE_FIELDS = ("id", "ground_ev", "excited_ev", "gamma_ev", "position_m", "can_emit")
+_EXTREMES = (0.0, 5e-324, 1e308, 2**70)
+_node_mutation = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_NODE_FIELDS)),
+    st.tuples(st.sampled_from(_NODE_FIELDS), st.sampled_from([None, "1.5", [1.5], True, {}])),
+    st.tuples(st.sampled_from(("gamma_ev", "excited_ev")), st.sampled_from([*_EXTREMES, *(-x for x in _EXTREMES)])),
+)
+_TEMPERATURES = ("5e-324", "1e-320", "1e-304", "1e-300", "1e308")
+
+
+@pytest.fixture(scope="module")
+def net(tmp_path_factory):
+    """Where each example writes its document."""
+    return tmp_path_factory.mktemp("mutated") / "net.json"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    node=st.integers(0, len(_CHAIN_DOC["nodes"]) - 1),
+    mutation=_node_mutation,
+    t_source=st.sampled_from([None, *_TEMPERATURES]),
+    t_env=st.sampled_from([None, *_TEMPERATURES]),
+    vacuum=st.sampled_from([None, "-1e308", "5e-324", "1e308"]),
+)
+def test_every_input_exits_0_1_or_2_and_writes_only_whole_traces(net, node, mutation, t_source, t_env, vacuum):
+    """One mutated node of the chain document and extreme entropy flags:
+    ``validate`` and ``run`` exit 0, 1 or 2, never 3, with empty stdout on
+    a non-zero exit, and every trace a run writes holds."""
+    doc = json.loads(json.dumps(_CHAIN_DOC))
+    field, value = mutation
+    if field == "drop":
+        doc["nodes"][node].pop(value, None)
+    else:
+        doc["nodes"][node][field] = value
+    net.write_text(json.dumps(doc))
+    flags = [f"--{name}={value}" for name, value in
+             (("t-source", t_source), ("t-env", t_env), ("vacuum-term", vacuum)) if value is not None]
+    for argv in (["validate", str(net)], ["run", str(net), "--until", "3", *flags]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code:
+            assert out.getvalue() == "", argv
+        elif argv[0] == "run":
+            assert verify_trace(parse_trace(out.getvalue()), parse_network_file(net).network) == []
 
 
 class TestTimeline:
@@ -732,7 +790,7 @@ class TestCycleCollector:
         argv = {
             0: ["report", str(chain_trace_file)],
             2: ["entropy", str(chain_net)],  # a network document is not a trace
-            3: ["run", chain_net, "--until", "5", "--t-env", "1e-320"],
+            3: ["entropy", str(chain_trace_file), "--out", "/dev/full"],  # ENOSPC
         }[outcome]
         was = gc.isenabled()
         try:

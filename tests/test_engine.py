@@ -439,14 +439,20 @@ class TestDeterminism:
                 assert decay.engine_time == at
         assert decay_of == {}
 
-    def test_non_finite_entropy_raises_at_the_decay(self, chain):
+    def test_non_finite_entropy_raises_at_the_decay(self, chain, monkeypatch):
+        """The constructor refuses the run before its stream is seeded, naming
+        every clock and every decaying node it refuses at once."""
         net, injections = chain
-        config = RunConfig(run_until_s=5.0, entropy_model=EntropyModel(environment_temperature_k=1e-310))
-        engine = Engine(net, config, injections)
-        assert next(engine.events()).kind is EventKind.CLOCK_TICK
-        assert next(engine.events()).kind is EventKind.EXTERNAL_EXCITATION
-        with pytest.raises(ValueError, match="ds_signal must be finite"):
-            engine.run()
+        net = validate_network(net.nodes, net.arcs, [StandardClockSpec(3, 1e-20)])
+        model = EntropyModel(environment_temperature_k=1e-310)
+        monkeypatch.setattr(engine_module, "_uniforms", lambda *seed: pytest.fail("a uniform was drawn"))
+        with pytest.raises(ValidationFailed) as err:
+            Engine(net, RunConfig(5.0, SamplingMode.STOCHASTIC, 1, model), injections)
+        assert err.value.problems == [
+            "clock 3: ticks every 1e-20 s could share an engine_time: the period is within 2 ulps of the horizon 5.0",
+            "node 1: ds_signal must be finite, got inf",
+            "node 2: ds_signal must be finite, got inf",
+        ]
 
 
 @pytest.mark.parametrize("mode", list(SamplingMode), ids=lambda m: m.value)

@@ -27,6 +27,10 @@ _DEFECTS = {
         "6: clock 3: pulse 2 (tick 2) is at engine_time 2.0 with counter 3; the network declares 2.0 with counter 2"]),
     "id-not-ascending-in-memory": (12, {"id": 11}, {}, ["11: id is not greater than id 11 before it"]),
     "parent-not-earlier-in-memory": (12, {"parents": frozenset({13})}, {}, ["12: parent 13 is not an earlier event"]),
+    "total-not-the-sum": (3, {}, {"total": 7.0}, [
+        "3: total 7.0 is not ds_internal + ds_signal + ds_vacuum = 5744.236470264064"]),
+    "production-rate-doubled": (3, {}, {"production_rate": 11488.472940528129}, [
+        "3: production_rate 11488.472940528129 is not total / lifetime_s = 5744.236470264064"]),
     "decay-without-gamma": (3, {}, {"gamma_ev": _DROP}, ["3: gamma_ev None gives no lifetime"]),
     "decay-with-gamma-0": (3, {}, {"gamma_ev": 0}, ["3: gamma_ev 0 gives no lifetime"]),
     "entropy-term-nan": (8, {}, {"ds_vacuum": math.nan}, [
