@@ -22,14 +22,14 @@ if TYPE_CHECKING:
     from .engine import Engine, RunConfig, SamplingMode
     from .entropy import (DEFAULT_ENTROPY_MODEL, EntropyBreakdown, EntropyLedger, EntropyLedgerEntry,
                           EntropyLifetime, EntropyModel, breakdown_for_decay, entropy_lifetime)
-    from .errors import (ClockMismatch, DegenerateLevels, DuplicateEvent, FcnError, NonPositiveEnergy, NotExcited,
-                         ParseError, StableConfiguration, UnknownNode, ValidationFailed)
+    from .errors import (ClockMismatch, DegenerateLevels, DuplicateEvent, FcnError, NonPositiveEnergy, ParseError,
+                         StableConfiguration, UnknownNode, ValidationFailed)
     from .events import EventKind, EventTrace, SimEvent
     from .io import (Injection, NetworkDocument, parse_network, parse_network_file, parse_trace, read_trace,
                      serialize_trace, write_trace)
     from .network import (Arc, ClockNode, CouplingClass, CouplingClassification, CouplingKind, Network,
                           StandardClockSpec, classify_coupling, propagation_delay, validate_network)
-    from .quantum import EnergyLevel, TwoLevelSpec, absorb, decay, lifetime, signal_energy, wavelength_of
+    from .quantum import EnergyLevel, TwoLevelSpec, absorb, lifetime, signal_energy, wavelength_of
     from .verify import verify_trace
 
 __version__ = "0.1.0"
@@ -42,14 +42,14 @@ _EXPORTS = {
     "engine": "Engine RunConfig SamplingMode",
     "entropy": "DEFAULT_ENTROPY_MODEL EntropyBreakdown EntropyLedger EntropyLedgerEntry EntropyLifetime "
     "EntropyModel breakdown_for_decay entropy_lifetime",
-    "errors": "ClockMismatch DegenerateLevels DuplicateEvent FcnError NonPositiveEnergy NotExcited ParseError "
+    "errors": "ClockMismatch DegenerateLevels DuplicateEvent FcnError NonPositiveEnergy ParseError "
     "StableConfiguration UnknownNode ValidationFailed",
     "events": "EventKind EventTrace SimEvent",
     "io": "Injection NetworkDocument parse_network parse_network_file parse_trace read_trace serialize_trace "
     "write_trace",
     "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Network StandardClockSpec "
     "classify_coupling propagation_delay validate_network",
-    "quantum": "EnergyLevel TwoLevelSpec absorb decay lifetime signal_energy wavelength_of",
+    "quantum": "EnergyLevel TwoLevelSpec absorb lifetime signal_energy wavelength_of",
     "verify": "verify_trace",
 }
 # Name -> home module; a module's own name, such as ``engine``, maps to itself.

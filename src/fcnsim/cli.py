@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fcnsim", description="Causal clock network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", help="check a network document")
+    p_validate = sub.add_parser("validate", help="check a network document",
+                                description="Check a network document as run would, with its default entropy flags.")
     p_validate.add_argument("net", help="network document (JSON)")
     p_validate.add_argument(
         "--coupling-fraction",
@@ -117,11 +118,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .entropy import DEFAULT_ENTROPY_MODEL, decay_payloads
     from .io import parse_network_file
     from .network import DEFAULT_COUPLING_FRACTION, CouplingKind, classify_coupling
     fraction = DEFAULT_COUPLING_FRACTION if args.coupling_fraction is None else args.coupling_fraction
     doc = parse_network_file(args.net)
     net = doc.network
+    if problems := decay_payloads(net.nodes, DEFAULT_ENTROPY_MODEL)[1]:  # run's decay rows, under its default flags
+        raise ValidationFailed(problems)
     coupling = classify_coupling(net, fraction)
     print(
         f"ok: {len(net.nodes)} nodes, {len(net.arcs)} arcs, "

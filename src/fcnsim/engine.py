@@ -46,7 +46,7 @@ from enum import Enum
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .constants import Checked
-from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_entropy
+from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_payloads
 from .errors import UnknownNode, ValidationFailed
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
 from .network import Network, StandardClockSpec, propagation_delay
@@ -134,18 +134,6 @@ def _uniforms(state: int, inc: int) -> Iterator[float]:
         yield from block
 
 
-def _decay_payload(gap_ev: float, gamma_ev: float, model: EntropyModel) -> dict[str, float]:
-    """A decay's payload after its excitation id; raises ValueError naming its first value that is not finite."""
-    breakdown, tau, rate = decay_entropy(gap_ev, gamma_ev, model)  # refuses a term that is not finite
-    total = breakdown.total()  # the total and the rate are all that decay_entropy and TwoLevelSpec leave unchecked
-    for name, value in (("total", total), ("production_rate", rate)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    return {"energy_ev": gap_ev, "gamma_ev": gamma_ev, "ds_internal": breakdown.ds_internal,
-            "ds_signal": breakdown.ds_signal, "ds_vacuum": breakdown.ds_vacuum, "total": total,
-            "production_rate": rate, "lifetime_s": tau}
-
-
 class _NodeRow(NamedTuple):
     """What the loop reads about one node, looked up once per run."""
 
@@ -207,19 +195,13 @@ class Engine:
         arcs: dict[NodeId, list[tuple[ArcId, NodeId, float]]] = {n.id: [] for n in network.nodes}
         for arc in sorted(network.arcs, key=lambda a: a.id):
             arcs[arc.source].append((arc.id, arc.target, propagation_delay(arc)))
+        payloads, node_problems = decay_payloads(network.nodes, config.entropy_model)
+        problems += node_problems
         self._rows: dict[NodeId, _NodeRow] = {}
-        payloads: dict[tuple[float, float], dict[str, float]] = {}  # one per (gap, gamma_ev), shared
         for node_id, spec, _, tolerance, can_emit, can_detect in network.nodes:
             gap = signal_energy(spec)
-            payload = payloads.get((gap, spec.gamma_ev))
-            if payload is None and spec.can_decay:
-                try:
-                    payload = payloads[gap, spec.gamma_ev] = _decay_payload(gap, spec.gamma_ev, config.entropy_model)
-                except ValueError as exc:
-                    problems.append(f"node {node_id}: {exc}")
-            self._rows[node_id] = _NodeRow(
-                spec, gap, tolerance, can_detect, can_emit, payload, wavelength_of(gap), tuple(arcs[node_id])
-            )
+            self._rows[node_id] = _NodeRow(spec, gap, tolerance, can_detect, can_emit, payloads.get(node_id),
+                                           wavelength_of(gap), tuple(arcs[node_id]))
         if problems:
             raise ValidationFailed(problems)
         self._draws: Iterator[float] | None = None

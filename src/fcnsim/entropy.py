@@ -1,4 +1,4 @@
-"""Per-decay entropy bookkeeping.
+"""Per-decay entropy rows.
 
 Each decay is decomposed into three entropy terms (internal change of the
 node, transfer carried by the outgoing signal, and a constant vacuum
@@ -6,7 +6,8 @@ term), all in units of the Boltzmann constant. The production rate is
 defined so that the duration of the entropy production process equals the
 decay lifetime; ``entropy_lifetime`` recomputes that duration through the
 rate rather than shortcutting, so the identity is checked numerically
-instead of assumed.
+instead of assumed. ``decay_payloads`` builds the row each decay event
+carries, for the engine and ``fcnsim validate``: a trace is the one ledger.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .constants import CONSTANTS, Checked
 from .errors import DuplicateEvent, NonPositiveEnergy
-from .quantum import lifetime
+from .quantum import lifetime, signal_energy
+
+if TYPE_CHECKING:
+    from .network import ClockNode, NodeId
 
 
 class EntropyBreakdown(Checked, namedtuple("EntropyBreakdown", "ds_internal ds_signal ds_vacuum")):
@@ -35,11 +39,6 @@ class EntropyBreakdown(Checked, namedtuple("EntropyBreakdown", "ds_internal ds_s
 
     def total(self) -> float:
         return self.ds_internal + self.ds_signal + self.ds_vacuum
-
-    @property
-    def is_admissible(self) -> bool:
-        """True when the record respects the second law (total >= 0)."""
-        return self.total() >= 0
 
 
 class EntropyModel(
@@ -122,12 +121,40 @@ def decay_entropy(
 ) -> tuple[EntropyBreakdown, float, float]:
     """Breakdown, lifetime (s) and production rate (k_B/s) of one decay.
 
-    The single definition of a ledger row's numbers, shared by the ledger
-    and the engine's decay payloads. The rate is total / lifetime.
+    The single definition of a row's numbers, shared by the decay payloads
+    and ``EntropyLedger``. The rate is total / lifetime.
     """
     breakdown = breakdown_for_decay(delta_e_ev, model)
     tau = lifetime(gamma_ev)
     return breakdown, tau, breakdown.total() / tau
+
+
+def decay_payloads(nodes: Iterable[ClockNode], model: EntropyModel) -> tuple[dict[NodeId, dict[str, float]], list[str]]:
+    """Each decaying node's decay payload after its excitation id, shared by
+    the nodes with its gap and ``gamma_ev``, and ``node N: <field> must be
+    finite, got <value>`` for each node whose payload would not be finite."""
+    table: dict[NodeId, dict[str, float]] = {}
+    shared: dict[tuple[float, float], dict[str, float]] = {}
+    problems: list[str] = []
+    for node in nodes:
+        if (gamma := node.spec.gamma_ev) is None:
+            continue
+        gap = signal_energy(node.spec)
+        if (payload := shared.get((gap, gamma))) is None:
+            try:
+                breakdown, tau, rate = decay_entropy(gap, gamma, model)  # refuses a term that is not finite
+                total = breakdown.total()  # with the rate, all that decay_entropy and TwoLevelSpec leave unchecked
+                for name, value in (("total", total), ("production_rate", rate)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value}")
+            except ValueError as exc:
+                problems.append(f"node {node.id}: {exc}")
+                continue
+            payload = shared[gap, gamma] = {"energy_ev": gap, "gamma_ev": gamma, "ds_internal": breakdown.ds_internal,
+                                            "ds_signal": breakdown.ds_signal, "ds_vacuum": breakdown.ds_vacuum,
+                                            "total": total, "production_rate": rate, "lifetime_s": tau}
+        table[node.id] = payload
+    return table, problems
 
 
 def entropy_lifetime(breakdown: EntropyBreakdown, gamma_ev: float) -> EntropyLifetime:
@@ -153,10 +180,8 @@ def entropy_lifetime(breakdown: EntropyBreakdown, gamma_ev: float) -> EntropyLif
 class EntropyLedger:
     """Append-only record of entropy rows, keyed by decay event id.
 
-    Nothing in the engine or the CLI writes one: a run carries each decay's
-    entropy row in the decay event's payload. ``entries()`` hands out
-    immutable snapshots that are safe to share.
-    """
+    Nothing in fcnsim writes one, since each decay event carries its row; it
+    remains for the benchmark's entropy replay (``perfbench/layers.py``)."""
 
     def __init__(self) -> None:
         self._entries: dict[int, EntropyLedgerEntry] = {}
@@ -185,19 +210,3 @@ class EntropyLedger:
         )
         self._entries[event_id] = entry
         return entry
-
-    def get(self, event_id: int) -> EntropyLedgerEntry | None:
-        return self._entries.get(event_id)
-
-    def entries(self) -> tuple[EntropyLedgerEntry, ...]:
-        """Snapshot of all rows in recording order."""
-        return tuple(self._entries.values())
-
-    def violation_count(self) -> int:
-        return sum(1 for e in self._entries.values() if not e.breakdown.is_admissible)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[EntropyLedgerEntry]:
-        return iter(self.entries())

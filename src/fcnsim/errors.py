@@ -19,10 +19,6 @@ class StableConfiguration(FcnError):
     """No decay channel: the decay rate is zero, negative, or absent."""
 
 
-class NotExcited(FcnError):
-    """Decay requested on a node that is already in its ground state."""
-
-
 class DuplicateEvent(FcnError):
     """A ledger entry for this event id already exists."""
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from typing import Iterator
 
 from .constants import CONSTANTS, Checked
-from .errors import DegenerateLevels, NonPositiveEnergy, NotExcited, StableConfiguration
+from .errors import DegenerateLevels, NonPositiveEnergy, StableConfiguration
 
 
 class EnergyLevel(Checked, namedtuple("EnergyLevel", "label energy_ev")):
@@ -69,10 +69,6 @@ class TwoLevelSpec(Checked, namedtuple("TwoLevelSpec", "ground excited gamma_ev"
                 f"excited_ev - ground_ev = {gap} eV gives a wavelength of {wavelength} nm, not a finite normal float"
             )
         return tuple.__new__(cls, (ground, excited, gamma_ev))
-
-    @property
-    def can_decay(self) -> bool:
-        return self.gamma_ev is not None
 
 
 def signal_energy(spec: TwoLevelSpec) -> float:
@@ -127,14 +123,3 @@ def absorb(
         return None
     return next(ids)
 
-
-def decay(excitation: int | None, spec: TwoLevelSpec) -> float:
-    """Irreversibly decay the excitation a node holds; return the emitted energy.
-
-    The emitted signal carries the full level gap. The node returns to its
-    ground state (None) and the excitation id is retired. Raises
-    NotExcited when the node holds no excitation (``None``).
-    """
-    if excitation is None:
-        raise NotExcited("cannot decay a ground-state node")
-    return signal_energy(spec)

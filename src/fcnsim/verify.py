@@ -42,23 +42,24 @@ def verify_trace(events: Iterable[SimEvent], network: Network | None = None) -> 
     ``iter_trace`` or a list), each as ``event N: ...``: ids ascend and
     parents are earlier events; ``engine_time`` never decreases; a decay's
     one parent excited its ``excitation_id`` at its node, and no excitation
-    decays twice; an emission's one parent is a decay at its node; an
-    arrival (an absorption, or a pass-through with an ``arc``) has one
-    parent, an emission whose signal is in flight, on the same arc with the
-    same energy; a decay's ``lifetime_s``, ``total`` and ``production_rate``
-    are exactly what ``decay_entropy`` computes from its ``gamma_ev`` and
-    terms, and ``entropy_lifetime`` agrees to 1e-9 relative. With
-    ``network``, nodes and arcs are its own, an arrival is at its arc's
-    target at exactly ``emission.engine_time + propagation_delay(arc)``, and
-    each clock's pulses are its declared ticks. Raises nothing for a trace
-    that ``iter_trace`` reads: a missing or mistyped payload field is a problem.
+    decays twice; an emission's one parent is a decay at its node with its
+    ``energy_ev``; an arrival (an absorption, or a pass-through with an
+    ``arc``) has one parent, an emission still in flight, on the same arc
+    with the same energy; a decay's ``lifetime_s``, ``total`` and
+    ``production_rate`` are exactly what ``decay_entropy`` computes from its
+    ``gamma_ev`` and terms, and ``entropy_lifetime`` agrees to 1e-9
+    relative. With ``network``, nodes and arcs are its own, an arrival is at
+    its arc's target at exactly ``emission.engine_time +
+    propagation_delay(arc)``, and each clock's pulses are its declared
+    ticks. Raises nothing for a trace that ``iter_trace`` reads: a missing
+    or mistyped payload field is a problem.
     """
     problems: list[str] = []
     nodes, arcs = (None, None) if network is None else (network.node_by_id, network.arc_by_id)
     seen: set[int] = set()
     excited: dict[int, tuple[int, int]] = {}  # excitation id -> (the event that excited it, node)
     decayed: dict[int, int] = {}  # excitation id -> its decay
-    decays: dict[int, int] = {}  # decay -> node
+    decays: dict[int, tuple[int, Any]] = {}  # decay -> (node, energy_ev)
     in_flight: dict[int, tuple[Any, Any, float]] = {}  # emission -> (arc, energy_ev, engine_time)
     ticks: dict[int, list[tuple[int, ClockPulse]]] = {}
     previous, previous_t = -1, -math.inf
@@ -79,12 +80,14 @@ def verify_trace(events: Iterable[SimEvent], network: Network | None = None) -> 
                 found.append(f"its parent is not the event that excited excitation {exc!r} at node {node}")
             if type(exc) is int:
                 decayed.setdefault(exc, eid)
-            decays[eid] = node
+            decays[eid] = (node, payload.get("energy_ev"))
             if row := _row_problem(payload):
                 found.append(row)
         elif kind is EventKind.EMISSION:
-            if decays.get(parent) != node:
+            if (decay := decays.get(parent)) is None or decay[0] != node:
                 found.append(f"its parent is not a decay at node {node}")
+            elif payload.get("energy_ev") != decay[1]:
+                found.append(f"its energy_ev {payload.get('energy_ev')!r} is not decay {parent}'s {decay[1]!r}")
             if arcs is not None and not (type(arc) is int and arc in arcs and arcs[arc].source == node):
                 found.append(f"arc {arc!r} is not an arc of the network from node {node}")
             in_flight[eid] = (arc, payload.get("energy_ev"), t)

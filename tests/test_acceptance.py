@@ -15,8 +15,8 @@ import numpy as np
 from scipy import stats
 
 from fcnsim import (
+    ClockNode,
     Engine,
-    EntropyLedger,
     EntropyModel,
     EventKind,
     RunConfig,
@@ -27,15 +27,17 @@ from fcnsim import (
     label_absorptions,
     lifetime,
     resolution_report,
+    validate_network,
     verify_trace,
 )
 from fcnsim.cli import main
 from fcnsim.engine import _exponential_delay
-from fcnsim.io import parse_network_file, serialize_trace
+from fcnsim.io import entropy_rows, parse_network_file, serialize_trace
 from helpers import (
     HBAR,
     random_config,
     random_network,
+    two_level,
 )
 
 
@@ -87,27 +89,23 @@ def test_criterion_2_entropy_lifetime_identity():
 
 
 def test_criterion_3_second_law_decomposition():
-    """Cold environment: all totals >= 0; hot environment: all flagged."""
+    """The decay rows a run writes: a cold environment gives every total >= 0,
+    a hot one flags every decay, counted as ``fcnsim entropy`` counts them."""
     start = time.perf_counter()
     rng = random.Random(3)
-    cold = EntropyLedger()
-    default_model = EntropyModel()  # 300 K source, 3 K environment
-    for i in range(100):
-        cold.record_decay(i, rng.uniform(0.01, 10.0), 10 ** rng.uniform(-18, -2), default_model)
-    hot = EntropyLedger()
     hot_model = EntropyModel(source_temperature_k=300.0, environment_temperature_k=600.0,
                              vacuum_term_kb=0.0)
-    for i in range(100):
-        hot.record_decay(i, rng.uniform(0.01, 10.0), 10 ** rng.uniform(-18, -2), hot_model)
+    counts = []
+    for model in (EntropyModel(), hot_model):  # 300 K source, 3 K environment; then a 600 K one
+        # 100 unconnected nodes, each excited once; the longest lifetime is hbar / 1e-18 eV, about 658 s.
+        nodes = [ClockNode(i, two_level(rng.uniform(0.01, 10.0), 10 ** rng.uniform(-18, -2))) for i in range(100)]
+        engine = Engine(validate_network(nodes), RunConfig(700.0, entropy_model=model), [(i, 0.0) for i in range(100)])
+        rows = entropy_rows(engine.events())
+        counts.append((len(rows), sum(1 for row in rows if row[4] < 0)))  # row[4] is the total
     elapsed = time.perf_counter() - start
-    ok = (
-        all(e.breakdown.total() >= 0 for e in cold.entries())
-        and cold.violation_count() == 0
-        and all(not e.breakdown.is_admissible for e in hot.entries())
-        and hot.violation_count() == 100
-        and elapsed < 1.0
-    )
-    report(3, "second-law flags under cold and hot environments", ok, f"{elapsed:.2f}s")
+    ok = counts == [(100, 0), (100, 100)] and elapsed < 1.0
+    report(3, "second-law flags of run-written decay rows under cold and hot environments", ok,
+           f"(rows, violations) {counts}, {elapsed:.2f}s")
 
 
 def _random_suite(n_cases: int):

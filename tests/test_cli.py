@@ -19,7 +19,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fcnsim
@@ -359,6 +359,7 @@ class TestRunStreams:
         """No trace reader accepts a NaN or an infinity, so ``run`` writes none:
         the engine refuses the node before the first event, and ``run`` exits
         2 naming it, leaves ``--out`` as it was and writes nothing to stdout.
+        ``validate`` refuses it with the same line, from the same code.
         (A lifetime or wavelength that is not a finite normal float is
         refused with the network.)"""
         doc = json.loads((fixtures_dir / "chain.net.json").read_text())
@@ -373,17 +374,27 @@ class TestRunStreams:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "trace.jsonl"]
         assert main(["run", str(net), "--until", "5"]) == 2
         assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert main(["validate", str(net)]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
 
 
 _CHAIN_DOC = json.loads((Path(__file__).resolve().parent.parent / "fixtures" / "chain.net.json").read_text())
-_NODE_FIELDS = ("id", "ground_ev", "excited_ev", "gamma_ev", "position_m", "can_emit")
+_FIELDS = {  # per section of the chain document, the fields its objects may hold
+    "nodes": ("id", "ground_ev", "excited_ev", "gamma_ev", "position_m", "can_emit"),
+    "arcs": ("id", "source", "target", "distance_m"),
+    "standard_clocks": ("id", "period_s", "first_tick_s", "counter_start"),
+    "injections": ("node", "at_s"),
+}
+_PLACES = [(section, i, field) for section, fields in _FIELDS.items()
+           for i in range(len(_CHAIN_DOC[section])) for field in fields]
+_DROP = object()  # as a mutation's value: remove the field
 _EXTREMES = (0.0, 5e-324, 1e308, 2**70)
-_node_mutation = st.one_of(
-    st.tuples(st.just("drop"), st.sampled_from(_NODE_FIELDS)),
-    st.tuples(st.sampled_from(_NODE_FIELDS), st.sampled_from([None, "1.5", [1.5], True, {}])),
-    st.tuples(st.sampled_from(("gamma_ev", "excited_ev")), st.sampled_from([*_EXTREMES, *(-x for x in _EXTREMES)])),
-)
-_TEMPERATURES = ("5e-324", "1e-320", "1e-304", "1e-300", "1e308")
+_VALUES = (_DROP, None, "1.5", [1.5], True, {}, *_EXTREMES, *(-x for x in _EXTREMES))
+_TEMPERATURES = [None, "5e-324", "1e-320", "1e-304", "1e-300", "1e308"]
+# No entropy flag, or each of the three flags absent or extreme.
+_ENTROPY_FLAGS = st.one_of(st.just({}), st.fixed_dictionaries({
+    "t-source": st.sampled_from(_TEMPERATURES), "t-env": st.sampled_from(_TEMPERATURES),
+    "vacuum-term": st.sampled_from([None, "-1e308", "5e-324", "1e308"])}))
 
 
 @pytest.fixture(scope="module")
@@ -393,35 +404,36 @@ def net(tmp_path_factory):
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    node=st.integers(0, len(_CHAIN_DOC["nodes"]) - 1),
-    mutation=_node_mutation,
-    t_source=st.sampled_from([None, *_TEMPERATURES]),
-    t_env=st.sampled_from([None, *_TEMPERATURES]),
-    vacuum=st.sampled_from([None, "-1e308", "5e-324", "1e308"]),
-)
-def test_every_input_exits_0_1_or_2_and_writes_only_whole_traces(net, node, mutation, t_source, t_env, vacuum):
-    """One mutated node of the chain document and extreme entropy flags:
-    ``validate`` and ``run`` exit 0, 1 or 2, never 3, with empty stdout on
-    a non-zero exit, and every trace a run writes holds."""
-    doc = json.loads(json.dumps(_CHAIN_DOC))
-    field, value = mutation
-    if field == "drop":
-        doc["nodes"][node].pop(value, None)
+@given(place=st.sampled_from(_PLACES), value=st.sampled_from(_VALUES), entropy=_ENTROPY_FLAGS)
+# Nodes that run refuses under its default flags: an infinite production_rate, an infinite ds_signal.
+@example(place=("nodes", 0, "gamma_ev"), value=6.582119569e289, entropy={})
+@example(place=("nodes", 1, "excited_ev"), value=1e308, entropy={})
+def test_every_input_exits_0_1_or_2_and_writes_only_whole_traces(net, place, value, entropy):
+    """One field of one node, arc, clock or injection of the chain document
+    dropped, retyped or set to an extreme number, and extreme entropy flags:
+    ``validate`` and ``run`` exit 0, 1 or 2, never 3, with empty stdout on a
+    non-zero exit, and every trace a run writes holds. With a node mutated
+    and the default entropy flags, ``validate`` exits as ``run`` does."""
+    section, index, field = place
+    doc = {**_CHAIN_DOC, section: [dict(obj) for obj in _CHAIN_DOC[section]]}
+    if value is _DROP:
+        doc[section][index].pop(field, None)
     else:
-        doc["nodes"][node][field] = value
+        doc[section][index][field] = value
     net.write_text(json.dumps(doc))
-    flags = [f"--{name}={value}" for name, value in
-             (("t-source", t_source), ("t-env", t_env), ("vacuum-term", vacuum)) if value is not None]
+    flags = [f"--{name}={flag}" for name, flag in entropy.items() if flag is not None]
+    codes = []
     for argv in (["validate", str(net)], ["run", str(net), "--until", "3", *flags]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            codes.append(code := main(argv))
         assert code in (0, 1, 2), (argv, err.getvalue())
         if code:
             assert out.getvalue() == "", argv
         elif argv[0] == "run":
             assert verify_trace(parse_trace(out.getvalue()), parse_network_file(net).network) == []
+    if section == "nodes" and not flags:
+        assert codes[0] == codes[1], codes
 
 
 class TestTimeline:
@@ -892,7 +904,7 @@ _NETWORK = {"fcnsim.network", "fcnsim.quantum", "fcnsim.constants"}  # what read
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["validate", "{net}"], {"fcnsim.io", "fcnsim.events", *_NETWORK}),
+        (["validate", "{net}"], {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.entropy"}),
         (["run", "{net}", "--until", "5.0", "--out", "{out}/t.jsonl"],
          {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.engine", "fcnsim.entropy"}),
         (["timeline", "{trace}", "--clock", "3", "--net", "{net}", "--out", "{out}/t.csv"],

@@ -1,5 +1,6 @@
-"""The package's names: every one the package has ever exported still
-imports from ``fcnsim``, lazily, and is the object its module defines."""
+"""The package's names: every one the package has ever exported, but for
+those whose code was deleted, still imports from ``fcnsim``, lazily, and is
+the object its module defines."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import fcnsim
 from helpers import run_fresh
 
 # Every name ``fcnsim`` exported when its ``__init__`` imported all of its
-# modules, with the module it came from then.
+# modules, with the module it came from then, less those whose code was
+# deleted since (each declared in CHANGES.md).
 _EXPORTED = {
     "chronology": "CausalViolation ClockPulse ResolutionReport TimeLabel Timeline TraceIndex TripletState "
     "build_timeline clock_pulses label_absorptions pulses_from_trace resolution_report",
@@ -21,13 +23,13 @@ _EXPORTED = {
     "engine": "Engine EventKind EventTrace RunConfig SamplingMode SimEvent",
     "entropy": "DEFAULT_ENTROPY_MODEL EntropyBreakdown EntropyLedger EntropyLedgerEntry EntropyLifetime "
     "EntropyModel breakdown_for_decay entropy_lifetime",
-    "errors": "ClockMismatch DegenerateLevels DuplicateEvent FcnError NonPositiveEnergy NotExcited ParseError "
+    "errors": "ClockMismatch DegenerateLevels DuplicateEvent FcnError NonPositiveEnergy ParseError "
     "StableConfiguration UnknownNode ValidationFailed",
     "io": "Injection NetworkDocument parse_network parse_network_file parse_trace read_trace serialize_trace "
     "write_trace",
     "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Network StandardClockSpec "
     "classify_coupling propagation_delay validate_network",
-    "quantum": "EnergyLevel TwoLevelSpec absorb decay lifetime signal_energy wavelength_of",
+    "quantum": "EnergyLevel TwoLevelSpec absorb lifetime signal_energy wavelength_of",
     "verify": "verify_trace",
 }
 _NAMES = [(module, name) for module, names in _EXPORTED.items() for name in names.split()]

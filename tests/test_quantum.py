@@ -1,4 +1,8 @@
-"""Two-level energetics: resonance, lifetimes, and the decay-once rule."""
+"""Two-level energetics: resonance, lifetimes, and what a spec refuses.
+
+The decay-once rule and energy conservation on decay are trace invariants:
+``tests/test_verify.py`` plants a defect in each.
+"""
 
 from __future__ import annotations
 
@@ -12,11 +16,9 @@ from fcnsim import (
     DegenerateLevels,
     EnergyLevel,
     NonPositiveEnergy,
-    NotExcited,
     StableConfiguration,
     TwoLevelSpec,
     absorb,
-    decay,
     lifetime,
     signal_energy,
     wavelength_of,
@@ -65,8 +67,8 @@ class TestWavelength:
 
 
 class TestDerivedValues:
-    """A spec's lifetime must be a finite normal float (the network reader's
-    tests cover a 1e300 gamma and an infinite wavelength)."""
+    """A spec's gamma must be > 0 and its lifetime a finite normal float (the
+    network reader's tests cover a 1e300 gamma and an infinite wavelength)."""
 
     def test_largest_gamma_gives_a_subnormal_lifetime(self):
         with pytest.raises(ValueError, match=r"^gamma_ev 1\.7976931348623157e\+308 gives a lifetime of 5e-324 s"):
@@ -75,6 +77,10 @@ class TestDerivedValues:
     def test_smallest_normal_lifetime_accepted(self):
         gamma = HBAR / sys.float_info.min
         assert lifetime(two_level(1.5, gamma).gamma_ev) >= sys.float_info.min
+
+    def test_gamma_zero_is_not_a_valid_spec(self):
+        with pytest.raises(StableConfiguration):
+            two_level(1.5, gamma=0.0)
 
 
 class TestLifetime:
@@ -147,31 +153,3 @@ class TestAbsorb:
         out = absorb(None, spec, 1.5, 1e-9, ids)
         assert out == 0
 
-
-class TestDecay:
-    def test_emits_full_gap(self):
-        spec = two_level(1.5, gamma=1e-16)
-        assert decay(7, spec) == 1.5
-
-    def test_ground_state_cannot_decay(self):
-        with pytest.raises(NotExcited):
-            decay(None, two_level(1.5))
-
-    def test_decay_twice_rejected(self):
-        """After a decay the node holds None, which cannot decay again."""
-        spec = two_level(1.5, gamma=1e-16)
-        decay(7, spec)
-        with pytest.raises(NotExcited):
-            decay(None, spec)
-
-    @given(st.floats(min_value=1e-6, max_value=100.0, allow_nan=False))
-    def test_energy_conservation(self, gap):
-        """Absorbed resonant energy comes back out exactly on decay."""
-        spec = two_level(gap)
-        absorbed_energy = signal_energy(spec)
-        excitation = absorb(None, spec, absorbed_energy, 0.0, itertools.count())
-        assert decay(excitation, spec) == absorbed_energy
-
-    def test_gamma_zero_is_not_a_valid_spec(self):
-        with pytest.raises(StableConfiguration):
-            two_level(1.5, gamma=0.0)

@@ -40,6 +40,7 @@ _DEFECTS = {
     "excitation-id-not-an-integer": (8, {}, {"excitation_id": [1]}, [
         "8: its parent is not the event that excited excitation [1] at node 2"]),
     "emission-parent-not-a-decay": (9, {"parents": frozenset({5})}, {}, ["9: its parent is not a decay at node 2"]),
+    "decay-energy-not-its-emissions": (3, {}, {"energy_ev": 1.4}, ["4: its energy_ev 1.5 is not decay 3's 1.4"]),
     "energy-not-conserved": (5, {}, {"energy_ev": 1.4}, ["5: its arc or energy_ev differs from emission 4's"]),
     "signal-arrives-twice": (10, {"parents": frozenset({4})}, {}, [
         "10: its parent is not an emission whose signal is still in flight"]),
