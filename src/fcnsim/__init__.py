@@ -22,8 +22,8 @@ if TYPE_CHECKING:
     from .engine import Engine, RunConfig, SamplingMode
     from .entropy import (DEFAULT_ENTROPY_MODEL, EntropyBreakdown, EntropyLedger, EntropyLedgerEntry,
                           EntropyLifetime, EntropyModel, breakdown_for_decay, entropy_lifetime)
-    from .errors import (ClockMismatch, DegenerateLevels, DuplicateEvent, FcnError, NonPositiveEnergy, ParseError,
-                         StableConfiguration, UnknownNode, ValidationFailed)
+    from .errors import (ClockMismatch, DegenerateLevels, FcnError, NonPositiveEnergy, ParseError, StableConfiguration,
+                         UnknownNode, ValidationFailed)
     from .events import EventKind, EventTrace, SimEvent
     from .io import (Injection, NetworkDocument, parse_network, parse_network_file, parse_trace, read_trace,
                      serialize_trace, write_trace)
@@ -42,7 +42,7 @@ _EXPORTS = {
     "engine": "Engine RunConfig SamplingMode",
     "entropy": "DEFAULT_ENTROPY_MODEL EntropyBreakdown EntropyLedger EntropyLedgerEntry EntropyLifetime "
     "EntropyModel breakdown_for_decay entropy_lifetime",
-    "errors": "ClockMismatch DegenerateLevels DuplicateEvent FcnError NonPositiveEnergy ParseError "
+    "errors": "ClockMismatch DegenerateLevels FcnError NonPositiveEnergy ParseError "
     "StableConfiguration UnknownNode ValidationFailed",
     "events": "EventKind EventTrace SimEvent",
     "io": "Injection NetworkDocument parse_network parse_network_file parse_trace read_trace serialize_trace "

@@ -24,20 +24,8 @@ class Checked:
         return cls(*fields)
 
 
-class PhysicalConstants(Checked, namedtuple("PhysicalConstants", "hbar_ev_s hc_ev_nm c_m_per_s k_b_ev_per_k")):
-    """Fixed conversion factors; one instance is shared for a whole run."""
+# Fixed conversion factors; ``CONSTANTS`` is the one instance fcnsim reads.
+PhysicalConstants = namedtuple("PhysicalConstants", "hbar_ev_s hc_ev_nm c_m_per_s k_b_ev_per_k")
 
-    __slots__ = ()
-
-    def __new__(
-        cls, hbar_ev_s: float = 6.582119569e-16, hc_ev_nm: float = 1239.841984,
-        c_m_per_s: float = 2.99792458e8, k_b_ev_per_k: float = 8.617333262e-5,
-    ) -> PhysicalConstants:
-        values = (hbar_ev_s, hc_ev_nm, c_m_per_s, k_b_ev_per_k)
-        for name, value in zip(cls._fields, values):
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0")
-        return tuple.__new__(cls, values)
-
-
-CONSTANTS = PhysicalConstants()
+CONSTANTS = PhysicalConstants(hbar_ev_s=6.582119569e-16, hc_ev_nm=1239.841984, c_m_per_s=2.99792458e8,
+                              k_b_ev_per_k=8.617333262e-5)

@@ -6,8 +6,9 @@ term), all in units of the Boltzmann constant. The production rate is
 defined so that the duration of the entropy production process equals the
 decay lifetime; ``entropy_lifetime`` recomputes that duration through the
 rate rather than shortcutting, so the identity is checked numerically
-instead of assumed. ``decay_payloads`` builds the row each decay event
-carries, for the engine and ``fcnsim validate``: a trace is the one ledger.
+instead of assumed. ``decay_row`` is the one definition of the row each
+decay event carries, for the engine, ``fcnsim validate`` and
+``verify_trace``: a trace is the one ledger.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .constants import CONSTANTS, Checked
-from .errors import DuplicateEvent, NonPositiveEnergy
+from .errors import NonPositiveEnergy
 from .quantum import lifetime, signal_energy
 
 if TYPE_CHECKING:
@@ -116,23 +117,25 @@ def _per_kt(delta_e_ev: float, kt_ev: float) -> float:
     return delta_e_ev / kt_ev if kt_ev else math.inf
 
 
-def decay_entropy(
-    delta_e_ev: float, gamma_ev: float, model: EntropyModel
-) -> tuple[EntropyBreakdown, float, float]:
-    """Breakdown, lifetime (s) and production rate (k_B/s) of one decay.
-
-    The single definition of a row's numbers, shared by the decay payloads
-    and ``EntropyLedger``. The rate is total / lifetime.
-    """
-    breakdown = breakdown_for_decay(delta_e_ev, model)
-    tau = lifetime(gamma_ev)
-    return breakdown, tau, breakdown.total() / tau
+def decay_row(delta_e_ev: float, gamma_ev: float, breakdown: EntropyBreakdown) -> dict[str, float]:
+    """The payload of a decay after its ``excitation_id``: ``energy_ev``,
+    ``gamma_ev``, the terms, their ``total``, ``production_rate`` = total /
+    lifetime and ``lifetime_s``. The single definition of a row's numbers;
+    raises ValueError for a total or rate that is not finite."""
+    tau, total = lifetime(gamma_ev), breakdown.total()
+    if not abs(total) <= sys.float_info.max:  # also an int total, of int terms, that no float holds
+        raise ValueError(f"total must be finite, got {total}")
+    if not math.isfinite(rate := total / tau):
+        raise ValueError(f"production_rate must be finite, got {rate}")
+    return {"energy_ev": delta_e_ev, "gamma_ev": gamma_ev, "ds_internal": breakdown.ds_internal,
+            "ds_signal": breakdown.ds_signal, "ds_vacuum": breakdown.ds_vacuum, "total": total,
+            "production_rate": rate, "lifetime_s": tau}
 
 
 def decay_payloads(nodes: Iterable[ClockNode], model: EntropyModel) -> tuple[dict[NodeId, dict[str, float]], list[str]]:
-    """Each decaying node's decay payload after its excitation id, shared by
-    the nodes with its gap and ``gamma_ev``, and ``node N: <field> must be
-    finite, got <value>`` for each node whose payload would not be finite."""
+    """Each decaying node's ``decay_row``, shared by the nodes with its gap
+    and ``gamma_ev``, and ``node N: <field> must be finite, got <value>`` for
+    each node whose row would not be finite."""
     table: dict[NodeId, dict[str, float]] = {}
     shared: dict[tuple[float, float], dict[str, float]] = {}
     problems: list[str] = []
@@ -142,17 +145,10 @@ def decay_payloads(nodes: Iterable[ClockNode], model: EntropyModel) -> tuple[dic
         gap = signal_energy(node.spec)
         if (payload := shared.get((gap, gamma))) is None:
             try:
-                breakdown, tau, rate = decay_entropy(gap, gamma, model)  # refuses a term that is not finite
-                total = breakdown.total()  # with the rate, all that decay_entropy and TwoLevelSpec leave unchecked
-                for name, value in (("total", total), ("production_rate", rate)):
-                    if not math.isfinite(value):
-                        raise ValueError(f"{name} must be finite, got {value}")
+                payload = shared[gap, gamma] = decay_row(gap, gamma, breakdown_for_decay(gap, model))
             except ValueError as exc:
                 problems.append(f"node {node.id}: {exc}")
                 continue
-            payload = shared[gap, gamma] = {"energy_ev": gap, "gamma_ev": gamma, "ds_internal": breakdown.ds_internal,
-                                            "ds_signal": breakdown.ds_signal, "ds_vacuum": breakdown.ds_vacuum,
-                                            "total": total, "production_rate": rate, "lifetime_s": tau}
         table[node.id] = payload
     return table, problems
 
@@ -178,35 +174,17 @@ def entropy_lifetime(breakdown: EntropyBreakdown, gamma_ev: float) -> EntropyLif
 
 
 class EntropyLedger:
-    """Append-only record of entropy rows, keyed by decay event id.
+    """Entropy rows as ``EntropyLedgerEntry`` values; it keeps none.
 
-    Nothing in fcnsim writes one, since each decay event carries its row; it
+    Nothing in fcnsim uses one, since each decay event carries its row; it
     remains for the benchmark's entropy replay (``perfbench/layers.py``)."""
 
-    def __init__(self) -> None:
-        self._entries: dict[int, EntropyLedgerEntry] = {}
+    def record_decay(self, event_id: int, delta_e_ev: float, gamma_ev: float, model: EntropyModel) -> EntropyLedgerEntry:
+        """The row of decay ``event_id``, from ``decay_row``.
 
-    def record_decay(
-        self,
-        event_id: int,
-        delta_e_ev: float,
-        gamma_ev: float,
-        model: EntropyModel,
-    ) -> EntropyLedgerEntry:
-        """Compose breakdown, lifetime, and rate into one row and append it.
-
-        Raises DuplicateEvent if the event id was already recorded; rows are
-        never mutated or removed. Second-law violations are recorded, not
-        rejected: a bad entropy model should be visible, not fatal.
+        Second-law violations are returned, not rejected: a bad entropy
+        model should be visible, not fatal.
         """
-        if event_id in self._entries:
-            raise DuplicateEvent(f"decay event {event_id} already recorded")
-        breakdown, tau, rate = decay_entropy(delta_e_ev, gamma_ev, model)
-        entry = EntropyLedgerEntry(
-            decay_event_id=event_id,
-            breakdown=breakdown,
-            lifetime_s=tau,
-            production_rate_kb_per_s=rate,
-        )
-        self._entries[event_id] = entry
-        return entry
+        breakdown = breakdown_for_decay(delta_e_ev, model)
+        row = decay_row(delta_e_ev, gamma_ev, breakdown)
+        return EntropyLedgerEntry(event_id, breakdown, row["lifetime_s"], row["production_rate"])

@@ -19,10 +19,6 @@ class StableConfiguration(FcnError):
     """No decay channel: the decay rate is zero, negative, or absent."""
 
 
-class DuplicateEvent(FcnError):
-    """A ledger entry for this event id already exists."""
-
-
 class UnknownNode(FcnError):
     """Referenced node id does not exist in the network."""
 

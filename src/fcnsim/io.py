@@ -316,7 +316,10 @@ def _json_value(value: Any) -> str:
         return repr(value)
     if kind is str:
         return _encode_str(value)
-    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+    text = json.dumps(value, separators=(",", ":"), allow_nan=False)
+    if json.loads(text) != value:  # a tuple, or a dict with a key that is not a string
+        raise ValueError(f"payload value {value!r} would read back as {text}")
+    return text
 
 
 def _json_parents(parents: frozenset[int]) -> str:
@@ -406,7 +409,9 @@ def serialize_event(event: SimEvent) -> str:
     float range or a finite float, a payload key that is not a string or
     names a base field, a payload field that the reader requires of the
     kind (``_READ_FIELDS``) missing or of another type, a NaN or an
-    infinity anywhere, or a payload value ``json.dumps`` cannot write.
+    infinity anywhere, a payload value ``json.dumps`` cannot write, or one
+    whose JSON text reads back as another value, such as a tuple or a dict
+    with an int key.
     ``serialize_trace`` and ``write_events`` write each line the same way.
     """
     return _serializer()(event)

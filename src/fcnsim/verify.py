@@ -6,34 +6,38 @@ import math
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .chronology import ClockPulse, _undeclared_pulses
-from .entropy import EntropyBreakdown, entropy_lifetime
+from .entropy import EntropyBreakdown, decay_row, entropy_lifetime
 from .errors import FcnError
 from .events import EventKind
 from .network import propagation_delay
-from .quantum import lifetime
 
 if TYPE_CHECKING:
     from .events import SimEvent
     from .network import Network
 
 
+# The fields of a decay row that ``decay_row`` derives, each with its derivation.
+_DERIVED = (("lifetime_s", "lifetime(gamma_ev)"), ("total", "ds_internal + ds_signal + ds_vacuum"),
+            ("production_rate", "total / lifetime_s"))
+
+
 def _row_problem(row: dict[str, Any]) -> str | None:
-    """Why a decay row is not what ``decay_entropy`` computes or breaks the entropy-lifetime identity, or None."""
+    """Why a decay row is not what ``decay_row`` computes or breaks the entropy-lifetime identity, or None."""
     gamma, terms = row.get("gamma_ev"), (row.get("ds_internal"), row.get("ds_signal"), row.get("ds_vacuum"))
     try:
-        tau = lifetime(gamma)
-    except (FcnError, TypeError, ArithmeticError):
-        return f"gamma_ev {gamma!r} gives no lifetime"
-    if row.get("lifetime_s") != tau:
-        return f"lifetime_s {row.get('lifetime_s')!r} is not lifetime(gamma_ev) = {tau!r}"
-    try:
-        seconds = entropy_lifetime(breakdown := EntropyBreakdown(*terms), gamma).seconds
+        breakdown = EntropyBreakdown(*terms)
     except (TypeError, ValueError, ArithmeticError):
         return f"entropy terms {terms!r} are not three finite numbers"
-    if row.get("total") != (total := breakdown.total()):
-        return f"total {row.get('total')!r} is not ds_internal + ds_signal + ds_vacuum = {total!r}"
-    if row.get("production_rate") != total / tau:
-        return f"production_rate {row.get('production_rate')!r} is not total / lifetime_s = {total / tau!r}"
+    try:
+        expected = decay_row(row.get("energy_ev"), gamma, breakdown)
+    except (FcnError, TypeError, ArithmeticError):
+        return f"gamma_ev {gamma!r} gives no lifetime"
+    except ValueError as exc:  # a total or rate that is not finite
+        return str(exc)
+    for name, derivation in _DERIVED:
+        if row.get(name) != expected[name]:
+            return f"{name} {row.get(name)!r} is not {derivation} = {expected[name]!r}"
+    seconds, tau = entropy_lifetime(breakdown, gamma).seconds, expected["lifetime_s"]
     return None if abs(seconds - tau) <= 1e-9 * tau else f"entropy lifetime {seconds!r} is not {tau!r} to 1e-9"
 
 
@@ -46,7 +50,7 @@ def verify_trace(events: Iterable[SimEvent], network: Network | None = None) -> 
     ``energy_ev``; an arrival (an absorption, or a pass-through with an
     ``arc``) has one parent, an emission still in flight, on the same arc
     with the same energy; a decay's ``lifetime_s``, ``total`` and
-    ``production_rate`` are exactly what ``decay_entropy`` computes from its
+    ``production_rate`` are exactly what ``decay_row`` computes from its
     ``gamma_ev`` and terms, and ``entropy_lifetime`` agrees to 1e-9
     relative. With ``network``, nodes and arcs are its own, an arrival is at
     its arc's target at exactly ``emission.engine_time +

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fcnsim import (
-    DuplicateEvent,
     EntropyBreakdown,
     EntropyLedger,
     EntropyModel,
@@ -116,9 +115,3 @@ class TestLedger:
         assert entry.production_rate_kb_per_s * entry.lifetime_s == pytest.approx(
             entry.breakdown.total(), rel=1e-9
         )
-
-    def test_duplicate_event_rejected(self):
-        ledger = EntropyLedger()
-        ledger.record_decay(1, 1.5, 1e-16, EntropyModel())
-        with pytest.raises(DuplicateEvent):
-            ledger.record_decay(1, 2.0, 1e-16, EntropyModel())

@@ -862,6 +862,8 @@ def _floats(finite: bool):
 
 
 def _values(finite: bool):
+    """Payload values; not finite, also NaNs and infinities, and tuples and
+    int-keyed dicts, whose JSON text reads back as other values."""
     scalars = (
         st.none()
         | st.booleans()
@@ -869,11 +871,14 @@ def _values(finite: bool):
         | _floats(finite)
         | _TEXT
     )
-    return st.recursive(
-        scalars,
-        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
-        max_leaves=6,
-    )
+
+    def nested(inner):
+        values = st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3)
+        if finite:
+            return values
+        return values | st.lists(inner, max_size=3).map(tuple) | st.dictionaries(st.integers(0, 2), inner, max_size=2)
+
+    return st.recursive(scalars, nested, max_leaves=6)
 
 
 # Outside the writer's contract: ids that are not unsigned 64-bit ints, and
@@ -885,27 +890,40 @@ _BAD_TIMES = st.sampled_from([None, True, "0.5", [1.0]])
 _INT_TIMES = st.integers(-(10**400), 10**400) | st.sampled_from(
     [10**400, -(10**400), 2**1024 - 2**970 - 1, 2**1024 - 2**970, 2**53 + 1]
 )
+_KEYS = st.sampled_from(_ENGINE_KEYS) | _TEXT.filter(lambda k: k not in _BASE)
+# For finite and for any events: the payloads, ids, times and parents.
+_FIELDS = {
+    finite: (st.dictionaries(_KEYS, _values(finite), max_size=6), _U64, _floats(finite),
+             st.frozensets(_U64, max_size=4))
+    for finite in (True, False)
+}
+# Base field names, non-string keys, values json.dumps cannot write, and
+# ids, times and parents the writer refuses.
+_REFUSED_FIELDS = (
+    st.dictionaries(
+        _KEYS | st.sampled_from(_BASE) | st.integers(-3, 3) | st.tuples(st.integers(0, 2)),
+        _values(False) | st.sets(st.integers(0, 2), max_size=2),
+        max_size=6,
+    ),
+    _U64 | _BAD_IDS,
+    _floats(False) | st.integers(-3, 3) | _INT_TIMES | _BAD_TIMES,
+    st.frozensets(_U64 | _BAD_IDS | st.sampled_from(["a", "0"]), max_size=4),
+)
+_ENTROPY_VALUES = _floats(True) | st.integers()
+_MISTYPED = st.sampled_from([None, True, "1", 1.5, [0]])
 
 
 @st.composite
 def _events(draw, finite: bool) -> SimEvent:
     kind = draw(st.sampled_from(EventKind))
-    keys = st.sampled_from(_ENGINE_KEYS) | _TEXT.filter(lambda k: k not in _BASE)
-    values = _values(finite)
-    ids, times, parents = _U64, _floats(finite), _U64
-    if not finite and draw(st.booleans()):
-        # Base field names, non-string keys, values json.dumps cannot write,
-        # and ids, times and parents the writer refuses.
-        keys = keys | st.sampled_from(_BASE) | st.integers(-3, 3) | st.tuples(st.integers(0, 2))
-        values = values | st.sets(st.integers(0, 2), max_size=2)
-        ids, times = _U64 | _BAD_IDS, times | st.integers(-3, 3) | _INT_TIMES | _BAD_TIMES
-        parents = _U64 | _BAD_IDS | st.sampled_from(["a", "0"])
-    payload = draw(st.dictionaries(keys, values, max_size=6))
+    refused = not finite and draw(st.booleans())
+    payloads, ids, times, parents = _REFUSED_FIELDS if refused else _FIELDS[finite]
+    payload = draw(payloads)
     # The fields the reader checks, with the types it requires.
     if kind is EventKind.CLOCK_TICK:
         payload.update(pulse_id=draw(_U64), counter=draw(st.integers()))
     elif kind is EventKind.DECAY:
-        payload.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
+        payload.update({name: draw(_ENTROPY_VALUES) for name in ENTROPY_COLUMNS[1:]})
     if not finite and kind in (EventKind.CLOCK_TICK, EventKind.DECAY) and draw(st.booleans()):
         # Some of them dropped, or given a value of another type.
         read = [k for k in ("pulse_id", "counter", *ENTROPY_COLUMNS[1:]) if k in payload]
@@ -913,22 +931,25 @@ def _events(draw, finite: bool) -> SimEvent:
             if draw(st.booleans()):
                 del payload[name]
             else:
-                payload[name] = draw(st.sampled_from([None, True, "1", 1.5, [0]]))
+                payload[name] = draw(_MISTYPED)
     return SimEvent(
         id=draw(ids),
         kind=kind,
         node=draw(ids),
         engine_time=draw(times),
-        parents=draw(st.frozensets(parents, max_size=4)),
+        parents=draw(parents),
         payload=payload,
     )
+
+
+_FINITE_EVENTS = _events(finite=True)
 
 
 @st.composite
 def _finite_traces(draw) -> tuple[SimEvent, ...]:
     """Up to six finite events with ascending ids, each naming only earlier events as parents."""
     trace: list[SimEvent] = []
-    events = draw(st.lists(_events(finite=True), max_size=6, unique_by=lambda e: e.id))
+    events = draw(st.lists(_FINITE_EVENTS, max_size=6, unique_by=lambda e: e.id))
     for event in sorted(events, key=lambda e: e.id):
         parents = draw(st.frozensets(st.sampled_from([e.id for e in trace]), max_size=4)) if trace else frozenset()
         trace.append(event._replace(parents=parents))
@@ -1145,6 +1166,8 @@ class TestWriter:
         ({"payload": {(0, 1): 1}}, "event 1: payload key (0, 1) is not a string or names a base field"),
         ({"payload": {"parents": [1]}}, "event 1: payload key 'parents' is not a string or names a base field"),
         ({"payload": {"note": {0, 1}}}, "event 1: Object of type set is not JSON serializable"),
+        ({"payload": {"t": (1, 2)}}, "event 1: payload value (1, 2) would read back as [1,2]"),
+        ({"payload": {"nested": {1: 2}}}, 'event 1: payload value {1: 2} would read back as {"1":2}'),
         ({"kind": EventKind.DECAY, "payload": {}},
          "event 1: missing field(s): ds_internal, ds_signal, ds_vacuum, total, production_rate, lifetime_s"),
         ({"kind": EventKind.CLOCK_TICK, "payload": {"pulse_id": 0}}, "event 1: missing field(s): counter"),
@@ -1153,7 +1176,8 @@ class TestWriter:
         ({"engine_time": 10**400}, "event 1: 'engine_time' is beyond the float range"),
     ], ids=[
         "negative-id", "node-2**64", "bool-id", "str-parent", "negative-parent", "parent-2**64",
-        "str-time", "null-time", "kind", "int-key", "tuple-key", "base-key", "set-value",
+        "str-time", "null-time", "kind", "int-key", "tuple-key", "base-key", "set-value", "tuple-value",
+        "int-keyed-dict-value",
         "decay-without-fields", "tick-without-counter", "bool-pulse-id", "int-time-10**400",
     ])
     def test_refusal_names_the_event(self, change, message):

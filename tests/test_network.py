@@ -16,7 +16,6 @@ from fcnsim import (
     EntropyBreakdown,
     EntropyModel,
     Network,
-    PhysicalConstants,
     RunConfig,
     StableConfiguration,
     StandardClockSpec,
@@ -119,7 +118,6 @@ _CHECKED_CASES = [
      "environment temperature must be > 0 K, got 0.0"),
     (EntropyModel(), {"source_temperature_k": -1.0}, ValueError, "source temperature must be > 0 K, got -1.0"),
     (EntropyBreakdown(-1.0, 2.0, 0.0), {"ds_vacuum": math.nan}, ValueError, "ds_vacuum must be finite, got nan"),
-    (PhysicalConstants(), {"c_m_per_s": 0.0}, ValueError, "c_m_per_s must be > 0"),
 ]
 
 

@@ -23,7 +23,7 @@ _EXPORTED = {
     "engine": "Engine EventKind EventTrace RunConfig SamplingMode SimEvent",
     "entropy": "DEFAULT_ENTROPY_MODEL EntropyBreakdown EntropyLedger EntropyLedgerEntry EntropyLifetime "
     "EntropyModel breakdown_for_decay entropy_lifetime",
-    "errors": "ClockMismatch DegenerateLevels DuplicateEvent FcnError NonPositiveEnergy ParseError "
+    "errors": "ClockMismatch DegenerateLevels FcnError NonPositiveEnergy ParseError "
     "StableConfiguration UnknownNode ValidationFailed",
     "io": "Injection NetworkDocument parse_network parse_network_file parse_trace read_trace serialize_trace "
     "write_trace",

@@ -35,6 +35,10 @@ _DEFECTS = {
     "decay-with-gamma-0": (3, {}, {"gamma_ev": 0}, ["3: gamma_ev 0 gives no lifetime"]),
     "entropy-term-nan": (8, {}, {"ds_vacuum": math.nan}, [
         "8: entropy terms (-58.022590608727924, 5802.259060872792, nan) are not three finite numbers"]),
+    "entropy-terms-sum-to-inf": (3, {}, {"ds_signal": 1.7976931348623157e308, "ds_vacuum": 1.7976931348623157e308}, [
+        "3: total must be finite, got inf"]),
+    "int-entropy-terms-sum-beyond-floats": (3, {}, {"ds_internal": 0, "ds_signal": 2**1023, "ds_vacuum": 2**1023}, [
+        f"3: total must be finite, got {2**1024}"]),
     "decay-parent-not-its-exciter": (8, {"parents": frozenset({4})}, {}, [
         "8: its parent is not the event that excited excitation 1 at node 2"]),
     "excitation-id-not-an-integer": (8, {}, {"excitation_id": [1]}, [
