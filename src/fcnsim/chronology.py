@@ -143,13 +143,8 @@ def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
     return (label.time_number_s, label.event)
 
 
-# What the ancestry pass reads of one event: (id, kind, parents). The
-# parents are a tuple: 48 bytes for one parent, where a frozenset takes 216.
-_Step = tuple[EventId, EventKind, tuple[EventId, ...]]
-
-
 def _check_ancestry(
-    entries: tuple[TimeLabel, ...], steps: list[_Step], last_reader: dict[EventId, int]
+    entries: tuple[TimeLabel, ...], steps: list[tuple[EventId, EventId]], last_reader: dict[EventId, int]
 ) -> tuple[list[CausalViolation], ResolutionReport]:
     """Compare sorted timeline entries with the causal ancestry of a trace.
 
@@ -158,11 +153,11 @@ def _check_ancestry(
     ``entries`` must ascend by (time number, event id) and name
     absorptions of the index that built ``steps`` and ``last_reader``.
 
-    One forward pass over ``steps``. Each step carries a
-    Python-int bitset of its labeled ancestors, bit ``i`` standing for
-    ``entries[i]``; a step's bitset is dropped once its last child has
-    read it, so memory follows the live causal frontier. As entries
-    ascend, the entries sharing a label fill one bit range ``[lo, hi)``
+    One forward pass over ``steps``, each an event id and its one parent.
+    Each step carries a Python-int bitset of its labeled ancestors, bit
+    ``i`` standing for ``entries[i]``; a step's bitset is dropped once its
+    last child has read it, so memory follows the live causal frontier. As
+    entries ascend, the entries sharing a label fill one bit range ``[lo, hi)``
     and every later label sits at bit ``hi`` or above: inversions are the
     set bits of ``bits >> hi``, ordered pairs the popcount of ``bits``,
     and indistinguishable pairs the popcount of its ``[lo, hi)`` slice.
@@ -180,13 +175,11 @@ def _check_ancestry(
     live: dict[EventId, int] = {}
     violations: list[CausalViolation] = []
     ordered = indistinguishable = 0
-    for k, (eid, _, parents) in enumerate(steps):
-        bits = 0
-        for p in parents:
-            bits |= live.pop(p, 0) if last_reader[p] == k else live.get(p, 0)
-            i = bit.get(p)
-            if i is not None:
-                bits |= 1 << i
+    for k, (eid, p) in enumerate(steps):
+        bits = live.pop(p, 0) if last_reader[p] == k else live.get(p, 0)
+        i = bit.get(p)
+        if i is not None:
+            bits |= 1 << i
         if eid in last_reader:  # a later step reads it
             live[eid] = bits
         i = bit.get(eid)
@@ -293,20 +286,20 @@ class TraceIndex:
     give them; an id that does not ascend raises ParseError. One pass keeps
     ``absorptions`` (in trace order), each clock's pulses (a tick missing
     ``pulse_id`` or ``counter`` raises KeyError here) and, since only
-    absorptions get labels, the events with a parent that is an absorption
-    or a kept event before it. A parent that is absent, or not earlier in
-    the stream, contributes nothing. Labeling costs one bisection per
-    absorption and checking one pass over the kept events.
+    absorptions get labels, ``(id, parent)`` of each event whose one parent
+    is an absorption or a kept event before it. A parent that is absent, or
+    not earlier in the stream, contributes nothing. Labeling costs one
+    bisection per absorption and checking one pass over the kept events.
     """
 
     def __init__(self, trace: Iterable[SimEvent]):
         self.absorptions: list[SimEvent] = []
         ticks: dict[NodeId, list[ClockPulse]] = {}
         # The kept events, and for each parent they name the last step that names it.
-        self._steps: list[_Step] = []
+        self._steps: list[tuple[EventId, EventId]] = []
         self._last_reader: dict[EventId, int] = {}
         reach: set[EventId] = set()  # the ids of the absorptions and kept events so far
-        absorb, keep, disjoint, add = self.absorptions.append, self._steps.append, reach.isdisjoint, reach.add
+        absorb, keep, add = self.absorptions.append, self._steps.append, reach.add
         absorption, tick = EventKind.ABSORPTION, EventKind.CLOCK_TICK  # one enum lookup, not one per event
         previous = -1
         for event in trace:
@@ -314,12 +307,9 @@ class TraceIndex:
             if eid <= previous:
                 raise ParseError(f"event id {eid} is not greater than id {previous} before it")
             previous = eid
-            if not disjoint(parents):
-                read = tuple(reach.intersection(parents))
-                k = len(self._steps)
-                for p in read:
-                    self._last_reader[p] = k
-                keep((eid, kind, read))
+            if parents and (parent := parents[0]) in reach:
+                self._last_reader[parent] = len(self._steps)
+                keep((eid, parent))
                 add(eid)
             if kind is absorption:
                 absorb(event)

@@ -15,7 +15,7 @@ table of float texts. ``run`` is ``tuple(events())``.
 Occurrences are plain tuples ``(t, seq, tag, ...)``; ``(t, seq)`` is
 unique, so no later field is ever compared. The int tag indexes the
 handler table that the loop dispatches through. Per-node and per-arc
-tables (spec, gap, tolerance, decay payload, wavelength, outgoing arcs)
+tables (gap, tolerance, decay payload, wavelength, outgoing arcs)
 are built by the constructor, which refuses a payload that is not finite.
 
 engine_time is internal scheduler plumbing, not an observable: it never
@@ -50,7 +50,7 @@ from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_payloads
 from .errors import UnknownNode, ValidationFailed
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
 from .network import Network, StandardClockSpec, propagation_delay
-from .quantum import TwoLevelSpec, absorb, signal_energy, wavelength_of
+from .quantum import absorb, signal_energy, wavelength_of
 
 
 class SamplingMode(Enum):
@@ -137,7 +137,6 @@ def _uniforms(state: int, inc: int) -> Iterator[float]:
 class _NodeRow(NamedTuple):
     """What the loop reads about one node, looked up once per run."""
 
-    spec: TwoLevelSpec
     gap_ev: float
     tolerance_ev: float
     can_detect: bool
@@ -155,8 +154,6 @@ class _NodeRow(NamedTuple):
 #   arrival    arc id, target, energy, parent
 #   tick       clock spec, k, parent (None for the first tick)
 _INJECTION, _DECAY, _EMISSION, _ARRIVAL, _TICK = range(5)
-
-_NO_PARENTS: frozenset[EventId] = frozenset()
 
 
 class Engine:
@@ -200,7 +197,7 @@ class Engine:
         self._rows: dict[NodeId, _NodeRow] = {}
         for node_id, spec, _, tolerance, can_emit, can_detect in network.nodes:
             gap = signal_energy(spec)
-            self._rows[node_id] = _NodeRow(spec, gap, tolerance, can_detect, can_emit, payloads.get(node_id),
+            self._rows[node_id] = _NodeRow(gap, tolerance, can_detect, can_emit, payloads.get(node_id),
                                            wavelength_of(gap), tuple(arcs[node_id]))
         if problems:
             raise ValidationFailed(problems)
@@ -238,7 +235,7 @@ class Engine:
     # -- occurrence processing ------------------------------------------
 
     def _emit_event(
-        self, kind: EventKind, node: NodeId, t: float, parents: frozenset[EventId], payload: dict[str, Any]
+        self, kind: EventKind, node: NodeId, t: float, parents: tuple[EventId, ...], payload: dict[str, Any]
     ) -> SimEvent:
         return tuple.__new__(SimEvent, (next(self._event_ids), kind, node, t, parents, payload))
 
@@ -255,17 +252,17 @@ class Engine:
         gap = row.gap_ev
         # An injection delivers exactly the gap energy, so it is resonant
         # by construction; absorb() still arbitrates occupancy.
-        excitation = absorb(self._states[node], row.spec, gap, 0.0, self._excitations)
+        excitation = absorb(self._states[node], gap, gap, 0.0, self._excitations)
         if excitation is None:
             return self._emit_event(
-                EventKind.PASS_THROUGH, node, t, _NO_PARENTS, {"reason": "occupied", "energy_ev": gap}
+                EventKind.PASS_THROUGH, node, t, (), {"reason": "occupied", "energy_ev": gap}
             )
         self._states[node] = excitation
         event = self._emit_event(
             EventKind.EXTERNAL_EXCITATION,
             node,
             t,
-            _NO_PARENTS,
+            (),
             {"excitation_id": excitation, "energy_ev": gap},
         )
         self._schedule_decay(row, node, excitation, t, event.id)
@@ -279,7 +276,7 @@ class Engine:
         assert self._states[node] == excitation_id
         self._states[node] = None
         payload = {"excitation_id": excitation_id, **row.decay}
-        event = self._emit_event(EventKind.DECAY, node, t, frozenset((parent,)), payload)
+        event = self._emit_event(EventKind.DECAY, node, t, (parent,), payload)
         if row.can_emit:
             queue, seq, gap, wavelength, event_id = self._queue, self._seq, row.gap_ev, row.wavelength_nm, event.id
             for arc, target, delay in row.arcs:
@@ -292,7 +289,7 @@ class Engine:
             EventKind.EMISSION,
             node,
             t,
-            frozenset((parent,)),
+            (parent,),
             {"arc": arc, "energy_ev": energy, "wavelength_nm": wavelength},
         )
         heapq.heappush(self._queue, (t + delay, next(self._seq), _ARRIVAL, arc, target, energy, event.id))
@@ -301,10 +298,10 @@ class Engine:
     def _process_arrival(self, occ: tuple[Any, ...]) -> SimEvent:
         t, _, _, arc, target, energy, parent = occ
         row = self._rows[target]
-        parents = frozenset((parent,))
+        parents = (parent,)
         if row.can_detect:
             held = self._states[target]
-            excitation = absorb(held, row.spec, energy, row.tolerance_ev, self._excitations)
+            excitation = absorb(held, row.gap_ev, energy, row.tolerance_ev, self._excitations)
             if excitation is not None:
                 self._states[target] = excitation
                 event = self._emit_event(
@@ -334,7 +331,7 @@ class Engine:
             EventKind.CLOCK_TICK,
             clock.id,
             t,
-            _NO_PARENTS if parent is None else frozenset((parent,)),
+            () if parent is None else (parent,),
             {"pulse_id": next(self._pulse_ids), "counter": clock.counter_start + k},
         )
         self._schedule_tick(clock, k + 1, event.id)

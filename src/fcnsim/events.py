@@ -30,10 +30,11 @@ class EventKind(str, Enum):
 class SimEvent(NamedTuple):
     """One causal happening, as recorded in the trace.
 
-    ``parents`` holds the ids of the events that caused this one; parents
-    always precede their children in (engine_time, id) order. ``payload``
-    is kind-specific and treated as immutable. A tuple, because the engine
-    and the trace reader build one per event: they call
+    ``parents`` is ``()`` for a root or ``(p,)`` for the one event ``p``
+    that caused this one: the causal graph is a forest, one cause per
+    event, and a parent always precedes its children in (engine_time, id)
+    order. ``payload`` is kind-specific and treated as immutable. A tuple,
+    because the engine and the trace reader build one per event: they call
     ``tuple.__new__(SimEvent, fields)``, which skips the keyword handling
     of ``SimEvent(...)``.
     """
@@ -42,7 +43,7 @@ class SimEvent(NamedTuple):
     kind: EventKind
     node: NodeId
     engine_time: float
-    parents: frozenset[EventId]
+    parents: tuple[EventId, ...]
     payload: dict[str, Any]
 
 

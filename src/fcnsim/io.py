@@ -322,14 +322,14 @@ def _json_value(value: Any) -> str:
     return text
 
 
-def _json_parents(parents: frozenset[int]) -> str:
-    if len(parents) == 1:
-        (only,) = parents
-        if type(only) is int and 0 <= only <= _MAX_ID:
-            return f"[{only!r}]"
-    if not all(type(p) is int and 0 <= p <= _MAX_ID for p in parents):
+def _json_parents(parents: tuple[int, ...]) -> str:
+    if type(parents) is not tuple or len(parents) > 1:  # a frozenset({0}) would read back as (0,)
+        raise ValueError(f"parents must be a tuple of at most one id, got {parents!r}")
+    if not parents:
+        return "[]"
+    if type(only := parents[0]) is not int or not 0 <= only <= _MAX_ID:
         raise ValueError("parents must be unsigned 64-bit integers")
-    return f"[{','.join(map(repr, sorted(parents)))}]"
+    return f"[{only!r}]"
 
 
 def _fields_problem(record: dict, fields: tuple[tuple[str, tuple[type, ...]], ...]) -> str | None:
@@ -398,20 +398,21 @@ def _serializer() -> Callable[[SimEvent], str]:
 def serialize_event(event: SimEvent) -> str:
     """One trace line, without its newline.
 
-    Byte-equal to ``json.dumps`` of the base fields (parents sorted) and
-    then the payload, with ``separators=(",", ":")``. Exact ints, finite
-    floats and strings are written here, with the same ``int.__repr__``,
-    ``float.__repr__`` and ASCII string escapes that ``json.dumps`` uses;
-    any other payload value goes to ``json.dumps``. It raises ValueError
-    naming the event id for these events, which a trace reader would refuse
-    or read back as other events: an id, node or parent that is not an
-    unsigned 64-bit int, an ``engine_time`` that is not an int within the
-    float range or a finite float, a payload key that is not a string or
-    names a base field, a payload field that the reader requires of the
-    kind (``_READ_FIELDS``) missing or of another type, a NaN or an
-    infinity anywhere, a payload value ``json.dumps`` cannot write, or one
-    whose JSON text reads back as another value, such as a tuple or a dict
-    with an int key.
+    Byte-equal to ``json.dumps`` of the base fields and then the payload,
+    with ``separators=(",", ":")``. Exact ints, finite floats and strings
+    are written here, with the same ``int.__repr__``, ``float.__repr__``
+    and ASCII string escapes that ``json.dumps`` uses; any other payload
+    value goes to ``json.dumps``. It raises ValueError naming the event id
+    for these events, which a trace reader would refuse or read back as
+    other events: an id, node or parent that is not an unsigned 64-bit
+    int, ``parents`` that is not a tuple of at most one parent (a
+    ``frozenset({0})`` reads back as ``(0,)``), an ``engine_time`` that is
+    not an int within the float range or a finite float, a payload key
+    that is not a string or names a base field, a payload field that the
+    reader requires of the kind (``_READ_FIELDS``) missing or of another
+    type, a NaN or an infinity anywhere, a payload value ``json.dumps``
+    cannot write, or one whose JSON text reads back as another value, such
+    as a tuple or a dict with an int key.
     ``serialize_trace`` and ``write_events`` write each line the same way.
     """
     return _serializer()(event)
@@ -442,15 +443,14 @@ def _event(record: Any) -> SimEvent | None:
         return None
     if type(t) not in _NUMBER or t in _INFINITE or type(parents) is not list:
         return None
-    for parent in parents:
-        if type(parent) is not int or not 0 <= parent <= _MAX_ID:
-            return None
+    if parents and (len(parents) > 1 or type(parent := parents[0]) is not int or not 0 <= parent <= _MAX_ID):
+        return None
     for name, types in fields:
         value = record.get(name)
         if type(value) not in types or value in _INFINITE:
             return None
     try:
-        return tuple.__new__(SimEvent, (event_id, kind, node, float(t), frozenset(parents), record))
+        return tuple.__new__(SimEvent, (event_id, kind, node, float(t), tuple(parents), record))
     except OverflowError:  # an int engine_time beyond the float range
         return None
 
@@ -477,6 +477,8 @@ def _rejection(record: Any) -> str:
         return "'parents' must be an array of integers"
     if any(not 0 <= p <= _MAX_ID for p in parents):
         return "'parents' must be an array of unsigned 64-bit integers"
+    if len(parents) > 1:
+        return "'parents' must hold at most one id"
     fields = _KINDS[kind][1]
     problem = _fields_problem(record, fields)
     if problem:
@@ -523,7 +525,7 @@ def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
     """The checked events on the lines of a trace, each line without its line feed.
 
     Event ids ascend strictly from line to line; the set of ids read so far
-    is the parent check.
+    is the check of an event's one parent.
     """
     seen: set[int] = set()
     add = seen.add
@@ -535,8 +537,7 @@ def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
         if event.id <= previous:
             raise ParseError(f"event id {event.id} is not greater than id {previous} on line {previous_line}",
                              f"line {lineno}")
-        if not seen.issuperset(event.parents):
-            parent = min(event.parents - seen)
+        if event.parents and (parent := event.parents[0]) not in seen:
             raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
         add(previous := event.id)
         previous_line = lineno
@@ -549,8 +550,9 @@ def parse_trace(text: str) -> EventTrace:
     Lines end at line feeds only, as in JSON Lines: a raw U+2028, U+2029
     or U+0085 inside a string is part of its line, and a carriage return
     before the line feed is JSON whitespace. Raises ParseError naming the
-    line for a malformed record, for an id not above the last line's id,
-    and for a parent id that no earlier line's event has.
+    line for a malformed record (more than one parent is malformed), for an
+    id not above the last line's id, and for a parent id that no earlier
+    line's event has.
     """
     return tuple(_checked(text.split("\n")))
 

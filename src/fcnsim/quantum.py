@@ -99,7 +99,7 @@ def lifetime(gamma_ev: float | None) -> float:
 
 def absorb(
     excitation: int | None,
-    spec: TwoLevelSpec,
+    gap_ev: float,
     signal_energy_ev: float,
     tolerance_ev: float,
     ids: Iterator[int],
@@ -108,18 +108,19 @@ def absorb(
 
     A node's state is the id of the excitation it holds, or None in its
     ground state. Absorption happens only in the ground state and when the
-    incoming energy matches the level gap within ``tolerance_ev``; it takes
-    the next id from ``ids``, so ids are never reused. Every other case is
-    a pass-through (None): the signal is unchanged and keeps going, the
-    node state is unchanged, and no id is taken. An occupied node cannot
-    hold a second excitation, and off-resonance signals do not couple.
+    incoming energy matches the level gap ``gap_ev`` (``signal_energy`` of
+    the node's spec) within ``tolerance_ev``; it takes the next id from
+    ``ids``, so ids are never reused. Every other case is a pass-through
+    (None): the signal is unchanged and keeps going, the node state is
+    unchanged, and no id is taken. An occupied node cannot hold a second
+    excitation, and off-resonance signals do not couple.
     """
     if tolerance_ev < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance_ev}")
     if excitation is not None:
         return None
     # Written so a NaN energy compares as off-resonance, not as a match.
-    if not abs(signal_energy_ev - signal_energy(spec)) <= tolerance_ev:
+    if not abs(signal_energy_ev - gap_ev) <= tolerance_ev:
         return None
     return next(ids)
 

@@ -43,8 +43,9 @@ def _row_problem(row: dict[str, Any]) -> str | None:
 
 def verify_trace(events: Iterable[SimEvent], network: Network | None = None) -> list[str]:
     """Every problem in one pass over ``events`` (``Engine.events``,
-    ``iter_trace`` or a list), each as ``event N: ...``: ids ascend and
-    parents are earlier events; ``engine_time`` never decreases; a decay's
+    ``iter_trace`` or a list), each as ``event N: ...``: ids ascend; an
+    event has at most one parent (the causal graph is a forest), and it is
+    an earlier event; ``engine_time`` never decreases; a decay's
     one parent excited its ``excitation_id`` at its node, and no excitation
     decays twice; an emission's one parent is a decay at its node with its
     ``energy_ev``; an arrival (an absorption, or a pass-through with an
@@ -68,14 +69,16 @@ def verify_trace(events: Iterable[SimEvent], network: Network | None = None) -> 
     ticks: dict[int, list[tuple[int, ClockPulse]]] = {}
     previous, previous_t = -1, -math.inf
     for eid, kind, node, t, parents, payload in events:
-        found = [f"parent {p} is not an earlier event" for p in sorted(parents - seen)]
+        parent = parents[0] if parents else None
+        found = [] if parent is None or parent in seen else [f"parent {parent} is not an earlier event"]
+        if len(parents) > 1:
+            found.append("it has more than one parent")
         if eid <= previous:
             found.append(f"id is not greater than id {previous} before it")
         if t < previous_t:
             found.append(f"engine_time {t!r} is earlier than {previous_t!r} of event {previous}")
         if nodes is not None and node not in nodes:
             found.append(f"node {node} is not a node of the network")
-        parent = min(parents) if len(parents) == 1 else None
         exc, arc = payload.get("excitation_id"), payload.get("arc")
         if kind is EventKind.DECAY:
             if type(exc) is int and exc in decayed:

@@ -322,8 +322,8 @@ def reference_record_to_event(record: dict[str, Any], where: str = "record") -> 
 
     The event takes the record over: the base fields are removed from it
     and what is left becomes the payload. Raises ParseError, with
-    ``where`` in the message, for a missing or mistyped base field, an
-    unknown kind, or a missing or mistyped payload field that the
+    ``where`` in the message, for a missing or mistyped base field, more
+    than one parent, an unknown kind, or a missing or mistyped payload field that the
     analysis commands read.
     """
     if not isinstance(record, dict):
@@ -350,6 +350,8 @@ def reference_record_to_event(record: dict[str, Any], where: str = "record") -> 
         if type(parents) is list and all(type(p) is int for p in parents):
             raise ParseError("'parents' must be an array of unsigned 64-bit integers", where)
         raise ParseError("'parents' must be an array of integers", where)
+    if len(parents) > 1:
+        raise ParseError("'parents' must hold at most one id", where)
     fields = _READ_FIELDS.get(kind)
     if fields:
         _check_payload(fields, record, where)
@@ -366,7 +368,7 @@ def reference_record_to_event(record: dict[str, Any], where: str = "record") -> 
         kind=kind,
         node=node,
         engine_time=engine_time,
-        parents=frozenset(parents),
+        parents=tuple(parents),
         payload=record,
     )
 

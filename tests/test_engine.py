@@ -310,9 +310,9 @@ class TestClockTicks:
         net = validate_network([make_node(1)], [], [StandardClockSpec(id=1, period_s=1.0)])
         trace = Engine(net, det_config(until=3.0)).run()
         ticks = events_of(trace, EventKind.CLOCK_TICK)
-        assert ticks[0].parents == frozenset()
+        assert ticks[0].parents == ()
         for prev, cur in zip(ticks, ticks[1:]):
-            assert cur.parents == {prev.id}
+            assert cur.parents == (prev.id,)
 
     def test_clock_whose_ticks_could_share_an_engine_time_is_refused(self, chain):
         """About 10**14 ticks to the horizon, the first 10**4 or so of them

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -586,6 +587,7 @@ class TestTraceRoundTrip:
                 {**_ABSORPTION, "parents": [2**64]},
                 "'parents' must be an array of unsigned 64-bit integers",
             ),
+            ({**_ABSORPTION, "parents": [0, 1]}, "'parents' must hold at most one id"),
         ],
     )
     def test_malformed_record_message(self, record, message):
@@ -653,7 +655,7 @@ class TestTraceRoundTrip:
         top = 2**64 - 1
         root, event = parse_trace(_lines({**_ROOT, "id": top - 1, "node": top},
                                          {**_ABSORPTION, "id": top, "parents": [top - 1]}))
-        assert (root.id, root.node, event.id, event.parents) == (top - 1, top, top, frozenset({top - 1}))
+        assert (root.id, root.node, event.id, event.parents) == (top - 1, top, top, (top - 1,))
 
     def test_well_formed_records_parse(self):
         _, *events = parse_trace(_lines(_ROOT, _ABSORPTION, _TICK, _DECAY))
@@ -801,7 +803,7 @@ class TestTraceRoundTrip:
         # id that does not ascend is reported before its parents.
         for records, message in (
             ((_ROOT, {**_ABSORPTION, "parents": [2]}, _TICK), "line 2: parent 2 is not the id of an earlier event"),
-            ((_ROOT, {**_ABSORPTION, "parents": [0, 1]}), "line 2: parent 1 is not the id of an earlier event"),
+            ((_ROOT, {**_ABSORPTION, "parents": [1]}), "line 2: parent 1 is not the id of an earlier event"),
             ((_ROOT, _ABSORPTION, {**_ABSORPTION, "parents": [7]}),
              "line 3: event id 1 is not greater than id 1 on line 2"),
         ):
@@ -894,11 +896,12 @@ _KEYS = st.sampled_from(_ENGINE_KEYS) | _TEXT.filter(lambda k: k not in _BASE)
 # For finite and for any events: the payloads, ids, times and parents.
 _FIELDS = {
     finite: (st.dictionaries(_KEYS, _values(finite), max_size=6), _U64, _floats(finite),
-             st.frozensets(_U64, max_size=4))
+             st.lists(_U64, max_size=1).map(tuple))
     for finite in (True, False)
 }
 # Base field names, non-string keys, values json.dumps cannot write, and
-# ids, times and parents the writer refuses.
+# ids, times and parents the writer refuses: parents that are not
+# unsigned 64-bit ints, more than one of them, or not in a tuple.
 _REFUSED_FIELDS = (
     st.dictionaries(
         _KEYS | st.sampled_from(_BASE) | st.integers(-3, 3) | st.tuples(st.integers(0, 2)),
@@ -907,7 +910,8 @@ _REFUSED_FIELDS = (
     ),
     _U64 | _BAD_IDS,
     _floats(False) | st.integers(-3, 3) | _INT_TIMES | _BAD_TIMES,
-    st.frozensets(_U64 | _BAD_IDS | st.sampled_from(["a", "0"]), max_size=4),
+    st.builds(lambda make, ids: make(ids), st.sampled_from([tuple, frozenset, list]),
+              st.lists(_U64 | _BAD_IDS | st.sampled_from(["a", "0"]), max_size=4)),
 )
 _ENTROPY_VALUES = _floats(True) | st.integers()
 _MISTYPED = st.sampled_from([None, True, "1", 1.5, [0]])
@@ -947,22 +951,21 @@ _FINITE_EVENTS = _events(finite=True)
 
 @st.composite
 def _finite_traces(draw) -> tuple[SimEvent, ...]:
-    """Up to six finite events with ascending ids, each naming only earlier events as parents."""
+    """Up to six finite events with ascending ids, each naming at most one earlier event as its parent."""
     trace: list[SimEvent] = []
     events = draw(st.lists(_FINITE_EVENTS, max_size=6, unique_by=lambda e: e.id))
     for event in sorted(events, key=lambda e: e.id):
-        parents = draw(st.frozensets(st.sampled_from([e.id for e in trace]), max_size=4)) if trace else frozenset()
+        parents = draw(st.sampled_from([(), *((e.id,) for e in trace)]))
         trace.append(event._replace(parents=parents))
     return tuple(trace)
 
 
 # One event with every kind of payload value, then three the writer refuses:
 # a payload that reuses a base field name, one with a non-string key, and an
-# id that is not an unsigned int. 2**61 hashes to 1, so the parents do not
-# iterate sorted.
+# id that is not an unsigned int.
 _WRITER_EXAMPLES = (
     SimEvent(
-        id=7, kind=EventKind.DECAY, node=2, engine_time=-0.0, parents=frozenset({2, 2**61, 7, 2**64 - 1}),
+        id=7, kind=EventKind.DECAY, node=2, engine_time=-0.0, parents=(2**64 - 1,),
         payload={
             "gamma_ev": 2.2250738585072014e-308, "total": -1.7976931348623157e308, "ds_vacuum": -5e-324,
             "lifetime_s": 5e-324,
@@ -972,22 +975,22 @@ _WRITER_EXAMPLES = (
         },
     ),
     SimEvent(
-        id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=frozenset({0}),
+        id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=(0,),
         payload={"arc": 2, "kind": "banana", "parents": [1]},
     ),
     SimEvent(
-        id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=frozenset({0}),
+        id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=(0,),
         payload={"arc": 2, 3: "three", None: 1.5},
     ),
-    SimEvent(id=True, kind=EventKind.EMISSION, node=3, engine_time=1, parents=frozenset(), payload={}),
+    SimEvent(id=True, kind=EventKind.EMISSION, node=3, engine_time=1, parents=(), payload={}),
 )
 _EXAMPLE_IDS = ("values", "base-key", "int-key", "bool-id")
 
 
 def _record(event: SimEvent) -> dict:
-    """The json.dumps oracle of a trace line: the base fields, parents sorted, then the payload."""
+    """The json.dumps oracle of a trace line: the base fields, then the payload."""
     base = {"id": event.id, "kind": event.kind.value, "node": event.node, "engine_time": event.engine_time}
-    return {**base, "parents": sorted(event.parents), **event.payload}
+    return {**base, "parents": list(event.parents), **event.payload}
 
 
 def _written(event: SimEvent) -> bool:
@@ -1038,7 +1041,7 @@ def _streams(draw) -> list[SimEvent]:
         if kind is EventKind.DECAY:
             numbers = values.filter(lambda v: type(v) in (int, float))
             payload.update({name: draw(numbers) for name in ENTROPY_COLUMNS[1:]})
-        events.append(SimEvent(i, kind, 1, draw(times), frozenset(), payload))
+        events.append(SimEvent(i, kind, 1, draw(times), (), payload))
     if draw(st.booleans()):
         i = draw(st.integers(0, len(events) - 1))
         bad = draw(st.sampled_from(_NOT_FINITE))
@@ -1054,30 +1057,30 @@ _STREAM_EXAMPLES = (
     # Zeros, 1.0, 1, True and a subclass; two events sharing one time
     # object; an int time, then an equal float, then the first again.
     [
-        SimEvent(0, EventKind.EMISSION, 1, _T, frozenset(), {"energy_ev": 1.0, "gamma_ev": 0.0, "note": -0.0}),
-        SimEvent(1, EventKind.EMISSION, 1, _T, frozenset({0}), {"energy_ev": -0.0, "gamma_ev": 1, "note": True}),
-        SimEvent(2, EventKind.ABSORPTION, 1, 1, frozenset({1}), {"energy_ev": _Float(1.0), "note": 0.0}),
-        SimEvent(3, EventKind.ABSORPTION, 1, float(1), frozenset({2}), {"energy_ev": True}),
-        SimEvent(4, EventKind.ABSORPTION, 1, _T, frozenset({3}), {"energy_ev": 1}),
+        SimEvent(0, EventKind.EMISSION, 1, _T, (), {"energy_ev": 1.0, "gamma_ev": 0.0, "note": -0.0}),
+        SimEvent(1, EventKind.EMISSION, 1, _T, (0,), {"energy_ev": -0.0, "gamma_ev": 1, "note": True}),
+        SimEvent(2, EventKind.ABSORPTION, 1, 1, (1,), {"energy_ev": _Float(1.0), "note": 0.0}),
+        SimEvent(3, EventKind.ABSORPTION, 1, float(1), (2,), {"energy_ev": True}),
+        SimEvent(4, EventKind.ABSORPTION, 1, _T, (3,), {"energy_ev": 1}),
     ],
     # A NaN, an infinity and a None time after finite values were written,
     # with an event after them; and a None time first.
     *(
         [
-            SimEvent(0, EventKind.EMISSION, 1, _T, frozenset(), {"gamma_ev": 2.5, "energy_ev": 1e308}),
-            SimEvent(1, EventKind.EMISSION, 1, _T, frozenset(), {"gamma_ev": 2.5, "energy_ev": -1e308}),
-            SimEvent(2, EventKind.EMISSION, 1, time, frozenset(), {"gamma_ev": 2.5, "energy_ev": bad}),
-            SimEvent(3, EventKind.EMISSION, 1, _T, frozenset(), {"gamma_ev": 2.5}),
+            SimEvent(0, EventKind.EMISSION, 1, _T, (), {"gamma_ev": 2.5, "energy_ev": 1e308}),
+            SimEvent(1, EventKind.EMISSION, 1, _T, (), {"gamma_ev": 2.5, "energy_ev": -1e308}),
+            SimEvent(2, EventKind.EMISSION, 1, time, (), {"gamma_ev": 2.5, "energy_ev": bad}),
+            SimEvent(3, EventKind.EMISSION, 1, _T, (), {"gamma_ev": 2.5}),
         ]
         for time, bad in ((_T, math.nan), (_T, math.inf), (_T, -math.inf), (None, 1e308))
     ),
-    [SimEvent(0, EventKind.EMISSION, 1, None, frozenset(), {"gamma_ev": 2.5})],
+    [SimEvent(0, EventKind.EMISSION, 1, None, (), {"gamma_ev": 2.5})],
     # Keys of a str subclass, equal to a key written before and not: json.dumps
     # writes them as strings, and they read back as keys equal to them.
     [
-        SimEvent(0, EventKind.EMISSION, 1, _T, frozenset(), {"note": 1}),
-        SimEvent(1, EventKind.EMISSION, 1, _T, frozenset(), {_Str("note"): 2, _Str("energy_ev"): 2.5}),
-        SimEvent(2, EventKind.EMISSION, 1, _T, frozenset(), {_Str("é"): 3}),
+        SimEvent(0, EventKind.EMISSION, 1, _T, (), {"note": 1}),
+        SimEvent(1, EventKind.EMISSION, 1, _T, (), {_Str("note"): 2, _Str("energy_ev"): 2.5}),
+        SimEvent(2, EventKind.EMISSION, 1, _T, (), {_Str("é"): 3}),
     ],
 )
 _STREAM_IDS = (
@@ -1156,9 +1159,11 @@ class TestWriter:
         ({"id": -1}, "event -1: id and node must be unsigned 64-bit integers, got node 4"),
         ({"node": 2**64}, "event 1: id and node must be unsigned 64-bit integers, got node 18446744073709551616"),
         ({"id": True}, "event True: id and node must be unsigned 64-bit integers, got node 4"),
-        ({"parents": frozenset({0, "a"})}, "event 1: parents must be unsigned 64-bit integers"),
-        ({"parents": frozenset({-1})}, "event 1: parents must be unsigned 64-bit integers"),
-        ({"parents": frozenset({0, 2**64})}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"parents": ("a",)}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"parents": (-1,)}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"parents": (2**64,)}, "event 1: parents must be unsigned 64-bit integers"),
+        ({"parents": (0, 1)}, "event 1: parents must be a tuple of at most one id, got (0, 1)"),
+        ({"parents": frozenset({0})}, "event 1: parents must be a tuple of at most one id, got frozenset({0})"),
         ({"engine_time": "0.5"}, "event 1: engine_time must be an int or a finite float, got '0.5'"),
         ({"engine_time": None}, "event 1: engine_time must be an int or a finite float, got None"),
         ({"kind": "banana"}, "event 1: unknown event kind 'banana'"),
@@ -1176,13 +1181,14 @@ class TestWriter:
         ({"engine_time": 10**400}, "event 1: 'engine_time' is beyond the float range"),
     ], ids=[
         "negative-id", "node-2**64", "bool-id", "str-parent", "negative-parent", "parent-2**64",
+        "two-parents", "frozenset-parent",
         "str-time", "null-time", "kind", "int-key", "tuple-key", "base-key", "set-value", "tuple-value",
         "int-keyed-dict-value",
         "decay-without-fields", "tick-without-counter", "bool-pulse-id", "int-time-10**400",
     ])
     def test_refusal_names_the_event(self, change, message):
         """Each refused event raises ValueError, never a bare TypeError."""
-        event = SimEvent(id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=frozenset({0}),
+        event = SimEvent(id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=(0,),
                          payload={"arc": 2})._replace(**change)
         with pytest.raises(ValueError) as err:
             serialize_event(event)
@@ -1191,7 +1197,7 @@ class TestWriter:
     def test_payload_naming_a_base_field_is_refused(self):
         """json.dumps of this event's record reads back as event 7 at 0.25;
         the writer refuses the event instead of writing another one."""
-        event = SimEvent(1, EventKind.EMISSION, 1, 1.0, frozenset({0}), {"arc": 2, "id": 7, "engine_time": 0.25})
+        event = SimEvent(1, EventKind.EMISSION, 1, 1.0, (0,), {"arc": 2, "id": 7, "engine_time": 0.25})
         _, misread = parse_trace(_lines(_ROOT) + json.dumps(_record(event)) + "\n")
         assert (misread.id, misread.engine_time) == (7, 0.25)
         with pytest.raises(ValueError) as err:
@@ -1224,7 +1230,7 @@ class TestWriter:
             for i in range(_FLOAT_TEXTS + 20_000):
                 if i == _FLOAT_TEXTS:  # the table is full; trace the rest
                     tracemalloc.start()
-                yield SimEvent(i, EventKind.EMISSION, 1, 0.5, frozenset(), {"energy_ev": i + 0.5})
+                yield SimEvent(i, EventKind.EMISSION, 1, 0.5, (), {"energy_ev": i + 0.5})
 
         try:
             assert write_events(events(), SimpleNamespace(write=len)) == _FLOAT_TEXTS + 20_000
@@ -1239,9 +1245,9 @@ class TestWriter:
         ``_KEY_TEXTS``; a key that is not a string or names a base field is
         still refused after the table has filled, and the stream goes on."""
         sink: list[str] = []
-        events = [SimEvent(i, EventKind.EMISSION, 1, 0.5, frozenset(), {f"k{i}": 1, "arc": 2})
+        events = [SimEvent(i, EventKind.EMISSION, 1, 0.5, (), {f"k{i}": 1, "arc": 2})
                   for i in range(_KEY_TEXTS + 10)]
-        bad = SimEvent(len(events), EventKind.EMISSION, 1, 0.5, frozenset(), {"arc": 2, key: 1})
+        bad = SimEvent(len(events), EventKind.EMISSION, 1, 0.5, (), {"arc": 2, key: 1})
         message = f"event {bad.id}: payload key {key!r} is not a string or names a base field"
         with pytest.raises(ValueError) as err:
             write_events([*events, bad], SimpleNamespace(write=sink.append))
@@ -1256,7 +1262,7 @@ class TestWriter:
             for i in range(_KEY_TEXTS + 20_000):
                 if i == _KEY_TEXTS:  # the table is full; trace the rest
                     tracemalloc.start()
-                yield SimEvent(i, EventKind.EMISSION, 1, 0.5, frozenset(), {f"key number {i}": 1})
+                yield SimEvent(i, EventKind.EMISSION, 1, 0.5, (), {f"key number {i}": 1})
 
         try:
             assert write_events(events(), SimpleNamespace(write=len)) == _KEY_TEXTS + 20_000
@@ -1276,29 +1282,44 @@ _MIXED = _values(finite=True) | st.sampled_from(
 )
 
 
+# What ``_records`` draws from, each strategy built once.
+_RECORD_KINDS = st.sampled_from(EventKind)
+_ENGINE_TIMES = _floats(True)
+_RECORD_PARENTS = st.lists(_U64, max_size=1)
+_INTEGERS = st.integers()
+_EXTRA_FIELDS = st.dictionaries(st.sampled_from(("reason", "arc", "note")), _MIXED, max_size=2)
+_MIXED_KINDS = st.sampled_from([k.value for k in EventKind]) | _MIXED
+_MIXED_PARENTS = st.lists(_U64 | _MIXED, max_size=3) | _MIXED
+
+
+@functools.cache
+def _changed_names(names: tuple[str, ...]):
+    """Up to three of a record's field names, one strategy per field list."""
+    return st.lists(st.sampled_from(names), max_size=3, unique=True)
+
+
 @st.composite
 def _records(draw) -> dict:
     """A well-formed record of a random kind in which up to three base or
     payload fields are dropped or replaced by a mixed JSON value."""
-    kind = draw(st.sampled_from(EventKind))
+    kind = draw(_RECORD_KINDS)
     record = {
         "id": draw(_U64), "kind": kind.value, "node": draw(_U64),
-        "engine_time": draw(_floats(True)), "parents": draw(st.lists(_U64, max_size=3)),
+        "engine_time": draw(_ENGINE_TIMES), "parents": draw(_RECORD_PARENTS),
     }
     if kind is EventKind.CLOCK_TICK:
-        record.update(pulse_id=draw(_U64), counter=draw(st.integers()))
+        record.update(pulse_id=draw(_U64), counter=draw(_INTEGERS))
     elif kind is EventKind.DECAY:
-        record.update({name: draw(_floats(True) | st.integers()) for name in ENTROPY_COLUMNS[1:]})
-    record.update(draw(st.dictionaries(st.sampled_from(("reason", "arc", "note")), _MIXED, max_size=2)))
-    kinds = st.sampled_from([k.value for k in EventKind])
-    for name in draw(st.lists(st.sampled_from(list(record)), max_size=3, unique=True)):
+        record.update({name: draw(_ENTROPY_VALUES) for name in ENTROPY_COLUMNS[1:]})
+    record.update(draw(_EXTRA_FIELDS))
+    for name in draw(_changed_names(tuple(record))):
         if draw(st.booleans()):
             del record[name]
         else:
             if name == "kind":
-                record[name] = draw(kinds | _MIXED)
+                record[name] = draw(_MIXED_KINDS)
             elif name == "parents":
-                record[name] = draw(st.lists(_U64 | _MIXED, max_size=3) | _MIXED)
+                record[name] = draw(_MIXED_PARENTS)
             else:
                 record[name] = draw(_MIXED)
     return record

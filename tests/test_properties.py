@@ -295,7 +295,7 @@ def test_index_keeps_the_descendants_of_absorptions(case):
     for event in trace:
         if any(p in absorptions or p in descends for p in event.parents):
             descends.add(event.id)
-    assert [eid for eid, _, _ in TraceIndex(trace)._steps] == sorted(descends)
+    assert [eid for eid, _ in TraceIndex(trace)._steps] == sorted(descends)
 
 
 def test_broadcast_network_exercises_the_index():
@@ -306,7 +306,7 @@ def test_broadcast_network_exercises_the_index():
     assert index.clocks == [3, 11, 26]
     steps = index._steps
     assert len(trace) == 890 and len(steps) == 27
-    assert {kind for _, kind, _ in steps} == {EventKind.DECAY}
+    assert {trace[eid].kind for eid, _ in steps} == {EventKind.DECAY}
     for clock_id in index.clocks:
         labels, skipped = index.label(index.pulses(clock_id))
         assert (len(labels), skipped) == (50, 0)

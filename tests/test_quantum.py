@@ -111,45 +111,45 @@ class TestLifetime:
 class TestAbsorb:
     def test_resonant_absorption(self):
         ids = itertools.count()
-        out = absorb(None, two_level(1.5), 1.5, 1e-9, ids)
+        out = absorb(None, signal_energy(two_level(1.5)), 1.5, 1e-9, ids)
         assert out == 0
 
     def test_off_resonance_passes_through(self):
         ids = itertools.count()
-        out = absorb(None, two_level(1.5), 1.6, 1e-3, ids)
+        out = absorb(None, signal_energy(two_level(1.5)), 1.6, 1e-3, ids)
         assert out is None
 
     def test_occupied_node_passes_through(self):
         ids = itertools.count()
         excited = next(ids)
-        assert absorb(excited, two_level(1.5), 1.5, 1e-9, ids) is None
+        assert absorb(excited, signal_energy(two_level(1.5)), 1.5, 1e-9, ids) is None
 
     def test_within_tolerance_absorbs(self):
         ids = itertools.count()
-        out = absorb(None, two_level(1.5), 1.5 + 5e-7, 1e-6, ids)
+        out = absorb(None, signal_energy(two_level(1.5)), 1.5 + 5e-7, 1e-6, ids)
         assert out is not None
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            absorb(None, two_level(1.5), 1.5, -1e-9, itertools.count())
+            absorb(None, signal_energy(two_level(1.5)), 1.5, -1e-9, itertools.count())
 
     def test_nan_energy_passes_through(self):
-        out = absorb(None, two_level(1.5), float("nan"), 1e-3, itertools.count())
+        out = absorb(None, signal_energy(two_level(1.5)), float("nan"), 1e-3, itertools.count())
         assert out is None
 
     def test_fresh_ids_unique(self):
         ids = itertools.count()
-        spec = two_level(1.5)
+        gap = signal_energy(two_level(1.5))
         seen = set()
         for _ in range(10):
-            out = absorb(None, spec, 1.5, 1e-9, ids)
+            out = absorb(None, gap, 1.5, 1e-9, ids)
             assert out not in seen
             seen.add(out)
 
     def test_passthrough_mints_no_id(self):
         ids = itertools.count()
-        spec = two_level(1.5)
-        absorb(None, spec, 9.9, 1e-9, ids)
-        out = absorb(None, spec, 1.5, 1e-9, ids)
+        gap = signal_energy(two_level(1.5))
+        absorb(None, gap, 9.9, 1e-9, ids)
+        out = absorb(None, gap, 1.5, 1e-9, ids)
         assert out == 0
 

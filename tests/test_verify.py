@@ -11,7 +11,7 @@ from fcnsim.io import iter_trace, parse_network_file
 
 _DROP = object()  # as a payload value: remove the field
 # The event changed, its base and payload changes, and the problems with the
-# chain network. The trace reader refuses the two "in memory" cases in a file.
+# chain network. The trace reader refuses the three "in memory" cases in a file.
 _DEFECTS = {
     "golden": (None, {}, {}, []),
     "second-decay": (8, {}, {"excitation_id": 0}, ["8: excitation 0 decays again; event 3 decayed it"]),
@@ -26,7 +26,8 @@ _DEFECTS = {
     "pulse-counter": (6, {}, {"counter": 3}, [
         "6: clock 3: pulse 2 (tick 2) is at engine_time 2.0 with counter 3; the network declares 2.0 with counter 2"]),
     "id-not-ascending-in-memory": (12, {"id": 11}, {}, ["11: id is not greater than id 11 before it"]),
-    "parent-not-earlier-in-memory": (12, {"parents": frozenset({13})}, {}, ["12: parent 13 is not an earlier event"]),
+    "parent-not-earlier-in-memory": (12, {"parents": (13,)}, {}, ["12: parent 13 is not an earlier event"]),
+    "two-parents-in-memory": (5, {"parents": (4, 3)}, {}, ["5: it has more than one parent"]),
     "total-not-the-sum": (3, {}, {"total": 7.0}, [
         "3: total 7.0 is not ds_internal + ds_signal + ds_vacuum = 5744.236470264064"]),
     "production-rate-doubled": (3, {}, {"production_rate": 11488.472940528129}, [
@@ -39,14 +40,14 @@ _DEFECTS = {
         "3: total must be finite, got inf"]),
     "int-entropy-terms-sum-beyond-floats": (3, {}, {"ds_internal": 0, "ds_signal": 2**1023, "ds_vacuum": 2**1023}, [
         f"3: total must be finite, got {2**1024}"]),
-    "decay-parent-not-its-exciter": (8, {"parents": frozenset({4})}, {}, [
+    "decay-parent-not-its-exciter": (8, {"parents": (4,)}, {}, [
         "8: its parent is not the event that excited excitation 1 at node 2"]),
     "excitation-id-not-an-integer": (8, {}, {"excitation_id": [1]}, [
         "8: its parent is not the event that excited excitation [1] at node 2"]),
-    "emission-parent-not-a-decay": (9, {"parents": frozenset({5})}, {}, ["9: its parent is not a decay at node 2"]),
+    "emission-parent-not-a-decay": (9, {"parents": (5,)}, {}, ["9: its parent is not a decay at node 2"]),
     "decay-energy-not-its-emissions": (3, {}, {"energy_ev": 1.4}, ["4: its energy_ev 1.5 is not decay 3's 1.4"]),
     "energy-not-conserved": (5, {}, {"energy_ev": 1.4}, ["5: its arc or energy_ev differs from emission 4's"]),
-    "signal-arrives-twice": (10, {"parents": frozenset({4})}, {}, [
+    "signal-arrives-twice": (10, {"parents": (4,)}, {}, [
         "10: its parent is not an emission whose signal is still in flight"]),
     "emission-on-no-arc-of-its-node": (9, {}, {"arc": 1}, [
         "9: arc 1 is not an arc of the network from node 2", "10: its arc or energy_ev differs from emission 9's"]),
