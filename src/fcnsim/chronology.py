@@ -239,7 +239,7 @@ def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport
 
 
 def _label(
-    absorptions: list[SimEvent], pulses: tuple[ClockPulse, ...]
+    absorptions: list[SimEvent] | list[_Absorption], pulses: tuple[ClockPulse, ...]
 ) -> tuple[tuple[TimeLabel, ...], int]:
     """Pair each absorption with the latest pulse at or before it and label
     it with that pulse's recorded time, bisecting the pulse times once per
@@ -278,47 +278,112 @@ def label_absorptions(
     return _label([e for e in trace if e.kind is absorption], pulses)
 
 
+class _Absorption(NamedTuple):
+    """What the index keeps of an absorption: enough to label it and to name its node."""
+
+    id: EventId
+    node: NodeId
+    engine_time: float
+
+
+# The index's fold of a run of events (``fold_index``): the absorptions as
+# ``(id, node, engine_time)``, the ticks as ``ClockPulse`` fields, and
+# ``(id, parent, is_absorption)`` of each event that may descend from an
+# absorption, with -1 for no parent. Plain tuples and lists, so that
+# ``marshal`` writes it; the fold of two consecutive runs is the item-wise
+# sum of their folds.
+IndexFold = tuple[
+    list[tuple[EventId, NodeId, float]], list[tuple[PulseId, NodeId, int, float]], list[tuple[EventId, int, bool]]
+]
+
+
+def fold_index(trace: Iterable[SimEvent]) -> IndexFold:
+    """The part of a ``TraceIndex`` that one run of events decides alone.
+
+    An event may descend from an absorption when it is one, or when its
+    parent is such an event of the run or comes before the run's first id
+    (in an earlier run, where the join decides). Every other event has all
+    its ancestors in the run and none is an absorption, so it leaves no
+    record. Ids must ascend strictly within the run (ParseError otherwise),
+    and a tick missing ``pulse_id`` or ``counter`` raises KeyError.
+    """
+    absorptions: list[tuple[EventId, NodeId, float]] = []
+    pulses: list[tuple[PulseId, NodeId, int, float]] = []
+    records: list[tuple[EventId, int, bool]] = []
+    absorb, pulse, record = absorptions.append, pulses.append, records.append
+    live: set[EventId] = set()  # the ids of the recorded events
+    add = live.add
+    absorption, tick = EventKind.ABSORPTION, EventKind.CLOCK_TICK  # one enum lookup, not one per event
+    previous = first = -1
+    for eid, kind, node, t, parents, payload in trace:
+        if eid <= previous:
+            raise ParseError(f"event id {eid} is not greater than id {previous} before it")
+        if previous < 0:
+            first = eid
+        previous = eid
+        if kind is absorption:
+            absorb((eid, node, t))
+            record((eid, parents[0] if parents else -1, True))
+            add(eid)
+            continue
+        if parents and ((parent := parents[0]) in live or parent < first):
+            record((eid, parent, False))
+            add(eid)
+        if kind is tick:
+            pulse((payload["pulse_id"], node, payload["counter"], t))
+    return absorptions, pulses, records
+
+
 class TraceIndex:
     """One trace, indexed once for labeling and checking against many clocks.
 
     ``trace`` is any iterable of events in stream order with strictly
     ascending ids, as ``Engine.events``, ``iter_trace`` and ``parse_trace``
-    give them; an id that does not ascend raises ParseError. One pass keeps
-    ``absorptions`` (in trace order), each clock's pulses (a tick missing
-    ``pulse_id`` or ``counter`` raises KeyError here) and, since only
-    absorptions get labels, ``(id, parent)`` of each event whose one parent
-    is an absorption or a kept event before it. A parent that is absent, or
-    not earlier in the stream, contributes nothing. Labeling costs one
+    give them; an id that does not ascend raises ParseError. One pass
+    (``fold_index``) keeps ``absorptions`` (in trace order, each as its id,
+    node and time), each clock's pulses (a tick missing ``pulse_id`` or
+    ``counter`` raises KeyError here) and a record of each event that may
+    descend from an absorption; the join then keeps, since only absorptions
+    get labels, ``(id, parent)`` of each event whose one parent is an
+    absorption or a kept event before it. A parent that is absent, or not
+    earlier in the stream, contributes nothing. Labeling costs one
     bisection per absorption and checking one pass over the kept events.
+    ``TraceIndex.joined`` builds the index from a fold, such as the one
+    ``fold.fold_trace`` reads from a file on two cores.
     """
 
     def __init__(self, trace: Iterable[SimEvent]):
-        self.absorptions: list[SimEvent] = []
+        self._join(fold_index(trace))
+
+    @classmethod
+    def joined(cls, fold: IndexFold) -> TraceIndex:
+        """The index of the events ``fold`` was folded from."""
+        index = cls.__new__(cls)
+        index._join(fold)
+        return index
+
+    def _join(self, fold: IndexFold) -> None:
+        absorptions, pulses, records = fold
+        new = tuple.__new__
+        self.absorptions = [new(_Absorption, a) for a in absorptions]
+        self._absorption_ids = {a[0] for a in absorptions}
         ticks: dict[NodeId, list[ClockPulse]] = {}
+        for p in pulses:
+            ticks.setdefault(p[1], []).append(new(ClockPulse, p))
+        # ClockPulse is immutable, so ``pulses`` hands out these tuples as they are.
+        self._pulses = {clock: tuple(clock_pulses) for clock, clock_pulses in ticks.items()}
         # The kept events, and for each parent they name the last step that names it.
         self._steps: list[tuple[EventId, EventId]] = []
         self._last_reader: dict[EventId, int] = {}
         reach: set[EventId] = set()  # the ids of the absorptions and kept events so far
-        absorb, keep, add = self.absorptions.append, self._steps.append, reach.add
-        absorption, tick = EventKind.ABSORPTION, EventKind.CLOCK_TICK  # one enum lookup, not one per event
-        previous = -1
-        for event in trace:
-            eid, kind, node, _, parents, _ = event
-            if eid <= previous:
-                raise ParseError(f"event id {eid} is not greater than id {previous} before it")
-            previous = eid
-            if parents and (parent := parents[0]) in reach:
-                self._last_reader[parent] = len(self._steps)
+        keep, add, last_reader = self._steps.append, reach.add, self._last_reader
+        for eid, parent, absorbed in records:
+            if parent in reach:
+                last_reader[parent] = len(self._steps)
                 keep((eid, parent))
                 add(eid)
-            if kind is absorption:
-                absorb(event)
+            elif absorbed:
                 add(eid)
-            elif kind is tick:
-                ticks.setdefault(node, []).append(_pulse(event))
-        # ClockPulse is immutable, so ``pulses`` hands out these tuples as they are.
-        self._pulses = {clock: tuple(pulses) for clock, pulses in ticks.items()}
-        self._absorption_ids = {e.id for e in self.absorptions}
 
     @property
     def clocks(self) -> list[NodeId]:

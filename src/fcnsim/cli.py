@@ -192,13 +192,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from .chronology import TraceIndex, _undeclared_pulses
-    from .io import iter_trace, parse_network_file, write_timeline_csv
-    if args.net:
+    from .chronology import TraceIndex, _undeclared_pulses, fold_index
+    from .fold import fold_trace
+    from .io import parse_network_file, write_timeline_csv
+    spec = None
+
+    def clock_spec() -> None:
+        nonlocal spec
         spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
         if spec is None:
             raise ValidationFailed([f"no standard clock at node {args.clock} in {args.net}"])
-    index = TraceIndex(iter_trace(args.trace))
+
+    # The network is read while a large trace's second half is read on
+    # the other core; its error still comes first.
+    index = TraceIndex.joined(fold_trace(args.trace, fold_index, clock_spec if args.net else None))
     pulses = index.pulses(args.clock)
     if args.net:
         first = next(_undeclared_pulses(pulses, spec, args.net), None)
@@ -222,24 +229,26 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    from .io import ENTROPY_COLUMNS, entropy_rows, iter_trace, write_csv
+    from .fold import fold_trace
+    from .io import ENTROPY_COLUMNS, entropy_lines, write_csv
     # The rows are written once the whole trace has passed its checks.
-    rows = entropy_rows(iter_trace(args.trace))
-    violations = sum(1 for row in rows if row[4] < 0)  # row[4] is the total
+    text, decays, violations = fold_trace(args.trace, entropy_lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            write_csv(fp, ENTROPY_COLUMNS, rows)
+            write_csv(fp, ENTROPY_COLUMNS, [])
+            fp.write(text)
     else:
-        write_csv(sys.stdout, ENTROPY_COLUMNS, rows)
-    print(f"entropy: {len(rows)} decays, {violations} second-law violations", file=sys.stderr)
+        write_csv(sys.stdout, ENTROPY_COLUMNS, [])
+        sys.stdout.write(text)
+    print(f"entropy: {decays} decays, {violations} second-law violations", file=sys.stderr)
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from operator import attrgetter
-    from .chronology import TraceIndex
+def _report_fold(events: Iterable[SimEvent]) -> tuple:
+    """The index fold of a run of events, then its count of each kind (in
+    ``EventKind`` order) and its count of decays with a negative total."""
+    from .chronology import fold_index
     from .events import EventKind
-    from .io import iter_trace
     counts = dict.fromkeys(EventKind, 0)  # a plain dict: CPython specializes its item updates
     negative = 0  # decays with a negative total entropy change
 
@@ -251,12 +260,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
             negative += kind is decay and event.payload["total"] < 0
             yield event
 
+    return (*fold_index(tallied(events)), *counts.values(), negative)
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from operator import attrgetter
+    from .chronology import TraceIndex
+    from .events import EventKind
+    from .fold import fold_trace
     # One pass over the stream counts the kinds, finds every clock's pulses
     # and keeps the events that descend from an absorption; each clock then
     # costs one labeling and one pass over those events.
-    index = TraceIndex(tallied(iter_trace(args.trace)))
+    folded = fold_trace(args.trace, _report_fold)
+    index = TraceIndex.joined(folded[:3])
+    *tally, negative = folded[3:]
+    counts = dict(zip(EventKind, tally))
     # Printed once every clock is labelled, so a failure leaves stdout empty.
-    lines = [f"events: {sum(counts.values())}"]
+    lines = [f"events: {sum(tally)}"]
     lines += [f"  {kind.value}: {counts[kind]}" for kind in sorted(counts, key=attrgetter("value")) if counts[kind]]
     lines.append(f"entropy: {counts[EventKind.DECAY]} decays, {negative} second-law violations")
     for clock_id in index.clocks:

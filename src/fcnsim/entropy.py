@@ -33,6 +33,11 @@ class EntropyBreakdown(Checked, namedtuple("EntropyBreakdown", "ds_internal ds_s
 
     def __new__(cls, ds_internal: float, ds_signal: float, ds_vacuum: float) -> EntropyBreakdown:
         terms = (ds_internal, ds_signal, ds_vacuum)
+        # The usual case in one test; the loop below runs only to name a term
+        # that is not finite. Not isfinite(sum): 10**400 - 10**400 + 0.0 is
+        # finite, though its first term has no float.
+        if math.isfinite(ds_internal) and math.isfinite(ds_signal) and math.isfinite(ds_vacuum):
+            return tuple.__new__(cls, terms)
         for name, value in zip(cls._fields, terms):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

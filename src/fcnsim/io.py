@@ -15,6 +15,7 @@ import errno
 import json
 import math
 import os
+from io import StringIO
 from pathlib import Path
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, IO, Iterable, Iterator, NamedTuple
@@ -521,13 +522,17 @@ def _line_event(line: str, lineno: int) -> SimEvent | None:
     return event
 
 
-def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
+def _checked(lines: Iterable[str], seen: set[int] | None = None, outside: set[int] | None = None
+             ) -> Iterator[SimEvent]:
     """The checked events on the lines of a trace, each line without its line feed.
 
-    Event ids ascend strictly from line to line; the set of ids read so far
-    is the check of an event's one parent.
+    Event ids ascend strictly from line to line; ``seen``, the set of ids
+    read so far, is the check of an event's one parent. With ``outside``,
+    for the second half of a file, a parent not in ``seen`` is added to
+    ``outside`` instead: the first half must hold it.
     """
-    seen: set[int] = set()
+    if seen is None:
+        seen = set()
     add = seen.add
     previous, previous_line = -1, 0  # the id on the last non-blank line, and its number
     for lineno, line in enumerate(lines, start=1):
@@ -538,7 +543,9 @@ def _checked(lines: Iterable[str]) -> Iterator[SimEvent]:
             raise ParseError(f"event id {event.id} is not greater than id {previous} on line {previous_line}",
                              f"line {lineno}")
         if event.parents and (parent := event.parents[0]) not in seen:
-            raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
+            if outside is None:
+                raise ParseError(f"parent {parent} is not the id of an earlier event", f"line {lineno}")
+            outside.add(parent)
         add(previous := event.id)
         previous_line = lineno
         yield event
@@ -660,3 +667,13 @@ def entropy_rows(trace: Iterable[SimEvent]) -> list[tuple[Any, ...]]:
 def write_entropy_csv(trace: Iterable[SimEvent], fp: IO[str]) -> int:
     """Write one row per decay, straight from the decay payloads."""
     return write_csv(fp, ENTROPY_COLUMNS, entropy_rows(trace))
+
+
+def entropy_lines(trace: Iterable[SimEvent]) -> tuple[str, int, int]:
+    """The entropy CSV's rows of a run of events, as ``write_entropy_csv``
+    writes them after its header; the row count; and how many rows have a
+    negative total. A fold for ``fold.fold_trace``."""
+    rows = entropy_rows(trace)
+    text = StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue(), len(rows), sum(1 for row in rows if row[4] < 0)  # row[4] is the total

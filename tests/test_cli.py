@@ -212,7 +212,7 @@ class TestRun:
         "flag, term",
         [("--t-env", "ds_signal must be finite, got inf"), ("--t-source", "ds_internal must be finite, got -inf")],
     )
-    def test_temperature_too_small_for_k_b_t_is_runtime_error(self, chain_net, flag, term, capsys):
+    def test_temperature_too_small_for_k_b_t_is_refused_before_the_first_event(self, chain_net, flag, term, capsys):
         """k_B * 1e-320 K underflows to 0: the term it divides is infinite, so
         the engine refuses both decaying nodes before the first event."""
         assert main(["run", chain_net, "--until", "5", flag, "1e-320"]) == 2
@@ -908,9 +908,9 @@ _NETWORK = {"fcnsim.network", "fcnsim.quantum", "fcnsim.constants"}  # what read
         (["run", "{net}", "--until", "5.0", "--out", "{out}/t.jsonl"],
          {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.engine", "fcnsim.entropy"}),
         (["timeline", "{trace}", "--clock", "3", "--net", "{net}", "--out", "{out}/t.csv"],
-         {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.chronology"}),
-        (["entropy", "{trace}", "--out", "{out}/e.csv"], {"fcnsim.io", "fcnsim.events"}),
-        (["report", "{trace}"], {"fcnsim.io", "fcnsim.events", "fcnsim.chronology"}),
+         {"fcnsim.io", "fcnsim.fold", "fcnsim.events", *_NETWORK, "fcnsim.chronology"}),
+        (["entropy", "{trace}", "--out", "{out}/e.csv"], {"fcnsim.io", "fcnsim.fold", "fcnsim.events"}),
+        (["report", "{trace}"], {"fcnsim.io", "fcnsim.fold", "fcnsim.events", "fcnsim.chronology"}),
     ],
     ids=["validate", "run", "timeline-net", "entropy", "report"],
 )

@@ -437,6 +437,62 @@ class TestParseNetwork:
         assert [(i.node, i.at_s) for i in doc.injections] == injections
 
 
+# Malformed records and the reader's message for each.
+MALFORMED_RECORDS = [
+    ({**_ABSORPTION, "engine_time": True}, "'engine_time' must be a number"),
+    ({**_ABSORPTION, "engine_time": "0.5"}, "'engine_time' must be a number"),
+    ({**_ABSORPTION, "parents": [1.5]}, "'parents' must be an array of integers"),
+    ({**_ABSORPTION, "parents": 3}, "'parents' must be an array of integers"),
+    ({**_ABSORPTION, "id": "0"}, "'id' and 'node' must be integers"),
+    ({**_ABSORPTION, "node": 1.0}, "'id' and 'node' must be integers"),
+    ([_ABSORPTION], "expected an object"),
+    ("absorption", "expected an object"),
+    ({**_ABSORPTION, "kind": 1}, "unknown event kind 1"),
+    ({**_ABSORPTION, "kind": ["decay"]}, "unknown event kind ['decay']"),
+    ({**_ABSORPTION, "kind": None}, "unknown event kind None"),
+    ({"id": 0, "kind": "decay"}, "missing field(s): node, engine_time, parents"),
+    (_without(_TICK, "pulse_id"), "missing field(s): pulse_id"),
+    ({**_TICK, "counter": "3"}, "'counter' must be an integer"),
+    ({**_TICK, "pulse_id": True}, "'pulse_id' must be an integer"),
+    (
+        _without(_DECAY, "ds_internal", "ds_signal", "ds_vacuum", "total"),
+        "missing field(s): ds_internal, ds_signal, ds_vacuum, total",
+    ),
+    (_without(_DECAY, "lifetime_s"), "missing field(s): lifetime_s"),
+    ({**_DECAY, "total": "-1"}, "'total' must be a number"),
+    ({**_DECAY, "production_rate": None}, "'production_rate' must be a number"),
+    ({**_ABSORPTION, "id": True}, "'id' and 'node' must be integers"),
+    ({**_ABSORPTION, "node": False}, "'id' and 'node' must be integers"),
+    (
+        {"id": True, "kind": "absorption", "node": -5, "engine_time": 0.0, "parents": [False]},
+        "'id' and 'node' must be integers",
+    ),
+    ({**_ABSORPTION, "id": -1}, "'id' must be an unsigned 64-bit integer, got -1"),
+    ({**_ABSORPTION, "node": -5}, "'node' must be an unsigned 64-bit integer, got -5"),
+    (
+        {**_ABSORPTION, "node": 2**64},
+        "'node' must be an unsigned 64-bit integer, got 18446744073709551616",
+    ),
+    ({**_ABSORPTION, "parents": [False]}, "'parents' must be an array of integers"),
+    ({**_ABSORPTION, "parents": [0, True]}, "'parents' must be an array of integers"),
+    (
+        {**_ABSORPTION, "parents": [0, -3]},
+        "'parents' must be an array of unsigned 64-bit integers",
+    ),
+    (
+        {**_ABSORPTION, "parents": [2**64]},
+        "'parents' must be an array of unsigned 64-bit integers",
+    ),
+    ({**_ABSORPTION, "parents": [0, 1]}, "'parents' must hold at most one id"),
+]
+
+# Field text that no JSON decoder here reads, and the start of its message.
+UNDECODABLE = [
+    ("note", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ("node", "7" * 5001, "Exceeds the limit (4300 digits) for integer string conversion"),
+]
+
+
 class TestTraceRoundTrip:
     def test_chain_trace_round_trips(self, chain):
         net, injections = chain
@@ -540,56 +596,7 @@ class TestTraceRoundTrip:
             parse_trace(line + "\n")
         assert str(err.value) == "line 1: missing field(s): parents"
 
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ({**_ABSORPTION, "engine_time": True}, "'engine_time' must be a number"),
-            ({**_ABSORPTION, "engine_time": "0.5"}, "'engine_time' must be a number"),
-            ({**_ABSORPTION, "parents": [1.5]}, "'parents' must be an array of integers"),
-            ({**_ABSORPTION, "parents": 3}, "'parents' must be an array of integers"),
-            ({**_ABSORPTION, "id": "0"}, "'id' and 'node' must be integers"),
-            ({**_ABSORPTION, "node": 1.0}, "'id' and 'node' must be integers"),
-            ([_ABSORPTION], "expected an object"),
-            ("absorption", "expected an object"),
-            ({**_ABSORPTION, "kind": 1}, "unknown event kind 1"),
-            ({**_ABSORPTION, "kind": ["decay"]}, "unknown event kind ['decay']"),
-            ({**_ABSORPTION, "kind": None}, "unknown event kind None"),
-            ({"id": 0, "kind": "decay"}, "missing field(s): node, engine_time, parents"),
-            (_without(_TICK, "pulse_id"), "missing field(s): pulse_id"),
-            ({**_TICK, "counter": "3"}, "'counter' must be an integer"),
-            ({**_TICK, "pulse_id": True}, "'pulse_id' must be an integer"),
-            (
-                _without(_DECAY, "ds_internal", "ds_signal", "ds_vacuum", "total"),
-                "missing field(s): ds_internal, ds_signal, ds_vacuum, total",
-            ),
-            (_without(_DECAY, "lifetime_s"), "missing field(s): lifetime_s"),
-            ({**_DECAY, "total": "-1"}, "'total' must be a number"),
-            ({**_DECAY, "production_rate": None}, "'production_rate' must be a number"),
-            ({**_ABSORPTION, "id": True}, "'id' and 'node' must be integers"),
-            ({**_ABSORPTION, "node": False}, "'id' and 'node' must be integers"),
-            (
-                {"id": True, "kind": "absorption", "node": -5, "engine_time": 0.0, "parents": [False]},
-                "'id' and 'node' must be integers",
-            ),
-            ({**_ABSORPTION, "id": -1}, "'id' must be an unsigned 64-bit integer, got -1"),
-            ({**_ABSORPTION, "node": -5}, "'node' must be an unsigned 64-bit integer, got -5"),
-            (
-                {**_ABSORPTION, "node": 2**64},
-                "'node' must be an unsigned 64-bit integer, got 18446744073709551616",
-            ),
-            ({**_ABSORPTION, "parents": [False]}, "'parents' must be an array of integers"),
-            ({**_ABSORPTION, "parents": [0, True]}, "'parents' must be an array of integers"),
-            (
-                {**_ABSORPTION, "parents": [0, -3]},
-                "'parents' must be an array of unsigned 64-bit integers",
-            ),
-            (
-                {**_ABSORPTION, "parents": [2**64]},
-                "'parents' must be an array of unsigned 64-bit integers",
-            ),
-            ({**_ABSORPTION, "parents": [0, 1]}, "'parents' must hold at most one id"),
-        ],
-    )
+    @pytest.mark.parametrize("record, message", MALFORMED_RECORDS)
     def test_malformed_record_message(self, record, message):
         with pytest.raises(ParseError) as err:
             parse_trace("\n" + json.dumps(record) + "\n")
@@ -774,10 +781,7 @@ class TestTraceRoundTrip:
             next(events)
         assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("note", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
-        ("node", "7" * 5001, "Exceeds the limit (4300 digits) for integer string conversion"),
-    ], ids=["deep-nesting", "digit-limit"])
+    @pytest.mark.parametrize("field, value, message", UNDECODABLE, ids=["deep-nesting", "digit-limit"])
     def test_undecodable_json_names_its_line(self, tmp_path, field, value, message):
         """Nesting deeper than the recursion limit and an integer over
         CPython's digit limit are invalid JSON, not a crash."""
@@ -893,42 +897,61 @@ _INT_TIMES = st.integers(-(10**400), 10**400) | st.sampled_from(
     [10**400, -(10**400), 2**1024 - 2**970 - 1, 2**1024 - 2**970, 2**53 + 1]
 )
 _KEYS = st.sampled_from(_ENGINE_KEYS) | _TEXT.filter(lambda k: k not in _BASE)
-# For finite and for any events: the payloads, ids, times and parents.
+# What each field of a finite event is drawn from.
 _FIELDS = {
-    finite: (st.dictionaries(_KEYS, _values(finite), max_size=6), _U64, _floats(finite),
-             st.lists(_U64, max_size=1).map(tuple))
-    for finite in (True, False)
+    "payload": st.dictionaries(_KEYS, _values(True), max_size=6),
+    "id": _U64,
+    "node": _U64,
+    "engine_time": _floats(True),
+    "parents": st.lists(_U64, max_size=1).map(tuple),
 }
-# Base field names, non-string keys, values json.dumps cannot write, and
-# ids, times and parents the writer refuses: parents that are not
-# unsigned 64-bit ints, more than one of them, or not in a tuple.
-_REFUSED_FIELDS = (
-    st.dictionaries(
+# What the writer refuses, by field: base field names, non-string keys,
+# values json.dumps cannot write, NaNs and infinities, ids and times outside
+# its contract, and parents that are not unsigned 64-bit ints or more than
+# one of them. Each pool holds valid values too.
+_REFUSED_FIELDS = {
+    "payload": st.dictionaries(
         _KEYS | st.sampled_from(_BASE) | st.integers(-3, 3) | st.tuples(st.integers(0, 2)),
         _values(False) | st.sets(st.integers(0, 2), max_size=2),
         max_size=6,
     ),
-    _U64 | _BAD_IDS,
-    _floats(False) | st.integers(-3, 3) | _INT_TIMES | _BAD_TIMES,
-    st.builds(lambda make, ids: make(ids), st.sampled_from([tuple, frozenset, list]),
-              st.lists(_U64 | _BAD_IDS | st.sampled_from(["a", "0"]), max_size=4)),
-)
+    "id": _U64 | _BAD_IDS,
+    "node": _U64 | _BAD_IDS,
+    "engine_time": _floats(False) | st.integers(-3, 3) | _INT_TIMES | _BAD_TIMES,
+    "parents": st.lists(_U64 | _BAD_IDS | st.sampled_from(["a", "0"]), max_size=4).map(tuple),
+}
+# Per field the writer may refuse, the pools of an event in which only that
+# field is drawn from its refused pool; "read" is a tick's or a decay's read
+# field dropped or mistyped, and "container" puts valid parent ids in a
+# frozenset or a list, which read back as a tuple.
+_POOLS = {
+    None: _FIELDS,
+    "read": _FIELDS,
+    **{name: {**_FIELDS, name: pool} for name, pool in _REFUSED_FIELDS.items()},
+    "container": {**_FIELDS, "parents": st.builds(lambda make, ids: make(ids), st.sampled_from([frozenset, list]),
+                                                  st.lists(st.just(0) | _U64, max_size=2))},
+}
+_CHOSEN = st.sampled_from(list(_POOLS))
+_EVENT_KINDS = st.sampled_from(EventKind)
+_READ_KINDS = st.sampled_from([EventKind.CLOCK_TICK, EventKind.DECAY])
 _ENTROPY_VALUES = _floats(True) | st.integers()
 _MISTYPED = st.sampled_from([None, True, "1", 1.5, [0]])
 
 
 @st.composite
 def _events(draw, finite: bool) -> SimEvent:
-    kind = draw(st.sampled_from(EventKind))
-    refused = not finite and draw(st.booleans())
-    payloads, ids, times, parents = _REFUSED_FIELDS if refused else _FIELDS[finite]
-    payload = draw(payloads)
+    """A finite event, or one in which at most one field may be refused, so
+    that the property meets each of the writer's refusals alone."""
+    refused = None if finite else draw(_CHOSEN)
+    kind = draw(_READ_KINDS if refused == "read" else _EVENT_KINDS)
+    pools = _POOLS[refused]
+    payload = draw(pools["payload"])
     # The fields the reader checks, with the types it requires.
     if kind is EventKind.CLOCK_TICK:
         payload.update(pulse_id=draw(_U64), counter=draw(st.integers()))
     elif kind is EventKind.DECAY:
         payload.update({name: draw(_ENTROPY_VALUES) for name in ENTROPY_COLUMNS[1:]})
-    if not finite and kind in (EventKind.CLOCK_TICK, EventKind.DECAY) and draw(st.booleans()):
+    if refused == "read":
         # Some of them dropped, or given a value of another type.
         read = [k for k in ("pulse_id", "counter", *ENTROPY_COLUMNS[1:]) if k in payload]
         for name in draw(st.lists(st.sampled_from(read), min_size=1, max_size=2, unique=True)):
@@ -937,11 +960,11 @@ def _events(draw, finite: bool) -> SimEvent:
             else:
                 payload[name] = draw(_MISTYPED)
     return SimEvent(
-        id=draw(ids),
+        id=draw(pools["id"]),
         kind=kind,
-        node=draw(ids),
-        engine_time=draw(times),
-        parents=draw(parents),
+        node=draw(pools["node"]),
+        engine_time=draw(pools["engine_time"]),
+        parents=draw(pools["parents"]),
         payload=payload,
     )
 
