@@ -11,10 +11,11 @@ cycle, and each generation-2 pass would rescan all of them as the trace
 grows; the cyclic garbage a command leaves is a few hundred objects,
 whatever the trace length, and is collected once the collector resumes.
 
-While ``run`` runs in the main thread, a SIGTERM that would kill the
-process raises ``_Terminated`` instead, so the writer removes its
-temporary file; ``main`` then restores the default handler and raises the
-signal again, and the process still ends killed by SIGTERM.
+While a command runs in the main thread, a SIGTERM that would kill the
+process raises ``_Terminated`` instead, so ``run``'s writer removes its
+temporary file and a reading command kills and reaps the worker that
+reads a trace's second half; ``main`` then restores the default handler
+and raises the signal again, and the process still ends killed by SIGTERM.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import signal
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from .errors import FcnError, ParseError, ValidationFailed
 
 if TYPE_CHECKING:
     from pathlib import Path
-    from typing import Iterable, Iterator
+    from typing import IO, ContextManager, Iterable, Iterator
     from .events import SimEvent
 
 
@@ -38,7 +41,7 @@ class _UsageError(Exception):
 
 
 class _Terminated(BaseException):
-    """A SIGTERM while ``run`` writes; a BaseException, so no command catches it."""
+    """A SIGTERM while a command runs; a BaseException, so no command catches it."""
 
 
 def _terminated(signum: int, frame: object) -> None:
@@ -191,6 +194,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _output(path: str | None) -> ContextManager[IO[str]]:
+    """The CSV file ``path`` opened to write, or, without a path, stdout,
+    which the ``with`` block leaves open."""
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
+
+
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from .chronology import TraceIndex, _undeclared_pulses, fold_index
     from .fold import fold_trace
@@ -215,11 +224,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         raise ValidationFailed([f"clock {args.clock}: no pulses in trace"])
     labels, skipped = index.label(pulses)
     timeline, violations, _ = index.check(labels, observer=args.clock)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            rows = write_timeline_csv(timeline, index.absorptions, fp)
-    else:
-        rows = write_timeline_csv(timeline, index.absorptions, sys.stdout)
+    with _output(args.out) as fp:
+        rows = write_timeline_csv(timeline, index.absorptions, fp)
     print(
         f"timeline: clock {args.clock}: {rows} labels, {skipped} skipped, "
         f"{len(violations)} causal violations",
@@ -233,13 +239,9 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     from .io import ENTROPY_COLUMNS, entropy_lines, write_csv
     # The rows are written once the whole trace has passed its checks.
     text, decays, violations = fold_trace(args.trace, entropy_lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fp:
-            write_csv(fp, ENTROPY_COLUMNS, [])
-            fp.write(text)
-    else:
-        write_csv(sys.stdout, ENTROPY_COLUMNS, [])
-        sys.stdout.write(text)
+    with _output(args.out) as fp:
+        write_csv(fp, ENTROPY_COLUMNS, [])
+        fp.write(text)
     print(f"entropy: {decays} decays, {violations} second-law violations", file=sys.stderr)
     return 0
 
@@ -309,16 +311,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     previous = None  # the SIGTERM handler to restore
     try:
+        # Only where SIGTERM would kill the process, and only in the main
+        # thread: signal.signal raises ValueError in any other.
+        if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+            try:
+                previous = signal.signal(signal.SIGTERM, _terminated)
+            except ValueError:
+                pass
         args = parser.parse_args(argv)
-        if args.command == "run":
-            import signal
-            # Only where SIGTERM would kill the process, and only in the main
-            # thread: signal.signal raises ValueError in any other.
-            if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
-                try:
-                    previous = signal.signal(signal.SIGTERM, _terminated)
-                except ValueError:
-                    pass
         return _COMMANDS[args.command](args)
     except _Terminated:
         signal.signal(signal.SIGTERM, previous)

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import marshal
 import os
+import signal
 import stat
 import sys
 from operator import add
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import Callable, Iterator
 
 from .errors import ParseError
 from .events import SimEvent
-from .io import _checked, iter_trace
+from .io import _checked, _lines, iter_trace
 
 # The smallest trace file read in two halves at once. On a 2-vCPU VM the
 # split first won at 256 KiB (26 and 18 of 30 alternating runs of the
@@ -49,37 +50,13 @@ def _seam(path: str | Path) -> int | None:
     return start if start < info.st_size else None
 
 
-def _lines(fp: IO[bytes], size: int | None = None) -> Iterator[str]:
-    """The next lines of ``fp`` as ``_decoded`` yields them, up to ``size``
-    bytes that end at a line feed. A bad byte raises UnicodeDecodeError."""
-    for line in fp:
-        yield line.decode("utf-8").removesuffix("\n")
-        if size is not None and (size := size - len(line)) <= 0:
-            return
-
-
-def _fold_tail(path: str | Path, start: int, fold: Callable[[Iterator[SimEvent]], tuple], pipe: int) -> None:
-    """In the worker: ``fold`` the checked events from byte ``start`` on, and
-    write their first id, the parents the first half must hold, and the fold
-    to ``pipe``. It leaves only through ``os._exit``, so nothing it inherited
-    is flushed or run at exit; any failure leaves a non-zero status."""
-    code = 1
-    try:
-        seen: set[int] = set()
-        outside: set[int] = set()
-        with open(path, "rb") as fp:
-            fp.seek(start)
-            part = fold(_checked(_lines(fp), seen, outside))
-        with open(pipe, "wb") as out:
-            out.write(marshal.dumps((min(seen, default=None), outside, part)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _fork_tail(path: str | Path, start: int, fold: Callable[[Iterator[SimEvent]], tuple]) -> tuple[int, int] | None:
-    """Fork the worker of ``_fold_tail``; its pid and the read end of its
-    pipe, or None when no pipe or no process can be made."""
+    """Fork the worker; its pid and the read end of its pipe, or None when
+    no pipe or no process can be made. The worker ``fold``s the checked
+    events from byte ``start`` on, and writes their first id, the parents
+    the first half must hold, and the fold to the pipe. It leaves only
+    through ``os._exit``, so nothing it inherited is flushed or run at
+    exit; any failure leaves a non-zero status."""
     try:
         pipe, out = os.pipe()
     except OSError:
@@ -91,8 +68,19 @@ def _fork_tail(path: str | Path, start: int, fold: Callable[[Iterator[SimEvent]]
         os.close(out)
         return None
     if pid == 0:
-        os.close(pipe)
-        _fold_tail(path, start, fold, out)  # does not return
+        code = 1
+        try:
+            os.close(pipe)
+            seen: set[int] = set()
+            outside: set[int] = set()
+            with open(path, "rb") as fp:
+                fp.seek(start)
+                part = fold(_checked(_lines(fp), seen, outside))
+            with open(out, "wb") as fp:
+                fp.write(marshal.dumps((min(seen, default=None), outside, part)))
+            code = 0
+        finally:
+            os._exit(code)
     os.close(out)
     return pid, pipe
 
@@ -117,7 +105,9 @@ def fold_trace(
     failed check in either half, a failed seam, a worker that does not
     deliver, or a fork or pipe that fails, reads the whole file again with
     ``iter_trace``; so every error, its message and its line come from that
-    one reader. The worker is reaped on every path.
+    one reader. The worker is reaped on every path, an exception raised by
+    a signal handler too (the command line's SIGTERM): it is killed first
+    unless its fold has been read.
     """
     start = _seam(path)
     worker = None if start is None else _fork_tail(path, start, fold)
@@ -135,7 +125,7 @@ def fold_trace(
             try:
                 with open(path, "rb") as fp:
                     head = fold(_checked(_lines(fp, start), seen))
-            except (ParseError, UnicodeDecodeError):  # the whole file is read below, for the error
+            except ParseError:  # the whole file is read below, for the error
                 pass
             else:
                 try:
@@ -144,7 +134,6 @@ def fold_trace(
                     pass
     finally:
         if tail is None:  # the worker's fold is not wanted, or may never come
-            import signal
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
     if status == 0 and tail is not None:

@@ -607,14 +607,18 @@ def write_trace(trace: Iterable[SimEvent], path: str | Path) -> int:
     return lines
 
 
-def _decoded(path: str | Path) -> Iterator[str]:
-    with open(path, "rb") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
-            yield text.removesuffix("\n")
+def _lines(fp: IO[bytes], size: int | None = None) -> Iterator[str]:
+    """The next lines of ``fp``, each decoded without its line feed, up to
+    ``size`` bytes that end at a line feed. A bad byte raises ParseError
+    naming its line, counted from where ``fp`` was."""
+    for lineno, line in enumerate(fp, start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8: {exc.reason}", f"line {lineno}") from exc
+        yield text.removesuffix("\n")
+        if size is not None and (size := size - len(line)) <= 0:
+            return
 
 
 def iter_trace(path: str | Path) -> Iterator[SimEvent]:
@@ -623,13 +627,14 @@ def iter_trace(path: str | Path) -> Iterator[SimEvent]:
     The bytes must be strict UTF-8, and a bad byte is reported before any
     other error: after a failed check the rest of the file is decoded.
     """
-    lines = _decoded(path)
-    try:
-        yield from _checked(lines)
-    except ParseError:
-        for _ in lines:  # raises at the first bad byte after the failed line
-            pass
-        raise
+    with open(path, "rb") as fp:
+        lines = _lines(fp)
+        try:
+            yield from _checked(lines)
+        except ParseError:
+            for _ in lines:  # raises at the first bad byte after the failed line
+                pass
+            raise
 
 
 def read_trace(path: str | Path) -> EventTrace:

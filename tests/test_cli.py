@@ -355,7 +355,7 @@ class TestRunStreams:
         # a 1e-305 s lifetime: an infinite production_rate
         ({"gamma_ev": 6.582119569e289}, "node 1: production_rate must be finite, got inf"),
     ], ids=["production-rate"])
-    def test_non_finite_value_is_runtime_error(self, fixtures_dir, tmp_path, node, problem, capsys):
+    def test_non_finite_value_is_refused_before_the_first_event(self, fixtures_dir, tmp_path, node, problem, capsys):
         """No trace reader accepts a NaN or an infinity, so ``run`` writes none:
         the engine refuses the node before the first event, and ``run`` exits
         2 naming it, leaves ``--out`` as it was and writes nothing to stdout.

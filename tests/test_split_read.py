@@ -4,7 +4,9 @@ Every test here lowers the size at which a file is split to 0 bytes, so
 that even a two-line trace is read by a forked worker and this process
 together, and checks that no worker is left unreaped. The reference is the
 serial reader, ``iter_trace``: each output, error message and exit code
-must be its own.
+must be its own. The last tests check that a command killed by SIGTERM
+mid-read reaps its worker, and that each fold of two runs of events adds
+up to the fold of the whole, at every cut.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import json
 import os
 import runpy
+import signal
 import threading
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -20,10 +24,11 @@ import pytest
 import test_cli
 import test_io
 from fcnsim import ParseError, fold
-from fcnsim.cli import main
+from fcnsim.chronology import TraceIndex, fold_index
+from fcnsim.cli import _report_fold, main
 from fcnsim.fold import fold_trace
-from fcnsim.io import entropy_lines, iter_trace
-from helpers import run_fresh
+from fcnsim.io import entropy_lines, iter_trace, read_trace
+from helpers import random_run, run_fresh
 from test_cli import chain_net, chain_trace_file  # noqa: F401  (fixtures of the classes rerun below)
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -281,3 +286,92 @@ def test_split_fold_is_the_sum_of_the_halves(two_digit_trace, forks):
     path, _, _ = two_digit_trace
     assert fold_trace(path, lambda events: ([e.id for e in events], 1)) == (list(range(10, 40)), 2)
     assert len(forks) == 1
+
+
+# Run by ``run_fresh`` with a command line: the command, with every trace
+# split, prints its worker's pid; the worker's fold closes its output and
+# blocks, and the command's own fold of the first half ends by sending the
+# command SIGTERM.
+_TERMINATED_MID_READ = """\
+import os, signal, sys, time
+from fcnsim import chronology, cli, fold, io
+fold._SPLIT_BYTES = 0
+command, fork = os.getpid(), os.fork
+
+def forked():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+module, name = {"timeline": (chronology, "fold_index"), "entropy": (io, "entropy_lines"),
+                "report": (cli, "_report_fold")}[sys.argv[1]]
+inner = getattr(module, name)
+
+def folded(events):
+    if os.getpid() != command:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        time.sleep(60)
+    part = inner(events)
+    os.kill(command, signal.SIGTERM)
+    return part
+
+os.fork = forked
+setattr(module, name, folded)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", test_cli.ANALYSES, ids=lambda c: c[0])
+def test_sigterm_during_a_split_read_leaves_no_worker(fixtures_dir, command):
+    """A reading command killed by SIGTERM while its worker still reads
+    kills and reaps the worker, and then still ends killed by SIGTERM."""
+    trace = fixtures_dir / "chain.expected-trace.jsonl"
+    proc = run_fresh(command[0], str(trace), *command[1:], code=_TERMINATED_MID_READ)
+    worker = int(proc.stdout)
+    try:
+        assert proc.returncode == -signal.SIGTERM, proc.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker, 0)
+    finally:
+        try:
+            os.kill(worker, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _joined(fold, events, k):
+    """The item-wise sum of the folds of ``events[:k]`` and ``events[k:]``."""
+    return tuple(map(add, fold(events[:k]), fold(events[k:])))
+
+
+def _assert_same_index(index: TraceIndex, whole: TraceIndex) -> None:
+    assert index.absorptions == whole.absorptions
+    assert index.clocks == whole.clocks
+    for clock in whole.clocks:
+        assert index.pulses(clock) == whole.pulses(clock)
+        labels, skipped = whole.label(whole.pulses(clock))
+        assert index.label(index.pulses(clock)) == (labels, skipped)
+        assert index.check(labels, observer=clock) == whole.check(labels, observer=clock)
+
+
+@pytest.mark.parametrize("name", ["golden-chain", "random-run"])
+def test_folds_add_up_at_every_cut(fixtures_dir, name):
+    """Joined at any cut, the two halves' folds give what the whole trace
+    gives: the index's absorptions, each clock's pulses and the check of its
+    labels (through ``fold_index``'s rule for a parent before the run's
+    first id, for ancestry that crosses the cut), the entropy rows, and
+    ``report``'s index and tally."""
+    # Seed 224: 187 events, 105 causally ordered pairs of labels, 20 of them with one label.
+    events = read_trace(fixtures_dir / "chain.expected-trace.jsonl") if name == "golden-chain" else random_run(224)[3]
+    whole = TraceIndex(events)
+    assert whole.absorptions and whole.clocks
+    entropy, report = entropy_lines(events), _report_fold(events)
+    for k in range(len(events) + 1):
+        _assert_same_index(TraceIndex.joined(_joined(fold_index, events, k)), whole)
+        assert _joined(entropy_lines, events, k) == entropy
+        folded = _joined(_report_fold, events, k)
+        _assert_same_index(TraceIndex.joined(folded[:3]), whole)
+        assert folded[3:] == report[3:]
