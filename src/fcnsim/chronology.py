@@ -106,16 +106,10 @@ class ResolutionReport(NamedTuple):
     distinct_labels: int
 
 
-def _pulse(tick: SimEvent) -> ClockPulse:
-    payload = tick.payload
-    # Built positionally, as the engine and the reader build their tuples.
-    return tuple.__new__(ClockPulse, (payload["pulse_id"], tick.node, payload["counter"], tick.engine_time))
-
-
 def pulses_from_trace(trace: EventTrace, clock: NodeId) -> tuple[ClockPulse, ...]:
-    """Extract the pulse history of the clock at ``clock`` from a trace."""
-    tick = EventKind.CLOCK_TICK
-    return tuple(_pulse(e) for e in trace if e.kind is tick and e.node == clock)
+    """Extract the pulse history of the clock at ``clock`` from a trace, a
+    stream as ``TraceIndex`` takes it. Cost: as ``TraceIndex``."""
+    return TraceIndex(trace).pulses(clock)
 
 
 def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, ...]:
@@ -137,10 +131,6 @@ def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, .
         )
         k += 1
     return tuple(pulses)
-
-
-def _by_time_then_event(label: TimeLabel) -> tuple[float, EventId]:
-    return (label.time_number_s, label.event)
 
 
 def _check_ancestry(
@@ -205,7 +195,7 @@ def _check_ancestry(
     return violations, ResolutionReport(
         causally_ordered_pairs=ordered,
         indistinguishable_pairs=indistinguishable,
-        distinct_labels=len({lb.time_number_s for lb in entries}),
+        distinct_labels=len(label_range),
     )
 
 
@@ -238,29 +228,6 @@ def resolution_report(timeline: Timeline, trace: EventTrace) -> ResolutionReport
     return TraceIndex(trace).check(timeline.entries)[2]
 
 
-def _label(
-    absorptions: list[SimEvent] | list[_Absorption], pulses: tuple[ClockPulse, ...]
-) -> tuple[tuple[TimeLabel, ...], int]:
-    """Pair each absorption with the latest pulse at or before it and label
-    it with that pulse's recorded time, bisecting the pulse times once per
-    absorption. Absorptions before the first pulse are counted, not labeled.
-    A pulse earlier than the one before it raises ParseError.
-    """
-    times = [p.engine_time for p in pulses]
-    if any(map(gt, times, times[1:])):
-        back = next(q for p, q in zip(pulses, pulses[1:]) if p.engine_time > q.engine_time)
-        raise ParseError(f"pulse {back.id} at engine_time {back.engine_time} is earlier than the pulse before it",
-                         f"clock {back.clock}")
-    labels = []
-    for event in absorptions:
-        after = bisect_right(times, event.engine_time)
-        if after:
-            pulse = pulses[after - 1]
-            triplet = TripletState(event.id, pulse.id, pulse.counter, pulse.clock)
-            labels.append(TimeLabel(event.id, pulse.engine_time, triplet))
-    return tuple(labels), len(absorptions) - len(labels)
-
-
 def label_absorptions(
     trace: EventTrace, clock: StandardClockSpec, pulses: tuple[ClockPulse, ...] | None = None
 ) -> tuple[tuple[TimeLabel, ...], int]:
@@ -269,13 +236,13 @@ def label_absorptions(
     Returns the labels plus the count of absorptions skipped because they
     precede the first pulse. Each time number is the paired pulse's
     ``engine_time``. ``pulses`` defaults to the pulses of ``clock`` as
-    recorded in the trace; ``clock`` has no other use. Raises ParseError
-    if the pulse times ever decrease.
+    recorded in the trace; ``clock`` has no other use. ``trace`` is a
+    stream as ``TraceIndex`` takes it. Cost: as ``TraceIndex`` plus one
+    ``TraceIndex.label``, which raises ParseError if the pulse times ever
+    decrease.
     """
-    if pulses is None:
-        pulses = pulses_from_trace(trace, clock.id)
-    absorption = EventKind.ABSORPTION
-    return _label([e for e in trace if e.kind is absorption], pulses)
+    index = TraceIndex(trace)
+    return index.label(index.pulses(clock.id) if pulses is None else pulses)
 
 
 class _Absorption(NamedTuple):
@@ -395,8 +362,25 @@ class TraceIndex:
         return self._pulses.get(clock, ())
 
     def label(self, pulses: tuple[ClockPulse, ...]) -> tuple[tuple[TimeLabel, ...], int]:
-        """Label every absorption with ``pulses``, as ``label_absorptions`` does."""
-        return _label(self.absorptions, pulses)
+        """Pair each absorption with the latest pulse at or before it and
+        label it with that pulse's recorded time, bisecting the pulse times
+        once per absorption. Returns the labels, in trace order, and the
+        count of absorptions before the first pulse, which are skipped. A
+        pulse earlier than the one before it raises ParseError.
+        """
+        times = [p.engine_time for p in pulses]
+        if any(map(gt, times, times[1:])):
+            back = next(q for p, q in zip(pulses, pulses[1:]) if p.engine_time > q.engine_time)
+            raise ParseError(f"pulse {back.id} at engine_time {back.engine_time} is earlier than the pulse before it",
+                             f"clock {back.clock}")
+        labels = []
+        for absorption in self.absorptions:
+            after = bisect_right(times, absorption.engine_time)
+            if after:
+                pulse = pulses[after - 1]
+                triplet = TripletState(absorption.id, pulse.id, pulse.counter, pulse.clock)
+                labels.append(TimeLabel(absorption.id, pulse.engine_time, triplet))
+        return tuple(labels), len(self.absorptions) - len(labels)
 
     def check(
         self, labels: tuple[TimeLabel, ...] | list[TimeLabel], observer: NodeId | None = None
@@ -417,7 +401,7 @@ class TraceIndex:
         if not self._absorption_ids.issuperset(lb.event for lb in labels):
             other = next(lb.event for lb in labels if lb.event not in self._absorption_ids)
             raise ValueError(f"label on event {other}, which is not an absorption of the trace")
-        entries = tuple(sorted(labels, key=_by_time_then_event))
+        entries = tuple(sorted(labels, key=attrgetter("time_number_s", "event")))
         violations, resolution = _check_ancestry(entries, self._steps, self._last_reader)
         violations.sort(key=lambda v: (v.descendant, v.ancestor))
         return Timeline(observer=observer, entries=entries), tuple(violations), resolution

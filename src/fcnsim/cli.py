@@ -220,7 +220,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         first = next(_undeclared_pulses(pulses, spec, args.net), None)
         if first:
             raise ValidationFailed([first[1]])
-    elif not pulses:
+    if not pulses:
         raise ValidationFailed([f"clock {args.clock}: no pulses in trace"])
     labels, skipped = index.label(pulses)
     timeline, violations, _ = index.check(labels, observer=args.clock)

@@ -55,7 +55,7 @@ def label_one(t: float, clock: StandardClockSpec, until_s: float = 5.0) -> tuple
     return label_absorptions((absorption_at(10, t),), clock, clock_pulses(clock, until_s))
 
 
-class TestFormTriplet:
+class TestFloorPairing:
     def test_floor_pairing(self):
         (label,), _ = label_one(2.3, unit_clock())
         assert label.triplet.label == 2
@@ -320,7 +320,9 @@ class TestIndexContract:
         TraceIndex,
         lambda trace: build_timeline([], trace),
         lambda trace: resolution_report(Timeline(observer=None, entries=()), trace),
-    ], ids=["TraceIndex", "build_timeline", "resolution_report"])
+        lambda trace: pulses_from_trace(trace, 9),
+        lambda trace: label_absorptions(trace, unit_clock()),
+    ], ids=["TraceIndex", "build_timeline", "resolution_report", "pulses_from_trace", "label_absorptions"])
     def test_id_that_does_not_ascend_raises(self, build, second):
         trace = (absorption_at(1, 0.0), absorption_at(second, 0.0))
         with pytest.raises(ParseError, match=f"^event id {second} is not greater than id 1 before it$"):
@@ -411,11 +413,16 @@ class TestPulseHelpers:
 class TestIndexPulses:
     def test_tick_without_counter_raises_when_the_index_is_built(self):
         """The index turns each tick into its pulse as it reads the trace, so
-        a tick missing a field the pulse needs fails the build itself."""
+        a tick missing a field the pulse needs fails the build itself, also
+        when the wrappers ask for another clock's pulses."""
         tick = SimEvent(id=0, kind=EventKind.CLOCK_TICK, node=3, engine_time=0.0,
                         parents=(), payload={"pulse_id": 0})
         with pytest.raises(KeyError, match="counter"):
             TraceIndex([tick])
+        with pytest.raises(KeyError, match="counter"):
+            pulses_from_trace([tick], 9)
+        with pytest.raises(KeyError, match="counter"):
+            label_absorptions([tick], unit_clock())
 
     def test_pulses_are_built_once(self, chain_trace):
         index = TraceIndex(chain_trace)

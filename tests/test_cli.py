@@ -510,6 +510,24 @@ class TestTimeline:
         assert captured.err == f"error: clock 3: {message.format(net=net)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("with_net", [False, True], ids=["plain", "net"])
+    def test_clock_that_never_ticked_exits_2(self, fixtures_dir, tmp_path, with_net, capsys):
+        """A clock declared to start after the run has no pulses in the
+        trace; ``--net`` only adds checks, so it refuses it as plain
+        ``timeline`` does."""
+        doc = json.loads((fixtures_dir / "chain.net.json").read_text())
+        doc["standard_clocks"][0].update(first_tick_s=10.0)
+        net = tmp_path / "late.net.json"
+        net.write_text(json.dumps(doc))
+        trace = tmp_path / "late.jsonl"
+        assert main(["run", str(net), "--until", "5.0", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "timeline.csv"
+        argv = ["timeline", str(trace), "--clock", "3", "--out", str(out)]
+        assert main(argv + (["--net", str(net)] if with_net else [])) == 2
+        assert capsys.readouterr() == ("", "error: clock 3: no pulses in trace\n")
+        assert not out.exists()
+
     def test_bad_net_is_reported_before_bad_trace(self, chain_trace_file, chain_net, capsys):
         """``--net`` is read first, so with both inputs malformed the network is named."""
         _set_on_first(chain_trace_file, "absorption", "parents", [99])
