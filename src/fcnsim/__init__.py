@@ -25,10 +25,10 @@ if TYPE_CHECKING:
     from .errors import (ClockMismatch, DegenerateLevels, FcnError, NonPositiveEnergy, ParseError, StableConfiguration,
                          UnknownNode, ValidationFailed)
     from .events import EventKind, EventTrace, SimEvent
-    from .io import (Injection, NetworkDocument, parse_network, parse_network_file, parse_trace, read_trace,
-                     serialize_trace, write_trace)
-    from .network import (Arc, ClockNode, CouplingClass, CouplingClassification, CouplingKind, Network,
-                          StandardClockSpec, classify_coupling, propagation_delay, validate_network)
+    from .io import parse_trace, serialize_trace, write_trace
+    from .network import (Arc, ClockNode, CouplingClass, CouplingClassification, CouplingKind, Injection, Network,
+                          NetworkDocument, StandardClockSpec, classify_coupling, parse_network, parse_network_file,
+                          propagation_delay, validate_network)
     from .quantum import EnergyLevel, TwoLevelSpec, absorb, lifetime, signal_energy, wavelength_of
     from .verify import verify_trace
 
@@ -45,10 +45,9 @@ _EXPORTS = {
     "errors": "ClockMismatch DegenerateLevels FcnError NonPositiveEnergy ParseError "
     "StableConfiguration UnknownNode ValidationFailed",
     "events": "EventKind EventTrace SimEvent",
-    "io": "Injection NetworkDocument parse_network parse_network_file parse_trace read_trace serialize_trace "
-    "write_trace",
-    "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Network StandardClockSpec "
-    "classify_coupling propagation_delay validate_network",
+    "io": "parse_trace serialize_trace write_trace",
+    "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Injection Network NetworkDocument "
+    "StandardClockSpec classify_coupling parse_network parse_network_file propagation_delay validate_network",
     "quantum": "EnergyLevel TwoLevelSpec absorb lifetime signal_energy wavelength_of",
     "verify": "verify_trace",
 }

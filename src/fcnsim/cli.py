@@ -122,8 +122,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .entropy import DEFAULT_ENTROPY_MODEL, decay_payloads
-    from .io import parse_network_file
-    from .network import DEFAULT_COUPLING_FRACTION, CouplingKind, classify_coupling
+    from .network import DEFAULT_COUPLING_FRACTION, CouplingKind, classify_coupling, parse_network_file
     fraction = DEFAULT_COUPLING_FRACTION if args.coupling_fraction is None else args.coupling_fraction
     doc = parse_network_file(args.net)
     net = doc.network
@@ -165,7 +164,8 @@ def _seed_out_path(out: str, seed: int) -> Path:
 def _cmd_run(args: argparse.Namespace) -> int:
     from .engine import Engine, RunConfig, SamplingMode
     from .entropy import EntropyModel
-    from .io import _refuse_directory, parse_network_file, write_events, write_trace
+    from .io import _refuse_directory, write_events, write_trace
+    from .network import parse_network_file
     if args.out:  # refused before any engine runs, --seeds or not
         _refuse_directory(args.out)
     doc = parse_network_file(args.net)
@@ -203,11 +203,12 @@ def _output(path: str | None) -> ContextManager[IO[str]]:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from .chronology import TraceIndex, _undeclared_pulses, fold_index
     from .fold import fold_trace
-    from .io import parse_network_file, write_timeline_csv
+    from .io import write_timeline_csv
     spec = None
 
     def clock_spec() -> None:
         nonlocal spec
+        from .network import parse_network_file
         spec = parse_network_file(args.net).network.clock_by_node.get(args.clock)
         if spec is None:
             raise ValidationFailed([f"no standard clock at node {args.clock} in {args.net}"])

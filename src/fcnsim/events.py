@@ -7,6 +7,7 @@ command that only reads a trace loads neither the engine nor the network.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -16,6 +17,13 @@ ArcId = int
 EventId = int
 PulseId = int
 ExcitationId = int
+
+# Shared by the network and trace readers: the largest id (ids are unsigned
+# 64-bit), the exact types of a decoded JSON number (a bool is not one), and
+# what a literal beyond the float range, such as 1e999, decodes to.
+_MAX_ID = 2**64 - 1
+_NUMBER = (int, float)
+_INFINITE = frozenset((math.inf, -math.inf))
 
 
 class EventKind(str, Enum):

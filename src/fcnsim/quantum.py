@@ -43,8 +43,8 @@ class TwoLevelSpec(Checked, namedtuple("TwoLevelSpec", "ground excited gamma_ev"
     excited state's lifetime. ``None`` marks a permanently stable node that
     can hold an excitation forever and never schedules a decay. The
     lifetime and the wavelength of the signal the gap carries must be
-    finite normal floats: a run writes both into its trace, where no
-    reader accepts an infinity, and a subnormal lifetime makes the decay's
+    finite normal floats: a run writes both into its trace, whose writer
+    refuses an infinity, and a subnormal lifetime makes the decay's
     production rate infinite.
     """
 
@@ -61,10 +61,10 @@ class TwoLevelSpec(Checked, namedtuple("TwoLevelSpec", "ground excited gamma_ev"
                 f"gamma must be finite and > 0 when present, got {gamma_ev}; "
                 f"use None for a stable node"
             )
-        if gamma_ev is not None and not _NORMAL_MIN <= (tau := CONSTANTS.hbar_ev_s / gamma_ev) <= _FLOAT_MAX:
+        if gamma_ev is not None and not _NORMAL_MIN <= (tau := lifetime(gamma_ev)) <= _FLOAT_MAX:
             raise ValueError(f"gamma_ev {gamma_ev} gives a lifetime of {tau} s, not a finite normal float")
         gap = excited.energy_ev - ground.energy_ev
-        if not _NORMAL_MIN <= (wavelength := CONSTANTS.hc_ev_nm / gap) <= _FLOAT_MAX:
+        if not _NORMAL_MIN <= (wavelength := wavelength_of(gap)) <= _FLOAT_MAX:
             raise ValueError(
                 f"excited_ev - ground_ev = {gap} eV gives a wavelength of {wavelength} nm, not a finite normal float"
             )

@@ -32,7 +32,8 @@ from fcnsim import (
 )
 from fcnsim.cli import main
 from fcnsim.engine import _exponential_delay
-from fcnsim.io import entropy_rows, parse_network_file, serialize_trace
+from fcnsim.io import entropy_rows, serialize_trace
+from fcnsim.network import parse_network_file
 from helpers import (
     HBAR,
     random_config,

@@ -25,7 +25,8 @@ from fcnsim import (
     pulses_from_trace,
     resolution_report,
 )
-from fcnsim.io import iter_trace, parse_network, write_trace
+from fcnsim.io import iter_trace, write_trace
+from fcnsim.network import parse_network
 from helpers import chain_network, reference_resolution, reference_violations
 
 

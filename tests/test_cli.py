@@ -26,7 +26,8 @@ import fcnsim
 from fcnsim.cli import main
 from fcnsim.engine import _DECAY, Engine, RunConfig, SamplingMode
 from fcnsim.events import EventKind
-from fcnsim.io import parse_network_file, parse_trace, read_trace, serialize_trace
+from fcnsim.io import iter_trace, parse_trace, serialize_trace
+from fcnsim.network import parse_network_file
 from fcnsim.verify import verify_trace
 from helpers import SRC, mixed_network, network_document, random_network, run_fresh
 
@@ -205,7 +206,7 @@ class TestRun:
         net = self.clock_network(fixtures_dir, tmp_path, {"period_s": period, "first_tick_s": 1.0 - 3 * period})
         out = tmp_path / "trace.jsonl"
         assert main(["run", net, "--until", "1", "--out", str(out)]) == 0
-        ticks = [e.engine_time for e in read_trace(out) if e.kind is EventKind.CLOCK_TICK]
+        ticks = [e.engine_time for e in iter_trace(out) if e.kind is EventKind.CLOCK_TICK]
         assert len(ticks) == 4 and ticks == sorted(set(ticks)) and ticks[-1] <= 1.0
 
     @pytest.mark.parametrize(
@@ -864,7 +865,7 @@ class TestCycleCollector:
                 finally:
                     gc.enable() if was else gc.disable()
             capsys.readouterr()
-            return found, len(read_trace(trace))
+            return found, len(tuple(iter_trace(trace)))
 
         small, small_events = garbage(chain_net, "5", 3, "chain")
         large, large_events = garbage(str(big_net), "200", net.clocks[0].id, "big")
@@ -922,7 +923,7 @@ _NETWORK = {"fcnsim.network", "fcnsim.quantum", "fcnsim.constants"}  # what read
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["validate", "{net}"], {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.entropy"}),
+        (["validate", "{net}"], {"fcnsim.events", *_NETWORK, "fcnsim.entropy"}),
         (["run", "{net}", "--until", "5.0", "--out", "{out}/t.jsonl"],
          {"fcnsim.io", "fcnsim.events", *_NETWORK, "fcnsim.engine", "fcnsim.entropy"}),
         (["timeline", "{trace}", "--clock", "3", "--net", "{net}", "--out", "{out}/t.csv"],

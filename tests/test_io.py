@@ -31,10 +31,8 @@ from fcnsim.cli import main
 from fcnsim.io import (
     ENTROPY_COLUMNS,
     iter_trace,
-    read_trace,
     _FLOAT_TEXTS,
     _KEY_TEXTS,
-    serialize_event,
     write_events,
     write_trace,
 )
@@ -59,6 +57,11 @@ _ROOT = {"id": 0, "kind": "external_excitation", "node": 1, "engine_time": 0.0, 
 
 def _lines(*records) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
+
+
+def _serialized(event: SimEvent) -> str:
+    """The trace line of ``event`` written alone, without its line feed."""
+    return serialize_trace((event,))[:-1]
 
 
 def _without(record: dict, *names: str) -> dict:
@@ -503,7 +506,7 @@ class TestTraceRoundTrip:
         """Each line, read after the lines before it, gives back its event."""
         net, injections = chain
         trace = Engine(net, RunConfig(run_until_s=5.0), injections).run()
-        lines = [serialize_event(event) + "\n" for event in trace]
+        lines = [_serialized(event) + "\n" for event in trace]
         for k, event in enumerate(trace):
             assert parse_trace("".join(lines[:k + 1]))[-1] == event
 
@@ -518,7 +521,7 @@ class TestTraceRoundTrip:
         trace = Engine(net, config, injections).run()
         path = tmp_path / "trace.jsonl"
         write_trace(trace, path)
-        assert read_trace(path) == trace
+        assert tuple(iter_trace(path)) == trace
 
     def test_write_trace_counts_lines_and_replaces_only_on_success(self, chain, tmp_path):
         net, injections = chain
@@ -641,6 +644,16 @@ class TestTraceRoundTrip:
         # The largest finite literal still reads.
         assert parse_trace(_lines(_ROOT) + line.replace(literal, literal.replace("1e999", "1.7976931348623157e308")))
 
+    def test_float_literal_beyond_range_elsewhere_reads_as_an_infinity(self):
+        """Only engine_time and the read fields are checked for the range:
+        anywhere else such a literal reads as an infinity, and the writer
+        refuses to write it back."""
+        for literal, value in (("1e999", math.inf), ("-1e999", -math.inf)):
+            (event,) = parse_trace(json.dumps({**_ROOT, "energy_ev": "@"}).replace('"@"', literal) + "\n")
+            assert event.payload == {"energy_ev": value}
+            with pytest.raises(ValueError, match="^event 0: Out of range float values are not JSON compliant"):
+                serialize_trace((event,))
+
     @pytest.mark.parametrize("record, fields, message", [
         ({**_ABSORPTION, "parents": [1.5]}, ("engine_time",), "'parents' must be an array of integers"),
         ({**_DECAY, "total": "-1"}, ("lifetime_s",), "'total' must be a number"),
@@ -721,7 +734,7 @@ class TestTraceRoundTrip:
         assert events[1].payload == {"note": note}
         path = tmp_path / "trace.jsonl"
         path.write_text(text, encoding="utf-8", newline="")
-        assert read_trace(path) == events
+        assert tuple(iter_trace(path)) == events
         with pytest.raises(ParseError) as err:
             parse_trace(text + '{"id": 9\n')
         assert str(err.value) == "line 4: invalid JSON: Expecting ',' delimiter"
@@ -731,10 +744,10 @@ class TestTraceRoundTrip:
         assert "\r" in text
         path = tmp_path / "trace.jsonl"
         path.write_bytes(text.encode() + b"\n")
-        assert read_trace(path) == parse_trace(text)
+        assert tuple(iter_trace(path)) == parse_trace(text)
         path.write_bytes((text + '\n{"id": 9\n').encode())
         with pytest.raises(ParseError) as err:
-            read_trace(path)
+            tuple(iter_trace(path))
         assert str(err.value) == "line 3: invalid JSON: Expecting ',' delimiter"
 
     def test_only_json_whitespace_may_follow_a_record(self, tmp_path):
@@ -742,7 +755,7 @@ class TestTraceRoundTrip:
         root, event = parse_trace(_lines(_ROOT) + record + " \t\r\n")
         path = tmp_path / "trace.jsonl"
         path.write_bytes((_lines(_ROOT) + record + "\r\n").encode())
-        assert read_trace(path) == (root, event)
+        assert tuple(iter_trace(path)) == (root, event)
         for tail in ("\u2028", "\x85", "\xa0", "\x0b"):
             with pytest.raises(ParseError) as err:
                 parse_trace(record + tail + "\n")
@@ -752,7 +765,7 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         path.write_bytes(json.dumps(_ABSORPTION).encode() + b'\n\n{"id": 2, "note": "\xff"}\n')
         with pytest.raises(ParseError) as err:
-            read_trace(path)
+            tuple(iter_trace(path))
         assert str(err.value) == "line 3: invalid UTF-8: invalid start byte"
 
     @pytest.mark.parametrize("earlier, lineno", [
@@ -767,10 +780,9 @@ class TestTraceRoundTrip:
         rather than an error on an earlier line."""
         path = tmp_path / "trace.jsonl"
         path.write_bytes(_lines(_ROOT).encode() + earlier + b'\n\n{"id": 2, "note": "\xff"}\n')
-        for read in (read_trace, lambda p: list(iter_trace(p))):
-            with pytest.raises(ParseError) as err:
-                read(path)
-            assert str(err.value) == f"line {lineno}: invalid UTF-8: invalid start byte"
+        with pytest.raises(ParseError) as err:
+            tuple(iter_trace(path))
+        assert str(err.value) == f"line {lineno}: invalid UTF-8: invalid start byte"
 
     def test_iter_trace_reads_one_line_at_a_time(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -788,7 +800,7 @@ class TestTraceRoundTrip:
         line = json.dumps({**_ABSORPTION, field: "@"}).replace('"@"', value)
         path = tmp_path / "trace.jsonl"
         path.write_text(_lines(_ROOT) + line + "\n")
-        for read in (read_trace, lambda p: parse_trace(p.read_text())):
+        for read in (lambda p: tuple(iter_trace(p)), lambda p: parse_trace(p.read_text())):
             with pytest.raises(ParseError) as err:
                 read(path)
             assert str(err.value).startswith(f"line 2: invalid JSON: {message}")
@@ -797,12 +809,12 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         excerpt = _lines({**_TICK, "id": 1}, {**_ABSORPTION, "id": 2}, {**_DECAY, "parents": [2]})
         path.write_text(excerpt)
-        for read in (lambda: read_trace(path), lambda: parse_trace(excerpt)):
+        for read in (lambda: tuple(iter_trace(path)), lambda: parse_trace(excerpt)):
             with pytest.raises(ParseError) as err:
                 read()
             assert str(err.value) == "line 2: parent 0 is not the id of an earlier event"
         path.write_text(_lines(_ROOT) + excerpt)
-        assert [e.id for e in read_trace(path)] == [0, 1, 2, 3]
+        assert [e.id for e in tuple(iter_trace(path))] == [0, 1, 2, 3]
         # A parent on a later line, or the event itself, is not earlier; an
         # id that does not ascend is reported before its parents.
         for records, message in (
@@ -1113,13 +1125,13 @@ _STREAM_IDS = (
 
 def _check_stream(events: list[SimEvent]) -> None:
     """One stream reuses float texts across events, and still writes each
-    line as serialize_event writes the event alone and as json.dumps writes
-    its record; the first event it refuses stops it, with serialize_event's
-    message, after the lines before it."""
+    line as it writes the event alone and as json.dumps writes its record;
+    the first event it refuses stops it, with the message the event alone
+    gets, after the lines before it."""
     lines, refusal = [], None
     for event in events:
         try:
-            line = serialize_event(event)
+            line = _serialized(event)
         except ValueError as exc:
             assert not _written(event)
             refusal = str(exc)
@@ -1145,11 +1157,11 @@ class TestWriter:
         """The first example is written as json.dumps writes its record; the
         writer refuses the others, which no reader would read back as they are."""
         if event is _WRITER_EXAMPLES[0]:
-            assert serialize_event(event) == json.dumps(_record(event), separators=(",", ":"))
+            assert _serialized(event) == json.dumps(_record(event), separators=(",", ":"))
         else:
             assert not _written(event)
             with pytest.raises(ValueError, match=_refusal(event)):
-                serialize_event(event)
+                _serialized(event)
 
     @settings(max_examples=200)
     @given(event=_events(finite=False))
@@ -1158,17 +1170,19 @@ class TestWriter:
         event, and then byte-equal to json.dumps; any other event raises
         ValueError naming the event."""
         if _written(event):
-            assert serialize_event(event) == json.dumps(_record(event), separators=(",", ":"))
+            assert _serialized(event) == json.dumps(_record(event), separators=(",", ":"))
         else:
             with pytest.raises(ValueError, match=_refusal(event)):
-                serialize_event(event)
+                _serialized(event)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("event", _WRITER_EXAMPLES, ids=_EXAMPLE_IDS)
     def test_non_finite_float_raises(self, event, value):
-        """No trace reader accepts a NaN or an infinity, so the writer refuses
-        one in engine_time, as a payload value, or nested in one. An example
-        refused anyway may name another reason."""
+        """JSON has no NaN or infinity, so the writer refuses one in
+        engine_time, as a payload value, or nested in one, although the
+        reader reads a payload field it does not check from a literal such as
+        1e999 as an infinity. An example refused anyway may name another
+        reason."""
         message = _refusal(event) + ("Out of range float values" if _written(event) else "")
         for bad in (
             event._replace(engine_time=value),
@@ -1176,7 +1190,7 @@ class TestWriter:
             event._replace(payload={**event.payload, "note": [None, {"x": value}]}),
         ):
             with pytest.raises(ValueError, match=message):
-                serialize_event(bad)
+                _serialized(bad)
 
     @pytest.mark.parametrize("change, message", [
         ({"id": -1}, "event -1: id and node must be unsigned 64-bit integers, got node 4"),
@@ -1214,7 +1228,7 @@ class TestWriter:
         event = SimEvent(id=1, kind=EventKind.ABSORPTION, node=4, engine_time=0.5, parents=(0,),
                          payload={"arc": 2})._replace(**change)
         with pytest.raises(ValueError) as err:
-            serialize_event(event)
+            _serialized(event)
         assert str(err.value) == message
 
     def test_payload_naming_a_base_field_is_refused(self):
@@ -1224,7 +1238,7 @@ class TestWriter:
         _, misread = parse_trace(_lines(_ROOT) + json.dumps(_record(event)) + "\n")
         assert (misread.id, misread.engine_time) == (7, 0.25)
         with pytest.raises(ValueError) as err:
-            serialize_event(event)
+            _serialized(event)
         assert str(err.value) == "event 1: payload key 'id' is not a string or names a base field"
 
     @settings(max_examples=100)

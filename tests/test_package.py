@@ -25,8 +25,7 @@ _EXPORTED = {
     "EntropyModel breakdown_for_decay entropy_lifetime",
     "errors": "ClockMismatch DegenerateLevels FcnError NonPositiveEnergy ParseError "
     "StableConfiguration UnknownNode ValidationFailed",
-    "io": "Injection NetworkDocument parse_network parse_network_file parse_trace read_trace serialize_trace "
-    "write_trace",
+    "io": "Injection NetworkDocument parse_network parse_network_file parse_trace serialize_trace write_trace",
     "network": "Arc ClockNode CouplingClass CouplingClassification CouplingKind Network StandardClockSpec "
     "classify_coupling propagation_delay validate_network",
     "quantum": "EnergyLevel TwoLevelSpec absorb lifetime signal_energy wavelength_of",

@@ -27,7 +27,7 @@ from fcnsim import ParseError, fold
 from fcnsim.chronology import TraceIndex, fold_index
 from fcnsim.cli import _report_fold, main
 from fcnsim.fold import fold_trace
-from fcnsim.io import entropy_lines, iter_trace, read_trace
+from fcnsim.io import entropy_lines, iter_trace
 from helpers import random_run, run_fresh
 from test_cli import chain_net, chain_trace_file  # noqa: F401  (fixtures of the classes rerun below)
 
@@ -126,7 +126,8 @@ def test_undecodable_json_names_its_line(tmp_path, forks, field, value, message,
 def seed7(tmp_path_factory):
     """The benchmark's seed-7 traces and networks, and each one's timeline clock."""
     from fcnsim import Engine, RunConfig, SamplingMode
-    from fcnsim.io import parse_network, write_trace
+    from fcnsim.io import write_trace
+    from fcnsim.network import parse_network
     generators = runpy.run_path(str(_WORKLOADS))["GENERATORS"]
     work = tmp_path_factory.mktemp("seed7")
     made = {}
@@ -365,7 +366,7 @@ def test_folds_add_up_at_every_cut(fixtures_dir, name):
     first id, for ancestry that crosses the cut), the entropy rows, and
     ``report``'s index and tally."""
     # Seed 224: 187 events, 105 causally ordered pairs of labels, 20 of them with one label.
-    events = read_trace(fixtures_dir / "chain.expected-trace.jsonl") if name == "golden-chain" else random_run(224)[3]
+    events = tuple(iter_trace(fixtures_dir / "chain.expected-trace.jsonl")) if name == "golden-chain" else random_run(224)[3]
     whole = TraceIndex(events)
     assert whole.absorptions and whole.clocks
     entropy, report = entropy_lines(events), _report_fold(events)

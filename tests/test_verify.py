@@ -1,13 +1,24 @@
-"""``verify_trace`` names each defect planted in the golden chain trace."""
+"""``verify_trace`` names each defect planted in the golden chain trace,
+and a trace with one random change is refused by the reader, reported by
+``verify_trace`` or read by every reading command, which never crashes."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fcnsim import verify_trace
-from fcnsim.io import iter_trace, parse_network_file
+from fcnsim import EventKind, ParseError, parse_trace, serialize_trace, verify_trace
+from fcnsim.cli import main
+from fcnsim.io import _BASE_KEY_SET, iter_trace
+from fcnsim.network import parse_network_file
+from helpers import network_document, random_run
 
 _DROP = object()  # as a payload value: remove the field
 # The event changed, its base and payload changes, and the problems with the
@@ -67,3 +78,83 @@ def test_planted_defect_is_named(fixtures_dir, eid, base, payload, expected):
     expected = [f"event {problem}" for problem in expected]
     assert verify_trace(trace, network) == expected
     assert verify_trace(iter(trace), network) == expected
+
+
+# -- one change to a valid trace --------------------------------------------
+
+_MUTATIONS = ("drop", "duplicate", "swap", "shift-time", "retarget-parent", "flip-kind", "replace-value")
+_SHIFTS = (-1.0, -1e-9, 1e-9, 0.25, 100.0)
+_KINDS = tuple(kind.value for kind in EventKind)
+_BEYOND = "@1e999"  # as a value: the JSON literal 1e999, which decodes to an infinity
+_VALUES = (_BEYOND, -1, 0, 0.5, 2**64, "x", None, [0], True)
+
+
+def _mutant(lines: list[str], mutation: str, i: int, j: int, k: int) -> str:
+    """The text of a trace's ``lines`` with one ``mutation`` at line ``i``:
+    ``j`` picks the other line (a parent is its id) or the payload field,
+    and ``k`` the shift, the kind or the value. Each index wraps around."""
+    lines = list(lines)
+    i, other = i % len(lines), j % len(lines)
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(other, lines[i])
+    elif mutation == "swap":
+        lines[i], lines[other] = lines[other], lines[i]
+    else:
+        record = json.loads(lines[i])
+        if mutation == "shift-time":
+            record["engine_time"] += _SHIFTS[k % len(_SHIFTS)]
+        elif mutation == "retarget-parent":
+            record["parents"] = [json.loads(lines[other])["id"]]
+        elif mutation == "flip-kind":
+            record["kind"] = _KINDS[k % len(_KINDS)]
+        else:
+            fields = sorted(record.keys() - _BASE_KEY_SET) or ["note"]
+            record[fields[j % len(fields)]] = _VALUES[k % len(_VALUES)]
+        lines[i] = json.dumps(record, separators=(",", ":")).replace(f'"{_BEYOND}"', "1e999")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def sources(tmp_path_factory):
+    """Each valid trace the mutants come from, as its network, network
+    document and lines; each holds a clock at node 3. Built once, so that
+    each example only changes one of them."""
+    work = tmp_path_factory.mktemp("mutants")
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    chain_net = fixtures / "chain.net.json"
+    made = {"golden-chain": (parse_network_file(chain_net).network, chain_net,
+                             (fixtures / "chain.expected-trace.jsonl").read_text().splitlines())}
+    network, injections, _, trace = random_run(224)
+    net = work / "random-224.net.json"
+    net.write_text(json.dumps(network_document(network, injections)))
+    made["random-224"] = (network, net, serialize_trace(trace).splitlines())
+    return work, made
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.sampled_from(("golden-chain", "random-224")), mutation=st.sampled_from(_MUTATIONS),
+       i=st.integers(0, 200), j=st.integers(0, 200), k=st.integers(0, 20))
+def test_mutated_trace_is_refused_reported_or_read(sources, source, mutation, i, j, k):
+    """The reader refuses the mutant with a ParseError, or ``verify_trace``
+    returns its problems without raising. ``report``, ``entropy`` and
+    ``timeline --net`` exit 0 or 2, and 2 whenever the reader refuses it."""
+    work, made = sources
+    network, net, lines = made[source]
+    text = _mutant(lines, mutation, i, j, k)
+    try:
+        events = parse_trace(text)
+    except ParseError:
+        refused = True
+    else:
+        refused = False
+        assert isinstance(verify_trace(events, network), list)
+    trace = work / "mutant.jsonl"
+    trace.write_text(text)
+    for argv in (["report", str(trace)], ["entropy", str(trace), "--out", str(work / "e.csv")],
+                 ["timeline", str(trace), "--clock", "3", "--net", str(net), "--out", str(work / "t.csv")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 if refused else code in (0, 2), (argv, err.getvalue())

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from fcnsim import Engine, RunConfig, SamplingMode, verify_trace
-from fcnsim.io import parse_network, serialize_trace
+from fcnsim.io import serialize_trace
+from fcnsim.network import parse_network
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SEED7_SHA256 = {
