@@ -15,8 +15,8 @@ Everything here is pure post-processing over immutable traces.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import groupby
-from operator import attrgetter, gt
+from itertools import groupby, repeat
+from operator import attrgetter, gt, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import ClockMismatch, ParseError
@@ -134,65 +134,60 @@ def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, .
 
 
 def _check_ancestry(
-    entries: tuple[TimeLabel, ...], steps: list[tuple[EventId, EventId]], last_reader: dict[EventId, int]
-) -> tuple[list[CausalViolation], ResolutionReport]:
-    """Compare sorted timeline entries with the causal ancestry of a trace.
+    keys: list[tuple[float, EventId]], edges: list[tuple[EventId, EventId]], last_reader: dict[EventId, int]
+) -> tuple[list[tuple[int, int]], ResolutionReport]:
+    """Compare sorted labels with the causal ancestry of a trace's absorptions.
 
-    Returns the inversions (unsorted) and the resolution report: the
-    causally ordered entry pairs and those among them that share a label.
-    ``entries`` must ascend by (time number, event id) and name
-    absorptions of the index that built ``steps`` and ``last_reader``.
+    ``keys`` are the labels as (time number, event id), ascending, and must
+    name absorptions of the index that built ``edges`` and ``last_reader``.
+    Returns the inversions as (descendant, ancestor) positions in ``keys``,
+    unsorted, and the resolution report: the causally ordered label pairs
+    and those among them that share a label.
 
-    One forward pass over ``steps``, each an event id and its one parent.
-    Each step carries a Python-int bitset of its labeled ancestors, bit
-    ``i`` standing for ``entries[i]``; a step's bitset is dropped once its
-    last child has read it, so memory follows the live causal frontier. As
-    entries ascend, the entries sharing a label fill one bit range ``[lo, hi)``
-    and every later label sits at bit ``hi`` or above: inversions are the
-    set bits of ``bits >> hi``, ordered pairs the popcount of ``bits``,
-    and indistinguishable pairs the popcount of its ``[lo, hi)`` slice.
+    One forward pass over ``edges``, each an absorption and its nearest
+    absorption ancestor; in a forest, an absorption's labeled ancestors are
+    that ancestor, if labeled, and that ancestor's labeled ancestors.
+    Each edge carries a Python-int bitset of its labeled ancestors, bit
+    ``i`` standing for ``keys[i]``; a bitset is dropped once the last edge
+    that names its absorption has read it, so memory follows the live
+    causal frontier. As keys ascend, the keys sharing a label fill one bit
+    range ``[lo, hi)`` and every later label sits at bit ``hi`` or above:
+    inversions are the set bits of ``bits >> hi``, ordered pairs the
+    popcount of ``bits``, and indistinguishable pairs the popcount of its
+    ``[lo, hi)`` slice.
 
-    When an event id repeats in the entries, the last in sort order counts.
+    When an event id repeats in the keys, the last in sort order counts.
     """
-    bit = {lb.event: i for i, lb in enumerate(entries)}
+    bit = {eid: i for i, (_, eid) in enumerate(keys)}
     label_range: dict[float, tuple[int, int]] = {}
     lo = 0
-    for t, group in groupby(entries, key=attrgetter("time_number_s")):
-        hi = lo + sum(1 for _ in group)
+    for t, group in groupby(keys, key=itemgetter(0)):
+        hi = lo + len(list(group))
         label_range[t] = (lo, hi)
         lo = hi
 
     live: dict[EventId, int] = {}
-    violations: list[CausalViolation] = []
+    found: list[tuple[int, int]] = []
     ordered = indistinguishable = 0
-    for k, (eid, p) in enumerate(steps):
-        bits = live.pop(p, 0) if last_reader[p] == k else live.get(p, 0)
-        i = bit.get(p)
+    for k, (eid, above) in enumerate(edges):
+        bits = live.pop(above, 0) if last_reader[above] == k else live.get(above, 0)
+        i = bit.get(above)
         if i is not None:
             bits |= 1 << i
-        if eid in last_reader:  # a later step reads it
+        if eid in last_reader:  # a later edge reads it
             live[eid] = bits
         i = bit.get(eid)
         if i is None or not bits:
             continue
-        t = entries[i].time_number_s
-        lo, hi = label_range[t]
+        lo, hi = label_range[keys[i][0]]
         later = bits >> hi
         ordered += bits.bit_count()
         indistinguishable += (bits >> lo).bit_count() - later.bit_count()
         while later:
             low = later & -later
-            anc = entries[hi + low.bit_length() - 1]
-            violations.append(
-                CausalViolation(
-                    ancestor=anc.event,
-                    descendant=eid,
-                    ancestor_time_s=anc.time_number_s,
-                    descendant_time_s=t,
-                )
-            )
+            found.append((i, hi + low.bit_length() - 1))
             later ^= low
-    return violations, ResolutionReport(
+    return found, ResolutionReport(
         causally_ordered_pairs=ordered,
         indistinguishable_pairs=indistinguishable,
         distinct_labels=len(label_range),
@@ -310,13 +305,15 @@ class TraceIndex:
     (``fold_index``) keeps ``absorptions`` (in trace order, each as its id,
     node and time), each clock's pulses (a tick missing ``pulse_id`` or
     ``counter`` raises KeyError here) and a record of each event that may
-    descend from an absorption; the join then keeps, since only absorptions
-    get labels, ``(id, parent)`` of each event whose one parent is an
-    absorption or a kept event before it. A parent that is absent, or not
-    earlier in the stream, contributes nothing. Labeling costs one
-    bisection per absorption and checking one pass over the kept events.
-    ``TraceIndex.joined`` builds the index from a fold, such as the one
-    ``fold.fold_trace`` reads from a file on two cores.
+    descend from an absorption. Since only absorptions get labels and each
+    event has at most one parent, the join then keeps one edge per
+    absorption with an absorption among its ancestors: its id and its
+    nearest absorption ancestor, found through each recorded event's nearest
+    absorption at or above it. A parent that is absent, or not earlier in
+    the stream, contributes nothing. Labeling costs one bisection per
+    absorption and checking one pass over the edges. ``TraceIndex.joined``
+    builds the index from a fold, such as the one ``fold.fold_trace`` reads
+    from a file on two cores.
     """
 
     def __init__(self, trace: Iterable[SimEvent]):
@@ -339,18 +336,20 @@ class TraceIndex:
             ticks.setdefault(p[1], []).append(new(ClockPulse, p))
         # ClockPulse is immutable, so ``pulses`` hands out these tuples as they are.
         self._pulses = {clock: tuple(clock_pulses) for clock, clock_pulses in ticks.items()}
-        # The kept events, and for each parent they name the last step that names it.
-        self._steps: list[tuple[EventId, EventId]] = []
+        # The edges, and for each ancestor they name the last edge that names it.
+        self._edges: list[tuple[EventId, EventId]] = []
         self._last_reader: dict[EventId, int] = {}
-        reach: set[EventId] = set()  # the ids of the absorptions and kept events so far
-        keep, add, last_reader = self._steps.append, reach.add, self._last_reader
+        edge, last_reader = self._edges.append, self._last_reader
+        near: dict[EventId, EventId] = {}  # each recorded event's nearest absorption at or above it
         for eid, parent, absorbed in records:
-            if parent in reach:
-                last_reader[parent] = len(self._steps)
-                keep((eid, parent))
-                add(eid)
-            elif absorbed:
-                add(eid)
+            above = near.get(parent)
+            if absorbed:
+                if above is not None:
+                    last_reader[above] = len(self._edges)
+                    edge((eid, above))
+                near[eid] = eid
+            elif above is not None:
+                near[eid] = above
 
     @property
     def clocks(self) -> list[NodeId]:
@@ -361,6 +360,18 @@ class TraceIndex:
         """The pulse history of the clock at ``clock``, built as the index read the trace."""
         return self._pulses.get(clock, ())
 
+    def _floor(self, pulses: tuple[ClockPulse, ...]) -> list[int]:
+        """For each absorption, in trace order, the number of pulses at or
+        before it, from one bisection of the pulse times: the absorption
+        pairs with the last of them, and with none when there are none. A
+        pulse earlier than the one before it raises ParseError."""
+        times = [p.engine_time for p in pulses]
+        if any(map(gt, times, times[1:])):
+            back = next(q for p, q in zip(pulses, pulses[1:]) if p.engine_time > q.engine_time)
+            raise ParseError(f"pulse {back.id} at engine_time {back.engine_time} is earlier than the pulse before it",
+                             f"clock {back.clock}")
+        return list(map(bisect_right, repeat(times), map(attrgetter("engine_time"), self.absorptions)))
+
     def label(self, pulses: tuple[ClockPulse, ...]) -> tuple[tuple[TimeLabel, ...], int]:
         """Pair each absorption with the latest pulse at or before it and
         label it with that pulse's recorded time, bisecting the pulse times
@@ -368,19 +379,25 @@ class TraceIndex:
         count of absorptions before the first pulse, which are skipped. A
         pulse earlier than the one before it raises ParseError.
         """
-        times = [p.engine_time for p in pulses]
-        if any(map(gt, times, times[1:])):
-            back = next(q for p, q in zip(pulses, pulses[1:]) if p.engine_time > q.engine_time)
-            raise ParseError(f"pulse {back.id} at engine_time {back.engine_time} is earlier than the pulse before it",
-                             f"clock {back.clock}")
         labels = []
-        for absorption in self.absorptions:
-            after = bisect_right(times, absorption.engine_time)
-            if after:
-                pulse = pulses[after - 1]
+        for absorption, before in zip(self.absorptions, self._floor(pulses)):
+            if before:
+                pulse = pulses[before - 1]
                 triplet = TripletState(absorption.id, pulse.id, pulse.counter, pulse.clock)
                 labels.append(TimeLabel(absorption.id, pulse.engine_time, triplet))
         return tuple(labels), len(self.absorptions) - len(labels)
+
+    def counts(self, pulses: tuple[ClockPulse, ...]) -> tuple[int, int, int, ResolutionReport]:
+        """The numbers of labels, of skipped absorptions and of causal
+        violations, and the resolution report, that ``label`` and ``check``
+        give for ``pulses``, from the same pairing and ancestry pass but
+        without building a label or a violation. Raises ParseError as
+        ``label`` does.
+        """
+        paired = zip(self.absorptions, self._floor(pulses))
+        keys = sorted([(pulses[before - 1].engine_time, absorption.id) for absorption, before in paired if before])
+        found, resolution = _check_ancestry(keys, self._edges, self._last_reader)
+        return len(keys), len(self.absorptions) - len(keys), len(found), resolution
 
     def check(
         self, labels: tuple[TimeLabel, ...] | list[TimeLabel], observer: NodeId | None = None
@@ -401,7 +418,14 @@ class TraceIndex:
         if not self._absorption_ids.issuperset(lb.event for lb in labels):
             other = next(lb.event for lb in labels if lb.event not in self._absorption_ids)
             raise ValueError(f"label on event {other}, which is not an absorption of the trace")
-        entries = tuple(sorted(labels, key=attrgetter("time_number_s", "event")))
-        violations, resolution = _check_ancestry(entries, self._steps, self._last_reader)
+        key = attrgetter("time_number_s", "event")
+        entries = tuple(sorted(labels, key=key))
+        found, resolution = _check_ancestry(list(map(key, entries)), self._edges, self._last_reader)
+        violations = []
+        for d, a in found:
+            descendant, ancestor = entries[d], entries[a]
+            violations.append(
+                CausalViolation(ancestor.event, descendant.event, ancestor.time_number_s, descendant.time_number_s)
+            )
         violations.sort(key=lambda v: (v.descendant, v.ancestor))
         return Timeline(observer=observer, entries=entries), tuple(violations), resolution

@@ -272,8 +272,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .events import EventKind
     from .fold import fold_trace
     # One pass over the stream counts the kinds, finds every clock's pulses
-    # and keeps the events that descend from an absorption; each clock then
-    # costs one labeling and one pass over those events.
+    # and keeps one ancestry edge per absorption; each clock then costs one
+    # pairing and one pass over those edges, and builds no label.
     folded = fold_trace(args.trace, _report_fold)
     index = TraceIndex.joined(folded[:3])
     *tally, negative = folded[3:]
@@ -284,13 +284,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     lines.append(f"entropy: {counts[EventKind.DECAY]} decays, {negative} second-law violations")
     for clock_id in index.clocks:
         pulses = index.pulses(clock_id)
-        labels, skipped = index.label(pulses)
-        _, violations, resolution = index.check(labels, observer=clock_id)
+        labels, skipped, violations, resolution = index.counts(pulses)
         # The spacing of the first two recorded pulses; 1.0 for a clock that ticked once.
         period = pulses[1].engine_time - pulses[0].engine_time if len(pulses) > 1 else 1.0
         lines.append(
-            f"clock {clock_id} (period {period}): {len(labels)} labels, "
-            f"{skipped} skipped, {len(violations)} causal violations, "
+            f"clock {clock_id} (period {period}): {labels} labels, "
+            f"{skipped} skipped, {violations} causal violations, "
             f"{resolution.indistinguishable_pairs} indistinguishable pairs"
         )
     print("\n".join(lines))

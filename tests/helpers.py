@@ -228,11 +228,12 @@ def random_run(case_seed: int) -> tuple[Network, list[tuple[int, float]], RunCon
 
 # -- reference chronology: the set-based ancestry check -----------------
 #
-# The library counts ancestry with one bitset per live event; these copy
-# every labeled ancestor into a per-event set instead. Quadratic on
+# The library counts ancestry over one edge per absorption, with one bitset
+# per live absorption; these walk each absorption's parent chain, or copy
+# every labeled ancestor into a per-event set, instead. Quadratic on
 # chains, but simple enough to trust as the oracle.
 
-from fcnsim import CausalViolation, ResolutionReport  # noqa: E402
+from fcnsim import CausalViolation, EventKind, ResolutionReport  # noqa: E402
 
 
 def reference_labeled_ancestors(targets, trace) -> dict[int, set[int]]:
@@ -246,6 +247,24 @@ def reference_labeled_ancestors(targets, trace) -> dict[int, set[int]]:
                 found.add(p)
         anc[event.id] = found
     return {t: anc.get(t, set()) for t in targets}
+
+
+def reference_absorption_edges(trace) -> list[tuple[int, int]]:
+    """Each absorption with an absorption among its ancestors, in id order,
+    as its id and the first absorption up its parent chain."""
+    by_id = {e.id: e for e in trace}
+    edges = []
+    for event in sorted(trace, key=lambda e: e.id):
+        if event.kind is not EventKind.ABSORPTION:
+            continue
+        parents = event.parents
+        while parents and parents[0] in by_id:
+            ancestor = by_id[parents[0]]
+            if ancestor.kind is EventKind.ABSORPTION:
+                edges.append((event.id, ancestor.id))
+                break
+            parents = ancestor.parents
+    return edges
 
 
 def reference_violations(timeline, trace) -> tuple:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from fcnsim import (
     ClockMismatch,
+    ClockPulse,
     Engine,
     EventKind,
     ParseError,
@@ -27,7 +28,7 @@ from fcnsim import (
 )
 from fcnsim.io import iter_trace, write_trace
 from fcnsim.network import parse_network
-from helpers import chain_network, reference_resolution, reference_violations
+from helpers import chain_network, reference_absorption_edges, reference_resolution, reference_violations
 
 
 def absorption_at(event_id: int, t: float, node: int = 1, parents=()) -> SimEvent:
@@ -93,7 +94,7 @@ class TestFloorPairing:
         assert label.triplet.pulse == expected.id
 
 
-class TestExtractTime:
+class TestTimeNumber:
     """A time number is the paired pulse's recorded time, which is bitwise
     the clock's nominal time ``tick_time(label - counter_start)``."""
 
@@ -265,6 +266,17 @@ def _labeled(draw, kinds=st.just(EventKind.ABSORPTION)) -> tuple[list[SimEvent],
 _KINDS = st.sampled_from([EventKind.ABSORPTION, EventKind.EMISSION, EventKind.DECAY, EventKind.PASS_THROUGH])
 
 
+@st.composite
+def _clocked(draw) -> tuple[list[SimEvent], tuple[ClockPulse, ...]]:
+    """A trace of absorptions among other kinds, at few distinct times in
+    any order along parent edges, and a pulse history whose times never
+    decrease, so that labels tie, invert and skip."""
+    times = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])
+    trace = [e._replace(engine_time=draw(times)) for e in draw(_traces(_KINDS))]
+    pulse_times = sorted(draw(st.lists(times, max_size=6)))
+    return trace, tuple(ClockPulse(k, 9, k, t) for k, t in enumerate(pulse_times))
+
+
 class TestAgainstReference:
     """The bitset ancestry pass agrees with the set-based reference."""
 
@@ -292,6 +304,20 @@ class TestAgainstReference:
         assert resolution == reference_resolution(timeline, trace)
         # An index built from a one-pass iterator gives the same result.
         assert TraceIndex(iter(trace)).check(labels) == (timeline, violations, resolution)
+
+    @given(_clocked())
+    def test_trace_index_counts(self, clocked):
+        """``TraceIndex.counts`` is what ``label`` and ``check`` count, and
+        the index keeps one edge per absorption with an absorption among
+        its ancestors, to the nearest such ancestor."""
+        trace, pulses = clocked
+        index = TraceIndex(trace)
+        assert index._edges == reference_absorption_edges(trace)
+        labels, skipped = index.label(pulses)
+        timeline, violations, resolution = index.check(labels)
+        assert violations == reference_violations(timeline, trace)
+        assert resolution == reference_resolution(timeline, trace)
+        assert index.counts(pulses) == (len(labels), skipped, len(violations), resolution)
 
     def test_closed_form_counts_on_a_long_chain(self):
         """n chained absorptions in label groups of sizes k: every pair is
@@ -384,6 +410,8 @@ class TestLabelAbsorptions:
         index = TraceIndex(trace)
         with pytest.raises(ParseError, match=message):
             index.label(index.pulses(3))
+        with pytest.raises(ParseError, match=message):
+            index.counts(index.pulses(3))
 
     def test_pulses_at_one_time_pair_with_the_last(self):
         trace = (*self.ticks_at(0.0, 1.0, 1.0), absorption_at(3, 1.5))

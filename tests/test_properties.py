@@ -8,6 +8,7 @@ from fcnsim import (
     Engine,
     EventKind,
     RunConfig,
+    SimEvent,
     StandardClockSpec,
     TraceIndex,
     build_timeline,
@@ -24,6 +25,7 @@ from helpers import (
     broadcast_network,
     four_clock_network,
     random_run,
+    reference_absorption_edges,
     reference_resolution,
     reference_violations,
 )
@@ -209,6 +211,7 @@ def test_trace_index_matches_reference(case):
             assert resolution == resolution_report(timeline, trace)
             assert violations == reference_violations(timeline, trace)
             assert resolution == reference_resolution(timeline, trace)
+            assert index.counts(spec_pulses) == (len(labels), skipped, len(violations), resolution)
 
 
 @pytest.mark.parametrize("case", RUNS)
@@ -271,6 +274,92 @@ def test_report_lines_match_reference(case, tmp_path, capsys):
     assert printed == expected
 
 
+def _hand_trace(rows) -> list:
+    """Events from (kind, node, engine_time, parent or None) rows, with ids
+    in row order; each tick's pulse id and counter count its clock's ticks."""
+    ticks: dict[int, int] = {}
+    trace = []
+    for eid, (kind, node, t, parent) in enumerate(rows):
+        payload = {}
+        if kind is EventKind.CLOCK_TICK:
+            k = ticks[node] = ticks.get(node, -1) + 1
+            payload = {"pulse_id": k, "counter": k}
+        trace.append(SimEvent(eid, kind, node, t, () if parent is None else (parent,), payload))
+    return trace
+
+
+_TICK, _ABSORB, _EMIT, _PASS, _INJECT = (
+    EventKind.CLOCK_TICK, EventKind.ABSORPTION, EventKind.EMISSION, EventKind.PASS_THROUGH, EventKind.EXTERNAL_EXCITATION
+)
+# Three clocks: node 10 ticks each second from 0 s, node 11 at 0 s and 4 s
+# only, so its labels tie, and node 12 from 2.5 s, so it skips the early
+# absorptions. Each trace has engine_time stepping back along parent edges,
+# which no engine run writes and every reader accepts.
+_CLOCK_ROWS = [
+    *((_TICK, 10, float(k), None) for k in range(5)),
+    (_TICK, 11, 0.0, None), (_TICK, 11, 4.0, None), (_TICK, 12, 2.5, None), (_TICK, 12, 3.5, None),
+]
+INVERTED = {
+    # A chain with a signal and a pass-through between absorptions, and a branch.
+    "chain": [
+        *_CLOCK_ROWS,
+        (_INJECT, 1, 0.0, None),  # 9
+        (_ABSORB, 2, 3.2, 9),  # 10
+        (_EMIT, 2, 3.2, 10),
+        (_ABSORB, 3, 1.1, 11),  # 12: before its ancestor 10
+        (_ABSORB, 4, 1.5, 12),
+        (_PASS, 5, 2.9, 13),
+        (_ABSORB, 5, 2.6, 14),  # 15
+        (_ABSORB, 6, 0.5, 10),  # 16: a branch, before 10
+        (_ABSORB, 7, 3.9, 16),
+    ],
+    # One absorption fans out to earlier ones; a second tree is disjoint.
+    "fan": [
+        (_INJECT, 1, 0.0, None),  # 0
+        (_ABSORB, 2, 3.7, 0),
+        *_CLOCK_ROWS,  # 2-10
+        (_ABSORB, 3, 0.2, 1),  # 11
+        (_ABSORB, 4, 1.0, 1),
+        (_ABSORB, 5, 3.7, 1),
+        (_EMIT, 3, 0.3, 11),
+        (_ABSORB, 6, 0.1, 14),  # 15: before its parent's parent
+        (_INJECT, 8, 2.0, None),
+        (_ABSORB, 8, 2.7, 16),  # 17: a second root
+        (_ABSORB, 9, 2.6, 17),
+        (_ABSORB, 9, 4.5, 15),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", INVERTED)
+def test_report_lines_match_reference_where_labels_invert(name, tmp_path, capsys):
+    """On traces whose labels invert causal order, ``report`` prints, per
+    clock, what ``label`` and ``check`` and the reference compute, and the
+    clocks between them have violations, ties and skipped absorptions."""
+    trace = _hand_trace(INVERTED[name])
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    assert main(["report", str(path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("clock ")]
+    index = TraceIndex(trace)
+    assert index.clocks == [10, 11, 12]
+    expected, found = [], []
+    for clock_id in index.clocks:
+        pulses = index.pulses(clock_id)
+        labels, skipped = index.label(pulses)
+        timeline, violations, resolution = index.check(labels, observer=clock_id)
+        assert violations == reference_violations(timeline, trace)
+        assert resolution == reference_resolution(timeline, trace)
+        found.append((len(violations), resolution.indistinguishable_pairs, skipped))
+        expected.append(
+            f"clock {clock_id} (period {pulses[1].engine_time - pulses[0].engine_time}): {len(labels)} labels, "
+            f"{skipped} skipped, {len(violations)} causal violations, "
+            f"{resolution.indistinguishable_pairs} indistinguishable pairs"
+        )
+    assert printed == expected
+    assert all(map(any, zip(*found)))
+
+
 def test_four_clock_network_exercises_the_report():
     """The multi-clock case is not vacuous: four clocks, skips and ties."""
     _, trace = _four_clock_run()
@@ -286,27 +375,23 @@ def test_four_clock_network_exercises_the_report():
 
 @pytest.mark.parametrize("case", RUNS)
 def test_index_keeps_the_descendants_of_absorptions(case):
-    """The ancestry pass of each clock walks exactly the events with an
-    absorption among their ancestors, in id order: no other event can
-    carry a labeled ancestor."""
+    """The ancestry pass of each clock walks exactly one edge per absorption
+    with an absorption among its ancestors, from it to the nearest such
+    ancestor, in id order: in a forest these edges carry every labeled
+    ancestor."""
     _, trace = _run(case)
-    absorptions = {e.id for e in trace if e.kind is EventKind.ABSORPTION}
-    descends: set[int] = set()
-    for event in trace:
-        if any(p in absorptions or p in descends for p in event.parents):
-            descends.add(event.id)
-    assert [eid for eid, _ in TraceIndex(trace)._steps] == sorted(descends)
+    assert TraceIndex(trace)._edges == reference_absorption_edges(trace)
 
 
 def test_broadcast_network_exercises_the_index():
     """The broadcast case is not vacuous: three clocks label every
-    absorption, and the index keeps only the few decays of absorptions."""
+    absorption, and the index keeps no edge, since no absorption descends
+    from another."""
     _, trace = _broadcast_run()
     index = TraceIndex(trace)
     assert index.clocks == [3, 11, 26]
-    steps = index._steps
-    assert len(trace) == 890 and len(steps) == 27
-    assert {trace[eid].kind for eid, _ in steps} == {EventKind.DECAY}
+    edges = index._edges
+    assert len(trace) == 890 and len(edges) == len(reference_absorption_edges(trace)) == 0
     for clock_id in index.clocks:
         labels, skipped = index.label(index.pulses(clock_id))
         assert (len(labels), skipped) == (50, 0)
