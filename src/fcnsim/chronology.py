@@ -19,7 +19,7 @@ from itertools import groupby, repeat
 from operator import attrgetter, gt, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .errors import ClockMismatch, ParseError
+from .errors import ClockMismatch, ParseError, ValidationFailed
 from .events import EventId, EventKind, EventTrace, NodeId, PulseId, SimEvent
 
 if TYPE_CHECKING:
@@ -39,11 +39,10 @@ def _undeclared_pulses(
     pulses: Iterable[ClockPulse], spec: StandardClockSpec, declared_by: str
 ) -> Iterator[tuple[int, str]]:
     """Each of one clock's pulses, in order, that is not the tick ``spec``
-    declares: pulse k is at ``spec.tick_time(k)`` with counter
-    ``spec.counter_start + k``. Yields k and a message that names
+    declares: pulse k must be the ``(engine_time, counter)`` that
+    ``spec.ticks()`` yields k-th. Yields k and a message that names
     ``declared_by`` as where the spec comes from."""
-    for k, pulse in enumerate(pulses):
-        t, counter = spec.tick_time(k), spec.counter_start + k
+    for k, (pulse, (t, counter)) in enumerate(zip(pulses, spec.ticks())):
         if (pulse.engine_time, pulse.counter) != (t, counter):
             yield k, (f"clock {spec.id}: pulse {pulse.id} (tick {k}) is at engine_time {pulse.engine_time} "
                       f"with counter {pulse.counter}; {declared_by} declares {t} with counter {counter}")
@@ -116,21 +115,12 @@ def clock_pulses(spec: StandardClockSpec, until_s: float) -> tuple[ClockPulse, .
     """Synthesize the pulse history a clock would produce up to ``until_s``.
 
     Lets a trace be relabeled against hypothetical clocks (for example at
-    half the period) without rerunning the engine.
+    half the period) without rerunning the engine: ``spec.ticks``, ids from
+    0. A clock ``Engine`` refuses raises its ValidationFailed.
     """
-    pulses = []
-    k = 0
-    while spec.tick_time(k) <= until_s:
-        pulses.append(
-            ClockPulse(
-                id=k,
-                clock=spec.id,
-                counter=spec.counter_start + k,
-                engine_time=spec.tick_time(k),
-            )
-        )
-        k += 1
-    return tuple(pulses)
+    if problem := spec.tick_problem(until_s):
+        raise ValidationFailed([problem])
+    return tuple(ClockPulse(k, spec.id, counter, t) for k, (t, counter) in enumerate(spec.ticks(until_s)))
 
 
 def _check_ancestry(
@@ -330,7 +320,6 @@ class TraceIndex:
         absorptions, pulses, records = fold
         new = tuple.__new__
         self.absorptions = [new(_Absorption, a) for a in absorptions]
-        self._absorption_ids = {a[0] for a in absorptions}
         ticks: dict[NodeId, list[ClockPulse]] = {}
         for p in pulses:
             ticks.setdefault(p[1], []).append(new(ClockPulse, p))
@@ -360,17 +349,18 @@ class TraceIndex:
         """The pulse history of the clock at ``clock``, built as the index read the trace."""
         return self._pulses.get(clock, ())
 
-    def _floor(self, pulses: tuple[ClockPulse, ...]) -> list[int]:
-        """For each absorption, in trace order, the number of pulses at or
-        before it, from one bisection of the pulse times: the absorption
-        pairs with the last of them, and with none when there are none. A
-        pulse earlier than the one before it raises ParseError."""
+    def _pairs(self, pulses: tuple[ClockPulse, ...]) -> list[tuple[_Absorption, ClockPulse]]:
+        """Each absorption, in trace order, that has a pulse at or before it,
+        with the latest such pulse, from one bisection of the pulse times per
+        absorption: the floor rule. A pulse earlier than the one before it
+        raises ParseError."""
         times = [p.engine_time for p in pulses]
         if any(map(gt, times, times[1:])):
             back = next(q for p, q in zip(pulses, pulses[1:]) if p.engine_time > q.engine_time)
             raise ParseError(f"pulse {back.id} at engine_time {back.engine_time} is earlier than the pulse before it",
                              f"clock {back.clock}")
-        return list(map(bisect_right, repeat(times), map(attrgetter("engine_time"), self.absorptions)))
+        before = map(bisect_right, repeat(times), map(attrgetter("engine_time"), self.absorptions))
+        return [(absorption, pulses[n - 1]) for absorption, n in zip(self.absorptions, before) if n]
 
     def label(self, pulses: tuple[ClockPulse, ...]) -> tuple[tuple[TimeLabel, ...], int]:
         """Pair each absorption with the latest pulse at or before it and
@@ -379,13 +369,9 @@ class TraceIndex:
         count of absorptions before the first pulse, which are skipped. A
         pulse earlier than the one before it raises ParseError.
         """
-        labels = []
-        for absorption, before in zip(self.absorptions, self._floor(pulses)):
-            if before:
-                pulse = pulses[before - 1]
-                triplet = TripletState(absorption.id, pulse.id, pulse.counter, pulse.clock)
-                labels.append(TimeLabel(absorption.id, pulse.engine_time, triplet))
-        return tuple(labels), len(self.absorptions) - len(labels)
+        labels = tuple(TimeLabel(a.id, p.engine_time, TripletState(a.id, p.id, p.counter, p.clock))
+                       for a, p in self._pairs(pulses))
+        return labels, len(self.absorptions) - len(labels)
 
     def counts(self, pulses: tuple[ClockPulse, ...]) -> tuple[int, int, int, ResolutionReport]:
         """The numbers of labels, of skipped absorptions and of causal
@@ -394,8 +380,7 @@ class TraceIndex:
         without building a label or a violation. Raises ParseError as
         ``label`` does.
         """
-        paired = zip(self.absorptions, self._floor(pulses))
-        keys = sorted([(pulses[before - 1].engine_time, absorption.id) for absorption, before in paired if before])
+        keys = sorted([(p.engine_time, a.id) for a, p in self._pairs(pulses)])
         found, resolution = _check_ancestry(keys, self._edges, self._last_reader)
         return len(keys), len(self.absorptions) - len(keys), len(found), resolution
 
@@ -415,8 +400,9 @@ class TraceIndex:
             raise ClockMismatch(f"labels span several clocks: {sorted(clocks)}")
         if observer is None and clocks:
             observer = next(iter(clocks))
-        if not self._absorption_ids.issuperset(lb.event for lb in labels):
-            other = next(lb.event for lb in labels if lb.event not in self._absorption_ids)
+        ids = {a.id for a in self.absorptions}
+        if not ids.issuperset(lb.event for lb in labels):
+            other = next(lb.event for lb in labels if lb.event not in ids)
             raise ValueError(f"label on event {other}, which is not an absorption of the trace")
         key = attrgetter("time_number_s", "event")
         entries = tuple(sorted(labels, key=key))

@@ -49,7 +49,7 @@ from .constants import Checked
 from .entropy import DEFAULT_ENTROPY_MODEL, EntropyModel, decay_payloads
 from .errors import UnknownNode, ValidationFailed
 from .events import ArcId, EventId, EventKind, EventTrace, NodeId, SimEvent
-from .network import Network, StandardClockSpec, propagation_delay
+from .network import Network, propagation_delay
 from .quantum import absorb, signal_energy, wavelength_of
 
 
@@ -152,7 +152,7 @@ class _NodeRow(NamedTuple):
 #   decay      node, excitation id, parent
 #   emission   node, arc id, target, delay, energy, wavelength, parent
 #   arrival    arc id, target, energy, parent
-#   tick       clock spec, k, parent (None for the first tick)
+#   tick       clock node, counter, the clock's later ticks (an iterator), parent (None for the first tick)
 _INJECTION, _DECAY, _EMISSION, _ARRIVAL, _TICK = range(5)
 
 
@@ -172,14 +172,8 @@ class Engine:
         config: RunConfig,
         injections: Iterable[tuple[NodeId, float]] = (),
     ):
-        # Tick k is at first + k * period (tick_time), first >= 0. Up to the horizon u, k * period <= u, so it
-        # and (k + 1) * period round to floats more than period - ulp(u) apart. When period > 2 * ulp(u), first
-        # plus each are reals more than ulp(u) apart: too far apart to round to one float <= u, one engine_time.
-        # Such a clock ticks fewer than 2**52 + 1 times up to u, far fewer than a trace's 64-bit event ids.
         until = config.run_until_s
-        problems = [f"clock {c.id}: ticks every {c.period_s} s could share an engine_time: "
-                    f"the period is within 2 ulps of the horizon {until}"
-                    for c in network.clocks if c.first_tick_s <= until and c.period_s <= 2 * math.ulp(until)]
+        problems = list(filter(None, (clock.tick_problem(until) for clock in network.clocks)))
         self._config = config
         self._queue: list[tuple[Any, ...]] = []
         self._seq = itertools.count()
@@ -207,7 +201,7 @@ class Engine:
         # Clock first ticks are scheduled before injections: at equal
         # engine_time a tick precedes the excitation it may later label.
         for clock in network.clocks:
-            self._schedule_tick(clock, 0, None)
+            self._schedule_tick(clock.id, clock.ticks(until), None)
         # An injection becomes an external excitation if the node is in its
         # ground state when it is processed, or a pass-through if occupied.
         for node, at in injections:
@@ -320,21 +314,21 @@ class Engine:
             EventKind.PASS_THROUGH, target, t, parents, {"reason": reason, "energy_ev": energy, "arc": arc}
         )
 
-    def _schedule_tick(self, clock: StandardClockSpec, k: int, parent: EventId | None) -> None:
-        t = clock.tick_time(k)
-        if t <= self._config.run_until_s:
-            heapq.heappush(self._queue, (t, next(self._seq), _TICK, clock, k, parent))
+    def _schedule_tick(self, node: NodeId, ticks: Iterator[tuple[float, int]], parent: EventId | None) -> None:
+        tick = next(ticks, None)
+        if tick is not None:
+            heapq.heappush(self._queue, (tick[0], next(self._seq), _TICK, node, tick[1], ticks, parent))
 
     def _process_tick(self, occ: tuple[Any, ...]) -> SimEvent:
-        t, _, _, clock, k, parent = occ
+        t, _, _, node, counter, ticks, parent = occ
         event = self._emit_event(
             EventKind.CLOCK_TICK,
-            clock.id,
+            node,
             t,
             () if parent is None else (parent,),
-            {"pulse_id": next(self._pulse_ids), "counter": clock.counter_start + k},
+            {"pulse_id": next(self._pulse_ids), "counter": counter},
         )
-        self._schedule_tick(clock, k + 1, event.id)
+        self._schedule_tick(node, ticks, event.id)
         return event
 
     # Indexed by occurrence tag; events() dispatches through it.

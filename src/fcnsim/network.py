@@ -1,7 +1,7 @@
 """Static causal-network description and analysis.
 
-Nodes are two-level emitter/detector units placed in space; arcs are
-directed signal channels with a propagation delay of distance over c.
+Nodes are two-level emitter/detector units with a position that nothing
+reads; arcs are directed signal channels with a delay of distance over c.
 Standard clocks attach to a host node and emit counted pulses. The
 coupling classifier partitions nodes into collective groups (CENs, nodes
 so close that signal transit is negligible against their lifetimes) and
@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .constants import CONSTANTS, Checked
 from .errors import ParseError, ValidationFailed
@@ -67,7 +67,8 @@ class StandardClockSpec(Checked, namedtuple("StandardClockSpec", "id period_s fi
 
     ``id`` names the node the clock lives at; its pulses happen there.
     Pulse k carries counter ``counter_start + k`` at engine time
-    ``first_tick_s + k * period_s``.
+    ``first_tick_s + k * period_s``. ``ticks`` and ``tick_problem`` are the
+    one definition of the pulses and of the engine's refusal of a clock.
     """
 
     __slots__ = ()
@@ -85,6 +86,24 @@ class StandardClockSpec(Checked, namedtuple("StandardClockSpec", "id period_s fi
         # Single shared expression so engine pulses and extracted time
         # numbers agree bitwise.
         return self.first_tick_s + k * self.period_s
+
+    def ticks(self, until: float = math.inf) -> Iterator[tuple[float, int]]:
+        """Each pulse's ``(engine_time, counter)``, in order, up to ``until``."""
+        k = 0
+        while (t := self.tick_time(k)) <= until:
+            yield t, self.counter_start + k
+            k += 1
+
+    def tick_problem(self, until: float) -> str | None:
+        """The engine's message refusing this clock up to the horizon ``until``, or None."""
+        # Tick k is at first + k * period (tick_time), first >= 0. Up to the horizon u, k * period <= u, so it
+        # and (k + 1) * period round to floats more than period - ulp(u) apart. When period > 2 * ulp(u), first
+        # plus each are reals more than ulp(u) apart: too far apart to round to one float <= u, one engine_time.
+        # Such a clock ticks fewer than 2**52 + 1 times up to u, far fewer than a trace's 64-bit event ids.
+        if self.first_tick_s <= until and self.period_s <= 2 * math.ulp(until):
+            return (f"clock {self.id}: ticks every {self.period_s} s could share an engine_time: "
+                    f"the period is within 2 ulps of the horizon {until}")
+        return None
 
 
 class Arc(Checked, namedtuple("Arc", "id source target distance_m")):

@@ -24,6 +24,7 @@ from fcnsim import (
     StandardClockSpec,
     UnknownNode,
     ValidationFailed,
+    clock_pulses,
     lifetime,
     validate_network,
     wavelength_of,
@@ -360,19 +361,40 @@ class TestClockTicks:
     def test_ticks_are_refused_exactly_when_they_could_share_a_time(self, until, k, steps):
         """A clock with a tick ``k`` periods before the horizon and a period
         within a few floats of 2 ulps of it: refused at or below 2 ulps;
-        above, its ticks have strictly increasing engine_times."""
+        above, its ticks have strictly increasing engine_times. The
+        synthesized pulses refuse it in the engine's words exactly then,
+        and otherwise are the engine's ticks."""
         period = 2 * math.ulp(until)
         for _ in range(abs(steps)):
             period = math.nextafter(period, math.inf if steps > 0 else 0.0)
         first = until - k * period
         assume(period > 0 and first >= 0)
-        net = validate_network([make_node(1)], [], [StandardClockSpec(1, period, first)])
+        spec = StandardClockSpec(1, period, first, counter_start=steps)
+        net = validate_network([make_node(1)], [], [spec])
         if period <= 2 * math.ulp(until):
-            with pytest.raises(ValidationFailed):
+            with pytest.raises(ValidationFailed) as err:
                 Engine(net, RunConfig(until))
+            with pytest.raises(ValidationFailed) as synthesized:
+                clock_pulses(spec, until)
+            assert synthesized.value.problems == err.value.problems
             return
-        times = [e.engine_time for e in Engine(net, RunConfig(until)).events()]
+        ticks = [(e.engine_time, e.payload["counter"]) for e in Engine(net, RunConfig(until)).events()]
+        times = [t for t, _ in ticks]
         assert times and times == sorted(set(times)) and times[-1] <= until
+        assert [(p.engine_time, p.counter) for p in clock_pulses(spec, until)] == ticks
+
+    @pytest.mark.parametrize("spec, until", [
+        (StandardClockSpec(3, 1e-20, 1.0), 1.000001),
+        (StandardClockSpec(3, 1.0), math.inf),
+        (StandardClockSpec(3, 1e300, 5.0), math.inf),
+    ])
+    def test_synthesized_pulses_of_an_unbounded_clock_are_refused(self, spec, until):
+        """About 10**14 pulses, nearly all at engine_time 1.0, or pulses
+        without end (``math.ulp(inf)`` is inf): refused before any is built."""
+        with pytest.raises(ValidationFailed) as err:
+            clock_pulses(spec, until)
+        assert err.value.problems == [f"clock 3: ticks every {spec.period_s} s could share an engine_time: "
+                                      f"the period is within 2 ulps of the horizon {until}"]
 
 
 class TestDeterminism:

@@ -374,7 +374,7 @@ def test_four_clock_network_exercises_the_report():
 
 
 @pytest.mark.parametrize("case", RUNS)
-def test_index_keeps_the_descendants_of_absorptions(case):
+def test_index_keeps_the_nearest_absorption_edges(case):
     """The ancestry pass of each clock walks exactly one edge per absorption
     with an absorption among its ancestors, from it to the nearest such
     ancestor, in id order: in a forest these edges carry every labeled
